@@ -2,9 +2,10 @@
 """Restricting the matched filter to a line costs O(p log p), not O(p^2).
 
 The entries of M[S, R] along any line reduce to one cyclic correlation,
-computed here with a prime-length DFT (Rader reduction to a power-of-two
-convolution). Operation counters make the complexity visible without timing
-noise; wall clocks are printed as a sanity check.
+computed here with prime-length DFTs (numpy's pocketfft). Operation counters
+charge each transform the modelled cost of a zero-padded radix-2 Rader
+transform, so the complexity shows without timing noise; wall clocks are
+printed as a sanity check.
 """
 
 import time
@@ -43,7 +44,6 @@ def main() -> None:
           f"|M| = {abs(prof.values[k]):.6f}")
 
     # 3. counters: ops grow like p log p along a line, p^2 log p for the grid
-    # (first use of a prime also counts the one-time Rader plan setup)
     print("\n      p    line ops    full-grid ops   ratio")
     for pp in (101, 401, 1009):
         Pq = as_prime(pp)

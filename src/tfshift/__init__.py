@@ -7,7 +7,8 @@ harness, benchmark, and file formats.
 """
 
 from .gfp import (Line, PlanePoint, Prime, as_prime, inv, is_prime, legendre,
-                  line_contains, line_points, line_through, lines_through_origin)
+                  line_contains, line_point, line_points, line_through,
+                  lines_through_origin)
 from .signals import (MFMatrix, Signal, awgn, const_signal, delta, heisenberg_op,
                       inner, mf_entry, mf_full, mfi_coefficient, modulate,
                       random_signal, time_shift)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fastmf import mf_on_line
-from .gfp import Line, PlanePoint, line_points, line_through
+from .gfp import Line, PlanePoint, line_point, line_through
 from .heisenberg import Cross
 from .signals import Signal, mf_entry
 from .weil import Flag
@@ -64,11 +64,11 @@ def _two_stage(S: Signal, R: Signal, carrier: Line, stage1_line: Line,
     prof1 = mf_on_line(S, R, stage1_line)
     k1 = prof1.argmax()
     stage1_mag = float(np.abs(prof1.values[k1]))
-    v_star = line_points(stage1_line)[k1]
+    v_star = line_point(stage1_line, k1)
     stage2_line = line_through(carrier.slope, v_star)
     prof2 = mf_on_line(S, R, stage2_line)
     k2 = prof2.argmax()
-    shift = line_points(stage2_line)[k2]
+    shift = line_point(stage2_line, k2)
     mag = float(np.abs(prof2.values[k2]))
     return Detection(shift, mag, stage1_mag,
                      stage1_mag >= theta1 and mag >= theta2)
@@ -160,17 +160,16 @@ def radar_detect(R: Signal, flag: Flag, r: int,
     lperp = transverse_line(flag.line)
     prof1 = mf_on_line(flag.signal, R, lperp)
     mags = np.abs(prof1.values)
-    pts = line_points(lperp)
     cands = _local_maxima(mags, theta)
     cands.sort(key=lambda i: -mags[i])
     cands = cands[:r]
     out = []
     seen = set()
     for k in cands:
-        stage2_line = line_through(flag.line.slope, pts[k])
+        stage2_line = line_through(flag.line.slope, line_point(lperp, k))
         prof2 = mf_on_line(flag.signal, R, stage2_line)
         k2 = prof2.argmax()
-        shift = line_points(stage2_line)[k2]
+        shift = line_point(stage2_line, k2)
         key = (shift.tau, shift.omega)
         mag = float(np.abs(prof2.values[k2]))
         if mag < theta2 or key in seen:

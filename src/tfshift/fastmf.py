@@ -2,22 +2,19 @@
 
 The forward transform uses the kernel e^{+2 pi i k t / p}, chosen so that a
 vertical-line slice of the matched-filter matrix is literally one forward
-transform. Prime lengths are handled by re-expressing the nontrivial output
-indices as a cyclic convolution of length p-1 (indices written as powers of a
-primitive root), evaluated with zero-padded power-of-two FFTs. All transforms
-run through an instrumented operation counter so complexity claims can be
-checked machine-independently.
+transform. Transforms run through numpy.fft (pocketfft), which handles prime
+lengths in O(p log p) itself. Every transform is counted in an operation
+counter so complexity claims can be checked machine-independently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .gfp import Line, as_prime, inv, is_prime, line_points
+from .gfp import Line, inv, is_prime
 
 if TYPE_CHECKING:
     from .signals import Signal
@@ -28,7 +25,11 @@ if TYPE_CHECKING:
 @dataclass
 class OpCounters:
     """Instrumentation for complexity evidence. Not thread-safe; read it
-    around single-threaded measurement sections only."""
+    around single-threaded measurement sections only.
+
+    dft_ops is the modelled cost of the zero-padded radix-2 Rader scheme for
+    a prime length (see _modelled_ops), not a count of instructions executed.
+    """
 
     dft_calls: int = 0
     dft_ops: int = 0
@@ -46,123 +47,13 @@ class OpCounters:
 counters = OpCounters()
 
 
-# ------------------------------------------------------- power-of-two FFT
-
-def _bit_reverse(n: int) -> np.ndarray:
-    bits = n.bit_length() - 1
-    rev = np.zeros(n, dtype=np.intp)
-    for i in range(1, n):
-        rev[i] = (rev[i >> 1] >> 1) | ((i & 1) << (bits - 1))
-    return rev
-
-
-@lru_cache(maxsize=None)
-def _pow2_tables(n: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
-    """Bit-reversal permutation and per-stage twiddles for length n = 2^k."""
-    rev = _bit_reverse(n)
-    tw = []
-    size = 2
-    while size <= n:
-        half = size // 2
-        tw.append(np.exp(-2j * np.pi * np.arange(half) / size))
-        size *= 2
-    return rev, tuple(tw)
-
-
-def _fft_pow2(x: np.ndarray, sign: int) -> np.ndarray:
-    """Iterative radix-2 transform, length a power of two.
-
-    sign=-1 is the forward kernel e^{-2 pi i jk/n}; sign=+1 the unnormalized
-    inverse kernel. Each stage is vectorized over all butterflies.
-    """
-    n = x.shape[0]
-    rev, tws = _pow2_tables(n)
-    a = np.asarray(x, dtype=np.complex128)[rev]
-    stages = len(tws)
-    counters.dft_ops += (n // 2) * stages
-    for s in range(stages):
-        size = 2 << s
-        half = size >> 1
-        tw = tws[s] if sign < 0 else np.conj(tws[s])
-        a = a.reshape(-1, size)
-        even = a[:, :half]
-        odd = a[:, half:] * tw
-        a = np.concatenate((even + odd, even - odd), axis=1)
-    return a.reshape(n)
-
-
-# ------------------------------------------------------- prime-length plan
-
-def _primitive_root(p: int) -> int:
-    n = p - 1
-    fac = []
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            fac.append(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        fac.append(m)
-    for g in range(2, p):
-        if all(pow(g, n // q, p) != 1 for q in fac):
-            return g
-    raise RuntimeError("no primitive root found")  # unreachable for prime p
-
-
-@dataclass(frozen=True)
-class _Plan:
-    p: int
-    conv_len: int                 # padded power-of-two length N >= 2(p-1)-1
-    perm_in: np.ndarray           # b -> g^{-b} mod p
-    perm_out: np.ndarray          # a -> g^{a} mod p
-    kernel_fft: np.ndarray        # length-N forward FFT of the padded kernel
-
-
-@lru_cache(maxsize=None)
-def _plan(p: int) -> _Plan:
-    if not is_prime(p):
-        raise ValueError(f"dft length {p} is not prime")
-    m = p - 1
-    g = _primitive_root(p)
-    ginv = pow(g, -1, p)
-    perm_in = np.empty(m, dtype=np.intp)
-    perm_out = np.empty(m, dtype=np.intp)
-    a = 1
-    b = 1
-    for k in range(m):
-        perm_out[k] = a
-        perm_in[k] = b
-        a = (a * g) % p
-        b = (b * ginv) % p
-    conv_len = 1 << (2 * m - 1).bit_length()
-    w = np.exp(2j * np.pi * perm_out.astype(np.float64) / p)
-    w_pad = np.zeros(conv_len, dtype=np.complex128)
-    w_pad[:m] = w
-    kernel_fft = _fft_pow2(w_pad, -1)
-    return _Plan(p, conv_len, perm_in, perm_out, kernel_fft)
-
-
-def _dft_forward(x: np.ndarray) -> np.ndarray:
-    p = x.shape[0]
-    if p == 3:  # tiny case: direct is both faster and simpler
-        t = np.arange(3)
-        return np.exp(2j * np.pi * np.outer(t, t) / 3) @ x
-    plan = _plan(p)
-    m = p - 1
-    n = plan.conv_len
-    u = np.zeros(n, dtype=np.complex128)
-    u[:m] = x[plan.perm_in]
-    lin = _fft_pow2(_fft_pow2(u, -1) * plan.kernel_fft, +1) / n
-    counters.dft_ops += n
-    conv = lin[:m].copy()
-    conv[: m - 1] += lin[m : 2 * m - 1]
-    out = np.empty(p, dtype=np.complex128)
-    out[0] = x.sum()
-    out[plan.perm_out] = x[0] + conv
-    return out
+def _modelled_ops(p: int) -> int:
+    """Cost of one padded Rader transform: two radix-2 passes of length
+    N >= 2(p-1)-1, (N/2)log2 N butterflies each, plus N pointwise products."""
+    if p <= 3:
+        return 0
+    n = 1 << (2 * (p - 1) - 1).bit_length()
+    return n * (n.bit_length() - 1) + n
 
 
 def dft(x: np.ndarray, direction: str = "forward") -> np.ndarray:
@@ -171,12 +62,18 @@ def dft(x: np.ndarray, direction: str = "forward") -> np.ndarray:
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim != 1:
         raise ValueError("dft expects a 1-d vector")
-    counters.dft_calls += 1
+    p = x.shape[0]
+    if not is_prime(p):
+        raise ValueError(f"dft length {p} is not prime")
     if direction == "forward":
-        return _dft_forward(x)
-    if direction == "inverse":
-        return np.conj(_dft_forward(np.conj(x))) / x.shape[0]
-    raise ValueError(f"unknown direction {direction!r}")
+        out = np.fft.ifft(x, norm="forward")
+    elif direction == "inverse":
+        out = np.fft.fft(x, norm="forward")
+    else:
+        raise ValueError(f"unknown direction {direction!r}")
+    counters.dft_calls += 1
+    counters.dft_ops += _modelled_ops(p)
+    return out
 
 
 # ----------------------------------------------------- matched filter on a line

@@ -152,16 +152,20 @@ def lines_through_origin(p) -> list[Line]:
     return lines
 
 
-def line_points(L: Line) -> list[PlanePoint]:
-    """The p points of L in canonical parameter order t = 0..p-1.
+def line_point(L: Line, t: int) -> PlanePoint:
+    """The t-th point of L in canonical parameter order, in O(1).
 
     Slope(m): (off.tau + t, off.omega + m*t). Vertical: (off.tau, off.omega + t).
     """
-    pp = L.p
     off = L.offset
     if L.slope is None:
-        return [PlanePoint(off.tau, off.omega + t, pp) for t in range(pp.p)]
-    return [PlanePoint(off.tau + t, off.omega + L.slope * t, pp) for t in range(pp.p)]
+        return PlanePoint(off.tau, off.omega + t, L.p)
+    return PlanePoint(off.tau + t, off.omega + L.slope * t, L.p)
+
+
+def line_points(L: Line) -> list[PlanePoint]:
+    """The p points of L in canonical parameter order t = 0..p-1."""
+    return [line_point(L, t) for t in range(L.p.p)]
 
 
 def line_contains(L: Line, v: PlanePoint) -> bool:

@@ -185,7 +185,7 @@ def bench_complexity(p_list, repeats: int = 3, full_rows: int = 32) -> list[dict
         S = random_signal(pp, seed=101)
         R = random_signal(pp, seed=202)
         line = Line(1, pp)
-        mf_on_line(S, R, line)  # warm the transform plan
+        mf_on_line(S, R, line)  # keep first-use set-up out of the timing
         times = []
         for _ in range(max(1, repeats)):
             t0 = time.perf_counter()

@@ -13,6 +13,7 @@ from tfshift import (
     cross_correlate,
     dft,
     heisenberg_op,
+    line_point,
     line_points,
     mf_on_line,
     random_signal,
@@ -26,6 +27,32 @@ def test_dft_matches_direct_sum(p):
     scale = max(1.0, np.abs(dft_oracle(x)).max())
     assert np.abs(dft(x, "forward") - dft_oracle(x, "forward")).max() / scale < 1e-9
     assert np.abs(dft(x, "inverse") - dft_oracle(x, "inverse")).max() < 1e-9
+
+
+@pytest.mark.parametrize("p", [10007, 100003])
+def test_dft_matches_direct_sum_large_p(p):
+    # the direct sum at 16 sampled output indices costs O(16 p), not O(p^2)
+    rng = np.random.default_rng(p)
+    x = rng.standard_normal(p) + 1j * rng.standard_normal(p)
+    ks = rng.choice(p, size=16, replace=False)
+    t = np.arange(p, dtype=np.int64)
+    kernel = np.exp(2j * np.pi * (np.outer(ks, t) % p) / p)
+    for direction, want in (("forward", kernel @ x),
+                            ("inverse", (np.conj(kernel) @ x) / p)):
+        got = dft(x, direction)[ks]
+        scale = max(1.0, np.abs(want).max())
+        assert np.abs(got - want).max() / scale < 1e-9, direction
+
+
+def test_dft_length_two_and_rejects_bad_input():
+    x = np.array([1.5 - 0.5j, -2.0 + 3.0j])
+    for direction in ("forward", "inverse"):
+        assert np.abs(dft(x, direction) - dft_oracle(x, direction)).max() < 1e-12
+    for n in (1, 4, 9, 15):
+        with pytest.raises(ValueError):
+            dft(np.ones(n, dtype=np.complex128))
+    with pytest.raises(ValueError):
+        dft(np.ones((5, 5), dtype=np.complex128))
 
 
 @pytest.mark.parametrize("p", [5, 31, 997])
@@ -114,6 +141,19 @@ def line_cases(p):
         Line(3 % q, pp, offset=PlanePoint(2, 5, pp)),
         Line(None, pp, offset=PlanePoint(4, 1, pp)),
     ]
+
+
+def test_line_point_matches_line_points():
+    # line_points is built on line_point, so the parametrisation is also pinned
+    # independently: point t is the canonical offset plus t times direction()
+    rng = np.random.default_rng(10007)
+    for p, ts in ((7, range(7)), (10007, rng.integers(10007, size=64))):
+        for L in line_cases(p):
+            pts = line_points(L)
+            off, d = L.offset, L.direction()
+            for t in map(int, ts):
+                want = PlanePoint(off.tau + t * d.tau, off.omega + t * d.omega, L.p)
+                assert line_point(L, t) == pts[t] == want, (L, t)
 
 
 @pytest.mark.parametrize("p", [5, 31, 101])
