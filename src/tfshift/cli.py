@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 low-confidence detection, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -19,7 +20,7 @@ from .gfp import Line, PlanePoint, as_prime
 from .heisenberg import cross_waveform, line_vector
 from .signals import mf_full, random_signal
 from .sim import ChannelSpec, UserSpec, bench_complexity, fit_exponent, monte_carlo
-from .weil import flag_waveform, make_torus, torus_eigenbasis
+from .weil import Flag, flag_waveform, make_torus, torus_eigenbasis
 
 EXIT_OK = 0
 EXIT_LOW_CONFIDENCE = 1
@@ -45,6 +46,14 @@ def _parse_prime(value) -> "Prime":
         return as_prime(int(value))
     except ValueError as e:
         raise UsageError(str(e))
+
+
+def _parse_int_pair(text: str, option: str) -> tuple[int, int]:
+    try:
+        a, b = (int(x) for x in text.split(","))
+    except ValueError:
+        raise UsageError(f"bad {option} {text!r}: expected two comma-separated integers")
+    return a, b
 
 
 def _slope_token(line: Line) -> str:
@@ -101,13 +110,10 @@ def cmd_gen(args) -> int:
             raise UsageError("--lines expects two comma-separated slopes")
         L = Line(_parse_slope(parts[0]), p)
         M = Line(_parse_slope(parts[1]), p)
-        idx = (args.indices or "0,0").split(",")
-        if len(idx) != 2:
-            raise UsageError("--indices expects two comma-separated integers")
-        cr = cross_waveform(L, M, int(idx[0]), int(idx[1]))
-        sig = cr.signal
+        il, im = _parse_int_pair(args.indices or "0,0", "--indices")
+        sig = cross_waveform(L, M, il, im).signal
         desc = {"line_l": _slope_token(L), "line_m": _slope_token(M),
-                "index_l": int(idx[0]), "index_m": int(idx[1])}
+                "index_l": il, "index_m": im}
     elif args.kind == "random":
         sig = random_signal(p, args.seed)
         desc = {"seed": args.seed}
@@ -127,10 +133,8 @@ def cmd_ambiguity(args) -> int:
     if S.p != R.p:
         raise UsageError("sender and receiver have different p")
     if args.line is not None:
-        off = PlanePoint(0, 0, S.p)
-        if args.offset:
-            t, w = args.offset.split(",")
-            off = PlanePoint(int(t), int(w), S.p)
+        t, w = _parse_int_pair(args.offset or "0,0", "--offset")
+        off = PlanePoint(t, w, S.p)
         line = Line(_parse_slope(args.line), S.p, offset=off)
         prof = mf_on_line(S, R, line)
         write_profile(args.out, prof, args.format if args.format != "csv" else "text")
@@ -162,6 +166,8 @@ def _rebuild_waveform(header: dict):
 
 
 def cmd_detect(args) -> int:
+    if args.method == "radar" and args.targets < 1:
+        raise UsageError(f"--targets must be >= 1, got {args.targets}")
     R, _ = _read_signal_or_usage(args.receiver)
     try:
         with open(args.manifest, "r", encoding="utf-8") as fh:
@@ -180,10 +186,11 @@ def cmd_detect(args) -> int:
         if float(np.max(np.abs(w.signal.samples - stored.samples))) > 1e-8:
             print(f"warning: payload of {path} differs from its descriptor rebuild",
                   file=sys.stderr)
-        entries.append(w)
+        # the header recipe supplies the scan lines; detection uses the payload
+        entries.append(dataclasses.replace(w, signal=stored))
 
     if args.method == "radar":
-        if len(entries) != 1 or not hasattr(entries[0], "phiT"):
+        if len(entries) != 1 or not isinstance(entries[0], Flag):
             raise UsageError("radar detection expects a manifest with exactly one flag")
         dets = radar_detect(R, entries[0], args.targets, args.theta1, args.theta2)
         for i, d in enumerate(dets):
@@ -339,7 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("detect", help="run detection against a waveform manifest")
     d.add_argument("--receiver", required=True)
     d.add_argument("--manifest", required=True)
-    d.add_argument("--method", default="flag", choices=["flag", "cross", "radar"])
+    d.add_argument("--method", default="flag", choices=["flag", "cross", "radar"],
+                   help="radar: echoes of one flag; flag and cross are the same "
+                        "(each file's header kind picks the algorithm)")
     d.add_argument("--targets", type=int, default=1, help="radar target count")
     d.add_argument("--theta1", type=float, default=THETA1_DEFAULT)
     d.add_argument("--theta2", type=float, default=THETA2_DEFAULT)

@@ -1,10 +1,13 @@
 """Two-stage detection in O(p log p) per waveform: flag and cross algorithms,
 multi-user bit extraction, GPS fixes, and multi-target radar.
 
-Stage 1 scans a line transverse to the waveform's carrier line; its peak lands
-on the shifted carrier line. Stage 2 scans that shifted line; its peak is the
-time-frequency shift. Both stages are single mf_on_line calls, and decisions
-are taken on magnitudes, so bits (pure phases) never disturb detection.
+Flag and cross detection are one scan. Stage 1 scans a line transverse to the
+waveform's carrier line (a flag's transverse_line, a cross's second line M);
+its peak lands on the shifted carrier line. Stage 2 scans that shifted line;
+its peak is the time-frequency shift, and the matched-filter value there
+carries the bit. Both stages are single mf_on_line calls, and decisions are
+taken on magnitudes, so bits (pure phases) never disturb detection. Radar
+scans stage 1 once and runs the same stage 2 for each candidate.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import numpy as np
 from .fastmf import mf_on_line
 from .gfp import Line, PlanePoint, line_point, line_through
 from .heisenberg import Cross
-from .signals import Signal, mf_entry
+from .signals import Signal
 from .weil import Flag
 
 THETA1_DEFAULT = 0.5
@@ -59,19 +62,32 @@ def transverse_line(L: Line) -> Line:
     return Line((L.slope + 1) % L.p.p, L.p)
 
 
-def _two_stage(S: Signal, R: Signal, carrier: Line, stage1_line: Line,
-               theta1: float, theta2: float) -> Detection:
-    prof1 = mf_on_line(S, R, stage1_line)
-    k1 = prof1.argmax()
-    stage1_mag = float(np.abs(prof1.values[k1]))
-    v_star = line_point(stage1_line, k1)
-    stage2_line = line_through(carrier.slope, v_star)
-    prof2 = mf_on_line(S, R, stage2_line)
-    k2 = prof2.argmax()
-    shift = line_point(stage2_line, k2)
-    mag = float(np.abs(prof2.values[k2]))
-    return Detection(shift, mag, stage1_mag,
-                     stage1_mag >= theta1 and mag >= theta2)
+def _lines(waveform) -> tuple[Line, Line]:
+    """(carrier line, stage-1 line): the one place a flag is told from a cross."""
+    if isinstance(waveform, Flag):
+        if not waveform.line.through_origin():
+            raise ValueError("flag carrier line must pass through the origin")
+        return waveform.line, transverse_line(waveform.line)
+    if isinstance(waveform, Cross):
+        return waveform.lineL, waveform.lineM
+    raise TypeError(f"unsupported waveform type {type(waveform).__name__}")
+
+
+def _peak(S: Signal, R: Signal, line: Line) -> tuple[PlanePoint, complex]:
+    """The point of `line` where |M[S,R]| peaks, and M[S,R] there."""
+    prof = mf_on_line(S, R, line)
+    k = prof.argmax()
+    return line_point(line, k), prof.values[k]
+
+
+def _detect(R: Signal, waveform, theta1: float,
+            theta2: float) -> tuple[Detection, complex]:
+    """The two-stage scan; also returns M[S,R] at the detected shift."""
+    carrier, stage1_line = _lines(waveform)
+    v_star, m1 = _peak(waveform.signal, R, stage1_line)
+    shift, m2 = _peak(waveform.signal, R, line_through(carrier.slope, v_star))
+    mag1, mag2 = float(np.abs(m1)), float(np.abs(m2))
+    return Detection(shift, mag2, mag1, mag1 >= theta1 and mag2 >= theta2), m2
 
 
 def flag_detect(R: Signal, flag: Flag,
@@ -79,10 +95,7 @@ def flag_detect(R: Signal, flag: Flag,
                 theta2: float = THETA2_DEFAULT) -> Detection:
     """Flag algorithm: scan a transverse line, then the shifted carrier line.
     Exactly two mf_on_line calls."""
-    if not flag.line.through_origin():
-        raise ValueError("flag carrier line must pass through the origin")
-    return _two_stage(flag.signal, R, flag.line, transverse_line(flag.line),
-                      theta1, theta2)
+    return _detect(R, flag, theta1, theta2)[0]
 
 
 def cross_detect(R: Signal, cross: Cross,
@@ -90,27 +103,18 @@ def cross_detect(R: Signal, cross: Cross,
                  theta2: float = THETA2_DEFAULT) -> Detection:
     """Cross algorithm: the second line M of the cross is already transverse
     to L, so stage 1 scans M itself; stage 2 scans the shifted L."""
-    return _two_stage(cross.signal, R, cross.lineL, cross.lineM,
-                      theta1, theta2)
-
-
-def _detect_any(R: Signal, waveform, theta1: float, theta2: float) -> Detection:
-    if isinstance(waveform, Flag):
-        return flag_detect(R, waveform, theta1, theta2)
-    if isinstance(waveform, Cross):
-        return cross_detect(R, waveform, theta1, theta2)
-    raise TypeError(f"unsupported waveform type {type(waveform).__name__}")
+    return _detect(R, cross, theta1, theta2)[0]
 
 
 def extract_bits(R: Signal, family: list,
                  theta1: float = THETA1_DEFAULT,
                  theta2: float = THETA2_DEFAULT) -> list[BitDecision]:
-    """Detect each waveform's shift, then read the bit from the matched filter
-    at the detected shift: soft = M[S_k, R](shift)/2, bit = sign(Re soft)."""
+    """Detect each waveform's shift and read its bit off the stage-2 peak:
+    soft = M[S_k, R](shift)/2, bit = sign(Re soft)."""
     out = []
     for w in family:
-        det = _detect_any(R, w, theta1, theta2)
-        soft = mf_entry(w.signal, R, det.shift) / 2.0
+        det, peak = _detect(R, w, theta1, theta2)
+        soft = complex(peak) / 2.0
         bit = 1 if soft.real >= 0 else -1
         out.append(BitDecision(bit, soft, det))
     return out
@@ -155,25 +159,21 @@ def radar_detect(R: Signal, flag: Flag, r: int,
     confirmed, the shorter list is returned and callers see the shortfall in
     the list length.
     """
-    if not flag.line.through_origin():
-        raise ValueError("flag carrier line must pass through the origin")
-    lperp = transverse_line(flag.line)
+    if r < 1:
+        raise ValueError(f"radar needs r >= 1 targets, got {r}")
+    carrier, lperp = _lines(flag)
     prof1 = mf_on_line(flag.signal, R, lperp)
     mags = np.abs(prof1.values)
     cands = _local_maxima(mags, theta)
     cands.sort(key=lambda i: -mags[i])
-    cands = cands[:r]
     out = []
     seen = set()
-    for k in cands:
-        stage2_line = line_through(flag.line.slope, line_point(lperp, k))
-        prof2 = mf_on_line(flag.signal, R, stage2_line)
-        k2 = prof2.argmax()
-        shift = line_point(stage2_line, k2)
-        key = (shift.tau, shift.omega)
-        mag = float(np.abs(prof2.values[k2]))
-        if mag < theta2 or key in seen:
+    for k in cands[:r]:
+        shift, m2 = _peak(flag.signal, R,
+                          line_through(carrier.slope, line_point(lperp, k)))
+        mag = float(np.abs(m2))
+        if mag < theta2 or shift in seen:
             continue
-        seen.add(key)
+        seen.add(shift)
         out.append(Detection(shift, mag, float(mags[k]), True))
     return out

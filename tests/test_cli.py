@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 from tfshift import (
+    Line,
     PlanePoint,
     Signal,
     as_prime,
     awgn,
     flag_family,
+    flag_waveform,
     heisenberg_op,
+    make_torus,
     read_grid,
     read_profile,
     read_signal,
@@ -150,6 +153,59 @@ def test_detect_radar(tmp_path, capsys):
         fields = dict(tok.split("=") for tok in line.split())
         got.add((int(fields["shift_tau"]), int(fields["shift_omega"])))
     assert got == {(10, 7), (60, 33)}
+
+
+def test_detect_uses_stored_payload(tmp_path, capsys):
+    # the header names b_index=0 but the payload is the b_index=5 flag: the
+    # header only supplies the scan lines, the scan runs with the payload, and
+    # the mismatch is reported on stderr
+    p = as_prime(101)
+    payload = flag_waveform(Line(2, p), make_torus(0, p), 5, 0).signal
+    flag = tmp_path / "flag.sig"
+    write_signal(flag, payload, "flag", {"line": "2", "torus_trace": 0,
+                                         "b_index": 0, "eig_index": 0})
+    recv = make_receiver(tmp_path, flag, (50, 17))
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{flag}\n")
+    code, out, err = run(capsys, "detect", "--receiver", recv,
+                         "--manifest", manifest)
+    assert "differs from its descriptor" in err
+    assert code == 0
+    assert "shift_tau=50 shift_omega=17" in out
+    assert "confident=1" in out and "bit=+1" in out
+
+
+def test_detect_radar_rejects_nonpositive_targets(tmp_path, capsys):
+    flag = tmp_path / "flag.sig"
+    assert run(capsys, "gen", "--p", 31, "--kind", "flag", "--line", 1,
+               "--torus-trace", 0, "--b-index", 0, "--eig-index", 0,
+               "--out", flag)[0] == 0
+    recv = make_receiver(tmp_path, flag, (3, 4))
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{flag}\n")
+    for n in (0, -1):
+        code, out, err = run(capsys, "detect", "--receiver", recv,
+                             "--manifest", manifest, "--method", "radar",
+                             "--targets", n)
+        assert code == 2, n
+        assert out == "" and "--targets" in err
+
+
+def test_malformed_arguments_are_usage_errors(tmp_path, capsys):
+    sig = tmp_path / "r.sig"
+    assert run(capsys, "gen", "--p", 31, "--kind", "random", "--out", sig)[0] == 0
+    for offset in ("junk", "1,2,3", "a,b"):
+        code, _, err = run(capsys, "ambiguity", "--sender", sig,
+                           "--receiver", sig, "--line", 1, "--offset", offset,
+                           "--out", tmp_path / "prof.txt")
+        assert code == 2, offset
+        assert "--offset" in err
+    for indices in ("a,b", "1", "1,2,3"):
+        code, _, err = run(capsys, "gen", "--p", 31, "--kind", "cross",
+                           "--lines", "0,1", "--indices", indices,
+                           "--out", tmp_path / "c.sig")
+        assert code == 2, indices
+        assert "--indices" in err
 
 
 def test_detect_missing_manifest(tmp_path, capsys):

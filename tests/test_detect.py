@@ -17,6 +17,7 @@ from tfshift import (
     gps_solve,
     heisenberg_op,
     line_points,
+    mf_entry,
     radar_detect,
     transverse_line,
 )
@@ -204,3 +205,34 @@ def test_radar_drops_unconfirmed_ridge():
         assert [d.shift for d in dets] == [v], [(d.shift.tau, d.shift.omega)
                                                 for d in dets]
         assert all(d.magnitude >= THETA2_DEFAULT and d.confident for d in dets)
+
+
+def test_radar_rejects_nonpositive_r(flag101):
+    R = received(flag101.signal, [PlanePoint(10, 7, P), PlanePoint(60, 33, P)])
+    for r in (0, -1):
+        with pytest.raises(ValueError):
+            radar_detect(R, flag101, r)
+
+
+def test_radar_single_echo_matches_flag_detect(flag101):
+    # radar's stage 2 is the flag detector's stage 2: on one echo the single
+    # radar target is the flag detection, magnitudes included
+    for v in (PlanePoint(10, 7, P), PlanePoint(77, 18, P)):
+        R = received(flag101.signal, [v])
+        det = flag_detect(R, flag101)
+        (got,) = radar_detect(R, flag101, 1)
+        assert got.shift == det.shift == v
+        assert got.magnitude == det.magnitude
+        assert got.stage1_magnitude == det.stage1_magnitude
+
+
+def test_soft_bit_is_matched_filter_at_shift(flag101, cross101):
+    # the soft value read off the stage-2 scan equals the defining sum there
+    sigma = np.sqrt(1.0 / 101)
+    for w in (flag101, cross101):
+        for seed, bit in ((1, 1), (2, -1)):
+            v = PlanePoint(23 * seed, 58 * seed, P)
+            R = received(w.signal, [v], bits=[bit], sigma=sigma, seed=seed)
+            (dec,) = extract_bits(R, [w])
+            want = mf_entry(w.signal, R, dec.detection.shift) / 2
+            assert abs(dec.soft - want) <= 1e-12 * abs(want)
