@@ -151,17 +151,30 @@ def cmd_ambiguity(args) -> int:
 
 # ----------------------------------------------------------------- detect
 
-def _rebuild_waveform(header: dict):
+def _rebuild_waveform(header: dict, path):
+    """The waveform named by a file header's recipe; a missing or malformed
+    recipe field is a usage error naming the file and the field."""
+    def field(key, parse=int):
+        if key not in header:
+            raise UsageError(f"waveform {path}: header has no {key} field")
+        try:
+            return parse(header[key])
+        except (ValueError, UsageError):
+            raise UsageError(f"waveform {path}: bad {key} value {header[key]!r}")
+
     p = as_prime(int(header["p"]))
     kind = header.get("kind")
     if kind == "flag":
-        L = Line(_parse_slope(header["line"]), p)
-        T = make_torus(int(header["torus_trace"]), p)
-        return flag_waveform(L, T, int(header["b_index"]), int(header["eig_index"]))
+        L = Line(field("line", _parse_slope), p)
+        T = make_torus(field("torus_trace"), p)
+        eig = field("eig_index")
+        if not 0 <= eig < p.p:
+            raise UsageError(f"waveform {path}: eig_index {eig} is not in 0..{p.p - 1}")
+        return flag_waveform(L, T, field("b_index"), eig)
     if kind == "cross":
-        L = Line(_parse_slope(header["line_l"]), p)
-        M = Line(_parse_slope(header["line_m"]), p)
-        return cross_waveform(L, M, int(header["index_l"]), int(header["index_m"]))
+        L = Line(field("line_l", _parse_slope), p)
+        M = Line(field("line_m", _parse_slope), p)
+        return cross_waveform(L, M, field("index_l"), field("index_m"))
     raise UsageError(f"manifest entries must be flag or cross waveforms, got {kind!r}")
 
 
@@ -182,7 +195,7 @@ def cmd_detect(args) -> int:
         stored, header = _read_signal_or_usage(path)
         if stored.p != R.p:
             raise UsageError(f"waveform {path} has p={stored.p.p}, receiver has p={R.p.p}")
-        w = _rebuild_waveform(header)
+        w = _rebuild_waveform(header, path)
         if float(np.max(np.abs(w.signal.samples - stored.samples))) > 1e-8:
             print(f"warning: payload of {path} differs from its descriptor rebuild",
                   file=sys.stderr)
@@ -367,7 +380,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default=None)
     s.set_defaults(func=cmd_simulate)
 
-    b = sub.add_parser("bench", help="fast-vs-full matched filter benchmark")
+    b = sub.add_parser("bench", help="fast-vs-full matched filter benchmark; line "
+                                     "figures are the steady-state scan (2 DFTs)")
     b.add_argument("--p", required=True, help="comma-separated primes")
     b.add_argument("--repeats", type=int, default=3)
     b.add_argument("--full-rows", type=int, default=32)

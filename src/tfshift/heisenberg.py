@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import schur
 
 from .gfp import Line, PlanePoint, as_prime, inv, line_points, lines_through_origin
 from .signals import Signal, add, delta, heisenberg_op
@@ -68,6 +67,8 @@ def line_basis_oracle(L: Line) -> list[HeisenbergVector]:
     normal matrix returns an orthonormal eigenbasis. Vectors agree with
     line_basis up to unit phase and index permutation.
     """
+    from scipy.linalg import schur  # kept out of `import tfshift`
+
     if not L.through_origin():
         raise ValueError("line bases are defined for origin lines only")
     p = L.p.p

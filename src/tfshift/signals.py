@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; load it with the package
 
 from . import fastmf
 from .gfp import PlanePoint, Prime, as_prime
@@ -18,7 +19,7 @@ from .gfp import PlanePoint, Prime, as_prime
 
 @dataclass(frozen=True, eq=False)
 class Signal:
-    """A length-p complex vector indexed by t in F_p. Immutable."""
+    """A length-p complex vector of finite samples indexed by t in F_p. Immutable."""
 
     p: Prime
     samples: np.ndarray
@@ -30,6 +31,8 @@ class Signal:
         s = np.array(self.samples, dtype=np.complex128)
         if s.shape != (pp.p,):
             raise ValueError(f"expected {pp.p} samples, got shape {s.shape}")
+        if not np.isfinite(s.view(np.float64)).all():  # the view halves the cost
+            raise ValueError("signal samples must be finite (no NaN or inf)")
         s.setflags(write=False)
         object.__setattr__(self, "samples", s)
         if self.normalized and abs(np.linalg.norm(s) - 1.0) > 1e-12:
@@ -85,19 +88,23 @@ def time_shift(f: Signal, tau: int) -> Signal:
     return Signal(f.p, np.roll(f.samples, -(tau % f.p.p)), normalized=f.normalized)
 
 
+def _modulation(omega: int, p: int) -> np.ndarray:
+    """e^{(2 pi i/p) omega t} for t in F_p."""
+    t = np.arange(p)
+    return np.exp(2j * np.pi * ((omega % p) * t % p) / p)
+
+
 def modulate(f: Signal, omega: int) -> Signal:
     """M_omega[f](t) = e^{(2 pi i/p) omega t} f(t)."""
-    p = f.p.p
-    t = np.arange(p)
-    ph = np.exp(2j * np.pi * ((omega % p) * t % p) / p)
-    return Signal(f.p, ph * f.samples, normalized=f.normalized)
+    return Signal(f.p, _modulation(omega, f.p.p) * f.samples, normalized=f.normalized)
 
 
 def heisenberg_op(f: Signal, v: PlanePoint) -> Signal:
-    """pi(tau, omega) = M_omega o L_tau."""
+    """pi(tau, omega) = M_omega o L_tau, built as one Signal."""
     if v.p != f.p:
         raise ValueError("mismatched moduli")
-    return modulate(time_shift(f, v.tau), v.omega)
+    shifted = np.roll(f.samples, -v.tau)
+    return Signal(f.p, _modulation(v.omega, f.p.p) * shifted, normalized=f.normalized)
 
 
 def add(f1: Signal, f2: Signal) -> Signal:

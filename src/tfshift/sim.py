@@ -174,7 +174,9 @@ def bench_complexity(p_list, repeats: int = 3, full_rows: int = 32) -> list[dict
     """Timing and operation-count table for mf_on_line vs mf_full.
 
     Per p: median wall time of one sloped mf_on_line call over `repeats` runs,
-    the dft op count of one call, and the mf_full wall time. Beyond
+    the dft op count of one call, and the mf_full wall time. The line figures
+    are the steady-state scan, with the sender's plan already built: 2
+    transforms, where the first scan of a sender on a slope costs 3. Beyond
     FULL_MF_LIMIT the full-matrix time is estimated from `full_rows` rows and
     flagged extrapolated; the row loop is exact per row, so the estimate is a
     straight per-row scale-up.
@@ -185,7 +187,7 @@ def bench_complexity(p_list, repeats: int = 3, full_rows: int = 32) -> list[dict
         S = random_signal(pp, seed=101)
         R = random_signal(pp, seed=202)
         line = Line(1, pp)
-        mf_on_line(S, R, line)  # keep first-use set-up out of the timing
+        mf_on_line(S, R, line)  # builds the sender's plan outside the timing
         times = []
         for _ in range(max(1, repeats)):
             t0 = time.perf_counter()

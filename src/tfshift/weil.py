@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import schur
 
 from .gfp import Line, PlanePoint, Prime, as_prime, inv, legendre
 from .heisenberg import HeisenbergVector, line_vector
@@ -272,6 +271,10 @@ def torus_eigenbasis(T: Torus) -> tuple[WeilVector, ...]:
     roots of unity times a global phase, separated by at least 2 pi/(p+1);
     clustering tolerance 1e-6 with wraparound merge is far below that.
     """
+    # scipy.linalg is loaded for Weil design only, and before weil_operator
+    # allocates its p x p matrices, so the import adds nothing to their peak
+    from scipy.linalg import schur
+
     rho = weil_operator(T.generator).matrix
     p = rho.shape[0]
     Tm, Z = schur(rho, output="complex")

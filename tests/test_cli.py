@@ -208,6 +208,50 @@ def test_malformed_arguments_are_usage_errors(tmp_path, capsys):
         assert "--indices" in err
 
 
+
+@pytest.mark.parametrize("kind, fields, bad", [
+    ("flag", {"line": "1", "torus_trace": 0, "eig_index": 0}, "b_index"),
+    ("flag", {"line": "1", "torus_trace": "x", "b_index": 0, "eig_index": 0},
+     "torus_trace"),
+    ("flag", {"line": "up", "torus_trace": 0, "b_index": 0, "eig_index": 0},
+     "line"),
+    ("flag", {"line": "1", "torus_trace": 0, "b_index": 0, "eig_index": 31},
+     "eig_index"),
+    ("cross", {"line_l": "0", "line_m": "1", "index_l": 0}, "index_m"),
+    ("cross", {"line_l": "0", "line_m": "1", "index_l": "1.5", "index_m": 0},
+     "index_l"),
+])
+def test_detect_rejects_bad_recipe_fields(tmp_path, capsys, kind, fields, bad):
+    # a header recipe that is missing a field or holds a malformed one is a
+    # bad input file: usage error naming the file and the field
+    p = as_prime(31)
+    wave = tmp_path / "w.sig"
+    write_signal(wave, awgn(p, 0.1, seed=3), kind, fields)
+    recv = make_receiver(tmp_path, wave, (3, 4))
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{wave}\n")
+    code, out, err = run(capsys, "detect", "--receiver", recv,
+                         "--manifest", manifest)
+    assert code == 2
+    assert out == "" and str(wave) in err and bad in err
+
+
+def test_detect_rejects_non_finite_receiver(tmp_path, capsys):
+    wave = tmp_path / "c.sig"
+    assert run(capsys, "gen", "--p", 31, "--kind", "cross", "--lines", "0,1",
+               "--out", wave)[0] == 0
+    recv = make_receiver(tmp_path, wave, (3, 4))
+    raw = bytearray(recv.read_bytes())
+    head = raw.index(b"\n") + 1
+    raw[head:head + 8] = np.array([np.nan], dtype="<f8").tobytes()
+    recv.write_bytes(bytes(raw))
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{wave}\n")
+    code, out, err = run(capsys, "detect", "--receiver", recv,
+                         "--manifest", manifest)
+    assert code == 2
+    assert out == "" and "finite" in err
+
 def test_detect_missing_manifest(tmp_path, capsys):
     recv = tmp_path / "r.sig"
     assert run(capsys, "gen", "--p", 31, "--kind", "random", "--out", recv)[0] == 0

@@ -1,9 +1,14 @@
 """Prime-length transform and line-restricted matched filter."""
 
+import dataclasses
+import gc
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from helpers import dft_oracle, mf_oracle
+from helpers import dft_oracle, mf_oracle, unit_monte_carlo_template
 
 from tfshift import (
     Line,
@@ -12,10 +17,13 @@ from tfshift import (
     counters,
     cross_correlate,
     dft,
+    fastmf,
     heisenberg_op,
     line_point,
     line_points,
+    mf_entry,
     mf_on_line,
+    monte_carlo,
     random_signal,
 )
 
@@ -195,3 +203,95 @@ def test_line_profile_argmax_and_counter():
     k = prof.argmax()
     assert line_points(L)[k] == v
     assert abs(prof.values[k]) == pytest.approx(1.0, abs=1e-9)
+
+
+# ------------------------------------------------ sender plans for sloped scans
+
+def sloped(m, c, p):
+    pp = as_prime(p)
+    return Line(m, pp, offset=PlanePoint(0, c, pp))
+
+
+def test_sender_plan_saves_one_transform():
+    p = 101
+    S = random_signal(p, seed=11)
+    R = random_signal(p, seed=12)
+    counters.reset()
+    mf_on_line(S, R, sloped(3, 0, p))
+    assert counters.snapshot()[0] == 3  # cold: builds the plan
+    counters.reset()
+    mf_on_line(S, R, sloped(3, 7, p))
+    assert counters.snapshot()[0] == 2  # warm, another offset on the slope
+    counters.reset()
+    mf_on_line(S, R, Line(None, as_prime(p)))
+    assert counters.snapshot()[0] == 1  # vertical scans keep no plan
+    counters.reset()
+    mf_on_line(S, random_signal(p, seed=13), sloped(3, 0, p))
+    assert counters.snapshot()[0] == 2  # the plan depends on S only
+
+
+def test_warm_profiles_match_entries_across_eviction():
+    p = 31
+    S = random_signal(p, seed=21)
+    R = random_signal(p, seed=22)
+    slopes = [0, 1, 2, 5, 7, 11, 30]  # more than PLAN_SLOPES, so plans evict
+    for _ in range(2):
+        for m in slopes:
+            for c in (0, 1, p - 1):
+                L = sloped(m, c, p)
+                prof = mf_on_line(S, R, L)
+                for k, v in enumerate(line_points(L)):
+                    want = mf_entry(S, R, v)
+                    assert abs(prof.values[k] - want) < 1e-10, (m, c, k)
+
+
+def test_plan_store_is_bounded_read_only_and_weak():
+    p = 31
+    S = random_signal(p, seed=31)
+    R = random_signal(p, seed=32)
+    for m in range(10):
+        mf_on_line(S, R, sloped(m, 0, p))
+    plans = fastmf._plans[S]
+    assert len(plans) == fastmf.PLAN_SLOPES == 4
+    assert sorted(plans) == [6, 7, 8, 9]  # least recently used go first
+    for q, fa in plans.values():
+        assert not q.flags.writeable and not fa.flags.writeable
+        with pytest.raises(ValueError):
+            fa[0] = 0
+    with fastmf._plans_lock:
+        fastmf._plans.clear()
+    mf_on_line(S, R, sloped(2, 0, p))
+    assert len(fastmf._plans) == 1
+    del S, plans
+    gc.collect()
+    assert len(fastmf._plans) == 0
+
+
+def test_plan_store_under_threads():
+    # more threads than cores scan one sender, cycling through more slopes
+    # than a plan store keeps, so nearly every scan builds and evicts a plan
+    p = 31
+    S = random_signal(p, seed=41)
+    R = random_signal(p, seed=42)
+    jobs = [(m, c) for c in (0, 3, p - 1) for m in range(10)] * 100
+    want = {j: mf_on_line(S, R, sloped(*j, p)).values for j in set(jobs)}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as ex:
+            got = list(ex.map(lambda j: mf_on_line(S, R, sloped(*j, p)).values,
+                              jobs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for j, values in zip(jobs, got):
+        assert np.abs(values - want[j]).max() < 1e-12, j
+    assert len(fastmf._plans[S]) <= fastmf.PLAN_SLOPES
+
+
+def test_monte_carlo_same_with_threads(monkeypatch):
+    t = unit_monte_carlo_template(101, 3, np.sqrt(1 / 101), 9)
+    stats = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("TFSHIFT_THREADS", threads)
+        stats.append(dataclasses.replace(monte_carlo(t, 30), wall_time=0.0))
+    assert stats[0] == stats[1]

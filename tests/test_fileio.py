@@ -121,6 +121,25 @@ def test_truncated_payload_rejected(sig, tmp_path):
         read_signal(path)
 
 
+def test_non_finite_payload_rejected(sig, tmp_path):
+    binary = tmp_path / "a.sig"
+    write_signal(binary, sig, "random")
+    raw = bytearray(binary.read_bytes())
+    nan = np.array([np.nan], dtype="<f8").tobytes()
+    head = raw.index(b"\n") + 1
+    raw[head + 8:head + 16] = nan  # imaginary part of sample 0
+    binary.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="finite"):
+        read_signal(binary)
+    text = tmp_path / "a.txt"
+    write_signal(text, sig, "random", fmt="text")
+    lines = text.read_text().splitlines()
+    lines[5] = "inf 0"
+    text.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="finite"):
+        read_signal(text)
+
+
 def test_empty_file_rejected(tmp_path):
     path = tmp_path / "empty.sig"
     path.write_bytes(b"")

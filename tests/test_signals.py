@@ -35,6 +35,15 @@ def test_signal_validation():
         Signal(p, np.ones(5), normalized=True)  # norm is sqrt(5), not 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan),
+                                 complex(1, np.inf)])
+def test_signal_rejects_non_finite_samples(bad):
+    x = np.ones(5, dtype=np.complex128)
+    x[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Signal(as_prime(5), x)
+
+
 def test_basic_generators():
     d = delta(7, 3)
     assert d.samples[3] == 1 and np.count_nonzero(d.samples) == 1

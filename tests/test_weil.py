@@ -1,10 +1,16 @@
 """Weil representation: normalized shift operators, tori, peaks, flags."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from helpers import psi
 
+import tfshift
 from tfshift import (
     GroupElement,
     Line,
@@ -336,3 +342,26 @@ def test_flag_family_deterministic():
     for a, b in zip(fam, fam2):
         assert np.array_equal(a.signal.samples, b.signal.samples)
     assert all(not f.phiT.degenerate for f in fam)
+
+
+def test_scipy_linalg_loaded_only_for_weil_design():
+    # a fresh interpreter: decoding crosses must not pull in scipy.linalg,
+    # building flags (Schur on the Weil operator) must
+    code = """
+import sys
+import tfshift
+from tfshift import Line, PlanePoint, cross_waveform, extract_bits, heisenberg_op
+p = 31
+c = cross_waveform(Line(0, p), Line(1, p), 2, 3)
+R = heisenberg_op(c.signal, PlanePoint(4, 5, p))
+assert extract_bits(R, [c])[0].detection.shift == PlanePoint(4, 5, p)
+assert "scipy.linalg" not in sys.modules, "loaded by decoding"
+tfshift.flag_family(p, 1, seed=0)
+assert "scipy.linalg" in sys.modules, "not loaded by flag_family"
+"""
+    src = str(Path(tfshift.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert res.returncode == 0, res.stderr
