@@ -5,8 +5,8 @@ The Weil operators rho(g) intertwine the phased shifts sigma(v), so an
 eigenvector of a torus has a matched filter that is 1 at the origin and
 small everywhere else: at most 2/sqrt(p) for a nonsplit torus and
 2 sqrt(p)/(p-1) for a split torus (which is slightly above 2/sqrt(p)).
-Eigenvalue clusters of dimension >= 2 on split tori are flagged degenerate
-and carry no peak guarantee.
+On a split torus one eigenvalue belongs to a 2-D eigenspace; its two
+vectors are flagged degenerate and carry no peak guarantee.
 """
 
 import numpy as np
@@ -26,7 +26,9 @@ def off_origin_max(sig) -> float:
 def main() -> None:
     p = P.p
 
-    # 1. the operators rho(g) are unitary and respect the group action
+    # 1. the operators rho(g), built from the closed-form chirp kernel
+    # p^-1/2 e((-d x^2 + 2xy - a y^2)/(2b)), are unitary and respect the
+    # group action
     g = GroupElement(2, 3, 3, 5, P)  # det = 2*5 - 3*3 = 1
     W = weil_operator(g)
     U = W.matrix
@@ -45,7 +47,9 @@ def main() -> None:
         T = make_torus(trace, P)
         print(f"trace {trace}: {T.kind:8s} torus of order {T.order}")
 
-    # 3. eigenbases and the peak bounds
+    # 3. eigenbases and the peak bounds; each basis is sorted by its exact
+    # eigenvalue e^{i pi k/n} (n the torus order), so an index names the same
+    # vector on every platform
     for trace, want in ((5, "nonsplit"), (3, "split")):
         T = make_torus(trace, P)
         assert T.kind == want

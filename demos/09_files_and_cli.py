@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""File formats and the command line, end to end in a temp directory.
+"""File formats and the command line, end to end in a temp directory
+(removed when the demo exits).
 
 Signals, ambiguity grids, and line profiles all serialize to little-endian
 binary (magic + header + complex128 payload) or to a text form with %.17g
@@ -24,9 +25,8 @@ def run(*argv: str) -> int:
     return cli(list(argv))
 
 
-def main() -> None:
+def walkthrough(tmp: Path) -> None:
     P = as_prime(31)
-    tmp = Path(tempfile.mkdtemp(prefix="tfshift_demo_"))
     print(f"writing under {tmp}\n")
 
     # 1. library-level round trips
@@ -84,6 +84,11 @@ def main() -> None:
         "--trials", "20", "--method", "flag", "--seed", "1")
     print()
     run("bench", "--p", "101,257", "--repeats", "1", "--full-rows", "8")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="tfshift_demo_") as tmp:
+        walkthrough(Path(tmp))
 
 
 if __name__ == "__main__":

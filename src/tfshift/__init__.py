@@ -12,9 +12,9 @@ from .gfp import (Line, PlanePoint, Prime, as_prime, inv, is_prime, legendre,
 from .signals import (MFMatrix, Signal, awgn, const_signal, delta, heisenberg_op,
                       inner, mf_entry, mf_full, mfi_coefficient, modulate,
                       random_signal, time_shift)
-from .fastmf import LineProfile, counters, cross_correlate, dft, mf_on_line
+from .fastmf import LineProfile, counters, dft, mf_on_line
 from .heisenberg import (Cross, HeisenbergVector, cross_family, cross_waveform,
-                         line_basis, line_basis_oracle, line_vector)
+                         line_basis, line_vector)
 from .weil import (Flag, GroupElement, Torus, WeilOperator, WeilVector,
                    default_torus_roster, flag_family, flag_waveform, identity,
                    make_torus, sigma_op, torus_eigenbasis, weil_operator)

@@ -73,6 +73,8 @@ def _read_signal_or_usage(path):
 def cmd_gen(args) -> int:
     p = _parse_prime(args.p)
     fmt = args.format
+    if args.eig_index is not None and not 0 <= args.eig_index < p.p:
+        raise UsageError(f"--eig-index {args.eig_index} is not in 0..{p.p - 1}")
     if args.kind == "heisenberg":
         if args.line is None or args.index is None:
             raise UsageError("heisenberg needs --line and --index")
@@ -83,10 +85,7 @@ def cmd_gen(args) -> int:
         if args.torus_trace is None or args.eig_index is None:
             raise UsageError("weil needs --torus-trace and --eig-index")
         T = make_torus(args.torus_trace, p)
-        basis = torus_eigenbasis(T)
-        if not (0 <= args.eig_index < len(basis)):
-            raise UsageError("--eig-index out of range")
-        wv = basis[args.eig_index]
+        wv = torus_eigenbasis(T)[args.eig_index]
         if wv.degenerate:
             raise ValueError("requested Weil eigenvector is degenerate")
         sig = wv.signal

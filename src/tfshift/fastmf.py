@@ -100,15 +100,6 @@ class LineProfile:
         return int(np.argmax(np.abs(self.values)))
 
 
-def cross_correlate(A: "Signal", B: "Signal") -> np.ndarray:
-    """C[tau] = sum_t A(t+tau) conj(B(t)), computed with three prime DFTs."""
-    if A.p != B.p:
-        raise ValueError("mismatched moduli")
-    fa = dft(A.samples, "forward")
-    fb = dft(B.samples, "forward")
-    return dft(fa * np.conj(fb), "inverse")
-
-
 PLAN_SLOPES = 4  # sloped-scan plans kept per sender Signal
 
 # sender Signal -> {slope: (chirp q_m, dft(q_m * S))}, oldest slope first

@@ -54,6 +54,12 @@ def _interleaved_to_complex(f: np.ndarray) -> np.ndarray:
     return f[0::2] + 1j * f[1::2]
 
 
+def _finite(f: np.ndarray) -> np.ndarray:
+    if not np.isfinite(f).all():
+        raise ValueError("payload values must be finite (no NaN or inf)")
+    return f
+
+
 def write_signal(path, signal: Signal, kind: str, descriptor: dict | None = None,
                  fmt: str = "binary") -> None:
     if fmt not in ("binary", "text"):
@@ -116,11 +122,11 @@ def read_grid(path) -> tuple[np.ndarray, dict]:
         f = np.frombuffer(payload, dtype="<f8")
         if f.shape[0] != p * p:
             raise ValueError("payload length does not match p")
-        return f.reshape(p, p).copy(), header
+        return _finite(f).reshape(p, p).copy(), header
     rows = payload.decode("utf-8").strip().split("\n")
     if len(rows) != p:
         raise ValueError("payload length does not match p")
-    return np.array([[float(x) for x in r.split(",")] for r in rows]), header
+    return _finite(np.array([[float(x) for x in r.split(",")] for r in rows])), header
 
 
 def write_profile(path, profile: LineProfile, fmt: str = "binary") -> None:
@@ -160,4 +166,4 @@ def read_profile(path) -> tuple[LineProfile, dict]:
         f = np.array([float(x) for x in payload.decode("utf-8").split()])
     if f.shape[0] != 2 * p.p:
         raise ValueError("payload length does not match p")
-    return LineProfile(line, _interleaved_to_complex(f)), header
+    return LineProfile(line, _interleaved_to_complex(_finite(f))), header

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gfp import Line, PlanePoint, as_prime, inv, line_points, lines_through_origin
-from .signals import Signal, add, delta, heisenberg_op
+from .gfp import Line, as_prime, inv, lines_through_origin
+from .signals import Signal, add, delta
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,36 +58,6 @@ def line_vector(L: Line, b: int) -> HeisenbergVector:
 def line_basis(L: Line) -> list[HeisenbergVector]:
     """All p basis vectors of B_L, indexed b = 0..p-1."""
     return [line_vector(L, b) for b in range(L.p.p)]
-
-
-def line_basis_oracle(L: Line) -> list[HeisenbergVector]:
-    """Independent construction of B_L by numerically diagonalizing pi(l0) for
-    one generator l0 of L. Eigenvalues are exact p-th roots of unity, so
-    eigenspaces are one-dimensional; the unitary Schur factorization of this
-    normal matrix returns an orthonormal eigenbasis. Vectors agree with
-    line_basis up to unit phase and index permutation.
-    """
-    from scipy.linalg import schur  # kept out of `import tfshift`
-
-    if not L.through_origin():
-        raise ValueError("line bases are defined for origin lines only")
-    p = L.p.p
-    l0 = L.direction()
-    op = np.empty((p, p), dtype=np.complex128)
-    for k in range(p):
-        op[:, k] = heisenberg_op(delta(L.p, k), l0).samples
-    T, Z = schur(op, output="complex")
-    ev = np.diag(T)
-    # sanity: p distinct p-th roots of unity, pairwise separation 2 sin(pi/p)
-    sep = 2.0 * np.sin(np.pi / p)
-    for i in range(p):
-        for j in range(i + 1, p):
-            if abs(ev[i] - ev[j]) < 0.5 * sep:
-                raise RuntimeError("degenerate eigenvalue clustering in line oracle")
-    out = []
-    for k in range(p):
-        out.append(HeisenbergVector(L, k, Signal(L.p, Z[:, k])))
-    return out
 
 
 def cross_waveform(L: Line, M: Line, bL: int, bM: int) -> Cross:

@@ -2,16 +2,12 @@
 eigenbases, and Heisenberg-Weil flag waveforms.
 
 The operator rho(g) is the unitary that conjugates the time-frequency shift
-operators according to the linear action of g on the plane. The construction
-averages over the plane: with the symmetrized shifts
+operators according to the linear action of g on the plane. With the
+symmetrized shifts
 
-    sigma(tau, omega) = e^{(2 pi i/p) 2^{-1} tau omega} pi(tau, omega),
+    sigma(tau, omega) = e^{(2 pi i/p) 2^{-1} tau omega} pi(tau, omega)
 
-whose composition scalar depends only on the symplectic form (and is therefore
-SL2-invariant), the sum rho0 = sum_v sigma(g v) A sigma(v)^{-1} commutes with
-the g-action for any seed matrix A and spans the one-dimensional solution
-space; unitarization and a deterministic phase fix yield rho(g). The exact
-intertwining law is
+the intertwining law is
 
     rho(g) sigma(v) = sigma(g v) rho(g)          for all v,
 
@@ -22,8 +18,11 @@ equivalently, on the plain operators,
 with q(tau, omega) = tau * omega. The scalar is identically 1 on v with
 q(gv) = q(v) but not in general; it is forced by the pi composition law
 pi(a) pi(b) = e^{(2 pi i/p) tau_a omega_b} pi(a+b), whose scalar is not
-SL2-invariant. Eigenspaces of rho are unaffected by any of this phase
-bookkeeping.
+SL2-invariant. The law fixes rho(g) up to a scalar; weil_operator builds it
+from the explicit chirp kernel of Gurevich, Hadani and Sochen ("The finite
+harmonic oscillator and its applications to sequences, communication and
+radar", IEEE Trans. IT 2008) and fixes the phase by rho[0, 0] > 0.
+Eigenspaces of rho are unaffected by any of this phase bookkeeping.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ import numpy as np
 
 from .gfp import Line, PlanePoint, Prime, as_prime, inv, legendre
 from .heisenberg import HeisenbergVector, line_vector
-from .signals import Signal, add, heisenberg_op
+from .signals import Signal, add, heisenberg_op, random_signal
 
 
 # ------------------------------------------------------------------ SL2(F_p)
@@ -122,73 +121,31 @@ class WeilOperator:
     matrix: np.ndarray
 
 
-def _axis_stack(z: np.ndarray, r0: int, r1: int, p: int) -> np.ndarray:
-    """Columns sigma((r0*k, r1*k)) z for k = 0..p-1."""
-    inv2 = pow(2, -1, p)
-    t = np.arange(p)
-    k = np.arange(p)
-    psi = np.exp(2j * np.pi * np.arange(p) / p)
-    gathered = z[(t[:, None] + (r0 * k % p)[None, :]) % p]
-    grid = psi[np.outer(t, r1 * k % p) % p]
-    col = psi[(inv2 * r0 % p) * r1 % p * (k * k % p) % p]
-    return gathered * grid * col[None, :]
-
-
-def _averaged_intertwiner(g: GroupElement, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """rho0 = sum_v sigma(g v) (x y^*) sigma(v)^* without touching all p^2
-    points: sigma factors along the two axes, sigma(tau,omega) =
-    psi(-2^{-1} tau omega) sigma(tau,0) sigma(0,omega), and the psi factors of
-    sigma(g v) and sigma(v)^* cancel, leaving
-    rho0 = sum_tau sigma(a tau, c tau) B sigma(-tau, 0) with
-    B = sum_omega sigma(b omega, d omega) (x y^*) sigma(0, -omega).
-    The inner sum is one matrix product; the outer sum is p cyclic shifts of
-    B with row phases. O(p^3) time, O(p^2) memory."""
-    p = g.p.p
-    inv2 = pow(2, -1, p)
-    t = np.arange(p)
-    psi = np.exp(2j * np.pi * np.arange(p) / p)
-    U = _axis_stack(x, g.b, g.d, p)
-    W = _axis_stack(y, 0, 1, p)
-    B = U @ W.conj().T
-    c0 = inv2 * g.a % p * g.c % p
-    rho0 = np.zeros((p, p), dtype=np.complex128)
-    for tau in range(p):
-        ph = psi[(c0 * (tau * tau % p) + (g.c * tau % p) * t) % p]
-        rho0 += ph[:, None] * np.roll(B, (-(g.a * tau % p), -tau), axis=(0, 1))
-    return rho0
-
-
 @lru_cache(maxsize=64)
 def weil_operator(g: GroupElement) -> WeilOperator:
-    """Construct rho(g) by plane averaging plus unitarization.
+    """rho(g) from its closed-form kernel, with e(z) = e^{(2 pi i/p) z}:
 
-    rho0 = sum_v sigma(g v) A sigma(v)^* with A = x y^* a fixed seeded rank-1
-    matrix; rho0 is a scalar multiple of rho(g), so dividing by one column
-    norm unitarizes it. The global phase is fixed by making the first entry
-    above threshold (row-major scan) positive real. Retries with the next
-    seed vector pair in the measure-zero event that the scalar vanishes.
+        b != 0:  rho[x, y] = p^{-1/2} e((-d x^2 + 2 x y - a y^2) / (2b)),
+        b == 0:  rho[x, d x] = e(-c d x^2 / 2), zero elsewhere,
+
+    divisions taken in F_p. The first is a chirp, a DFT read at x/b and a
+    second chirp; the second a chirp on a dilation. The global phase makes
+    rho[0, 0] real and positive (it is p^{-1/2} or 1). O(p^2) to fill.
     """
     p = g.p.p
-    for attempt in range(5):
-        rng = np.random.default_rng(attempt)
-        x = rng.standard_normal(p) + 1j * rng.standard_normal(p)
-        y = rng.standard_normal(p) + 1j * rng.standard_normal(p)
-        x /= np.linalg.norm(x)
-        y /= np.linalg.norm(y)
-        rho0 = _averaged_intertwiner(g, x, y)
-        s = np.linalg.norm(rho0[:, 0])
-        if s < 1e-8 * p:
-            continue
-        rho = rho0 / s
-        defect = np.max(np.abs(rho @ rho.conj().T - np.eye(p)))
-        if defect > 1e-9:
-            continue
-        flat = rho.ravel()
-        k = int(np.argmax(np.abs(flat) > 1e-8 * np.abs(flat).max()))
-        rho = rho * (np.conj(flat[k]) / abs(flat[k]))
-        rho.setflags(write=False)
-        return WeilOperator(g, rho)
-    raise RuntimeError("averaging intertwiner degenerate for all seed matrices")
+    x = np.arange(p)
+    xx = x * x % p
+    psi = np.exp(2j * np.pi * x / p)
+    if g.b:
+        k = pow(2 * g.b, -1, p)
+        expo = (-g.d * k % p) * xx[:, None] + (2 * k % p) * np.outer(x, x) % p \
+            + (-g.a * k % p) * xx[None, :]
+        rho = psi[expo % p] / np.sqrt(p)
+    else:
+        rho = np.zeros((p, p), dtype=np.complex128)
+        rho[x, g.d * x % p] = psi[-g.c * g.d * pow(2, -1, p) % p * xx % p]
+    rho.setflags(write=False)
+    return WeilOperator(g, rho)
 
 
 # ----------------------------------------------------------------- tori
@@ -253,8 +210,8 @@ def make_torus(trace_class: int, p) -> Torus:
 
 @dataclass(frozen=True, eq=False)
 class WeilVector:
-    """A unit eigenvector of rho(T.generator); degenerate marks eigenvalue
-    clusters of dimension >= 2, where the peak guarantee is not claimed."""
+    """A unit eigenvector of rho(T.generator); degenerate marks an eigenvalue
+    shared by two vectors, where the peak guarantee is not claimed."""
 
     torus: Torus
     eigenvalue: complex
@@ -262,14 +219,22 @@ class WeilVector:
     degenerate: bool
 
 
+LATTICE_TOL = 1e-6  # largest accepted distance of an eigenvalue from its lattice point
+PHASE_FLOOR = 1e-6  # smallest accepted |<v, random_signal(p, 0)>| for the phase rule
+
+
 @lru_cache(maxsize=64)
 def torus_eigenbasis(T: Torus) -> tuple[WeilVector, ...]:
-    """Orthonormal eigenbasis of the torus action, sorted by eigenvalue angle.
+    """Orthonormal eigenbasis of the torus action, sorted by exact eigenvalue.
 
-    rho(generator) is unitary, hence normal, so the complex Schur form is a
-    diagonalization with orthonormal columns. True eigenvalues are |T|-th
-    roots of unity times a global phase, separated by at least 2 pi/(p+1);
-    clustering tolerance 1e-6 with wraparound merge is far below that.
+    rho(generator) is unitary, hence normal, so its complex Schur form
+    diagonalizes it with orthonormal columns. The eigenvalues lie on the
+    lattice e^{i pi k/n}, n = T.order (RuntimeError if one is more than
+    LATTICE_TOL off); vectors are sorted by the integer k, so the eigenvalue-1
+    vector comes first, and the one k that a split torus gives two vectors
+    marks both degenerate. Phase rule: <v, random_signal(p, 0)> is real and
+    positive (RuntimeError if below PHASE_FLOOR). A degenerate pair's basis is
+    whatever Schur returns; flag_waveform and `gen --kind weil` refuse it.
     """
     # scipy.linalg is loaded for Weil design only, and before weil_operator
     # allocates its p x p matrices, so the import adds nothing to their peak
@@ -277,31 +242,22 @@ def torus_eigenbasis(T: Torus) -> tuple[WeilVector, ...]:
 
     rho = weil_operator(T.generator).matrix
     p = rho.shape[0]
+    n = T.order
     Tm, Z = schur(rho, output="complex")
     ev = np.diag(Tm)
-    ang = np.angle(ev) % (2.0 * np.pi)
-    order = np.argsort(ang, kind="stable")
-    clusters: list[list[int]] = [[int(order[0])]]
-    for i in order[1:]:
-        if abs(ev[i] - ev[clusters[-1][-1]]) < 1e-6:
-            clusters[-1].append(int(i))
-        else:
-            clusters.append([int(i)])
-    if len(clusters) > 1 and abs(ev[clusters[0][0]] - ev[clusters[-1][-1]]) < 1e-6:
-        clusters[0] = clusters.pop() + clusters[0]
-    sep = 2.0 * np.sin(np.pi / (p + 1))
-    for ci in range(len(clusters)):
-        e1 = ev[clusters[ci][0]]
-        e2 = ev[clusters[(ci + 1) % len(clusters)][0]]
-        if len(clusters) > 1 and abs(e1 - e2) < 0.5 * sep:
-            raise RuntimeError("eigenvalue clusters inconsistent with unit separation")
-    out = []
-    for c in clusters:
-        lam = complex(np.mean(ev[c]))
-        lam /= abs(lam)
-        for i in c:
-            out.append(WeilVector(T, lam, Signal(as_prime(p), Z[:, i]), len(c) > 1))
-    return tuple(out)
+    key = np.rint(n * np.angle(ev) / np.pi).astype(np.int64) % (2 * n)
+    lam = np.exp(1j * np.pi * key / n)
+    if np.abs(ev - lam).max() > LATTICE_TOL:
+        raise RuntimeError("torus eigenvalues off the lattice e^{i pi k/n}")
+    overlap = random_signal(p, 0).samples.conj() @ Z
+    if np.abs(overlap).min() < PHASE_FLOOR:
+        raise RuntimeError("eigenvector too close to orthogonal to the phase reference")
+    Z = Z * (overlap.conj() / np.abs(overlap))
+    order = np.argsort(key, kind="stable")
+    shared = np.bincount(key, minlength=2 * n) > 1
+    pp = as_prime(p)
+    return tuple(WeilVector(T, complex(lam[i]), Signal(pp, Z[:, i]), bool(shared[key[i]]))
+                 for i in order)
 
 
 # ------------------------------------------------------------------ flags
@@ -319,9 +275,11 @@ class Flag:
 
 def flag_waveform(L: Line, T: Torus, b_index: int, eig_index: int) -> Flag:
     """Build a flag from the b-th line vector and the eig_index-th torus
-    eigenvector. Degenerate eigenvectors are refused: their peak behavior
-    carries no guarantee."""
+    eigenvector (0..p-1, in torus_eigenbasis order). Degenerate eigenvectors
+    are refused: their peak behavior carries no guarantee."""
     basis = torus_eigenbasis(T)
+    if not 0 <= eig_index < len(basis):
+        raise ValueError(f"eig_index {eig_index} is not in 0..{len(basis) - 1}")
     phi = basis[eig_index]
     if phi.degenerate:
         raise ValueError("degenerate Weil eigenvector requested for a flag")

@@ -7,7 +7,8 @@ independent route.
 
 import numpy as np
 
-from tfshift import PlanePoint, Signal, gfp, sim
+from tfshift import (GroupElement, HeisenbergVector, Line, PlanePoint, Signal,
+                     delta, dft, gfp, heisenberg_op, sim)
 
 
 def psi(k: int, p: int) -> complex:
@@ -71,3 +72,96 @@ def unit_monte_carlo_template(p, r: int, sigma: float, seed: int):
     (monte_carlo redraws them per trial)."""
     users = tuple(sim.UserSpec(f"w{k}", gfp.PlanePoint(0, 0, p)) for k in range(r))
     return sim.ChannelSpec(p, users, sigma, seed)
+
+
+def cross_correlate(A: Signal, B: Signal) -> np.ndarray:
+    """C[tau] = sum_t A(t+tau) conj(B(t)), computed with three prime DFTs."""
+    if A.p != B.p:
+        raise ValueError("mismatched moduli")
+    fa = dft(A.samples, "forward")
+    fb = dft(B.samples, "forward")
+    return dft(fa * np.conj(fb), "inverse")
+
+
+def line_basis_oracle(L: Line) -> list[HeisenbergVector]:
+    """Independent construction of B_L by numerically diagonalizing pi(l0) for
+    one generator l0 of L. Eigenvalues are exact p-th roots of unity, so
+    eigenspaces are one-dimensional; the unitary Schur factorization of this
+    normal matrix returns an orthonormal eigenbasis. Vectors agree with
+    line_basis up to unit phase and index permutation.
+    """
+    from scipy.linalg import schur
+
+    if not L.through_origin():
+        raise ValueError("line bases are defined for origin lines only")
+    p = L.p.p
+    l0 = L.direction()
+    op = np.empty((p, p), dtype=np.complex128)
+    for k in range(p):
+        op[:, k] = heisenberg_op(delta(L.p, k), l0).samples
+    T, Z = schur(op, output="complex")
+    ev = np.diag(T)
+    # sanity: p distinct p-th roots of unity, pairwise separation 2 sin(pi/p)
+    sep = 2.0 * np.sin(np.pi / p)
+    for i in range(p):
+        for j in range(i + 1, p):
+            if abs(ev[i] - ev[j]) < 0.5 * sep:
+                raise RuntimeError("degenerate eigenvalue clustering in line oracle")
+    out = []
+    for k in range(p):
+        out.append(HeisenbergVector(L, k, Signal(L.p, Z[:, k])))
+    return out
+
+
+# Weil operator by plane averaging: with the symmetrized shifts
+# sigma(tau, omega) = e^{(2 pi i/p) 2^{-1} tau omega} pi(tau, omega), the sum
+# rho0 = sum_v sigma(g v) A sigma(v)^* commutes with the g-action for any seed
+# matrix A, so it is a scalar multiple of rho(g). O(p^3): small p only.
+
+def axis_stack(z: np.ndarray, r0: int, r1: int, p: int) -> np.ndarray:
+    """Columns sigma((r0*k, r1*k)) z for k = 0..p-1."""
+    inv2 = pow(2, -1, p)
+    t = np.arange(p)
+    k = np.arange(p)
+    psi = np.exp(2j * np.pi * np.arange(p) / p)
+    gathered = z[(t[:, None] + (r0 * k % p)[None, :]) % p]
+    grid = psi[np.outer(t, r1 * k % p) % p]
+    col = psi[(inv2 * r0 % p) * r1 % p * (k * k % p) % p]
+    return gathered * grid * col[None, :]
+
+
+def averaged_intertwiner(g: GroupElement, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """rho0 = sum_v sigma(g v) (x y^*) sigma(v)^* without touching all p^2
+    points: sigma factors along the two axes, sigma(tau,omega) =
+    psi(-2^{-1} tau omega) sigma(tau,0) sigma(0,omega), and the psi factors of
+    sigma(g v) and sigma(v)^* cancel, leaving
+    rho0 = sum_tau sigma(a tau, c tau) B sigma(-tau, 0) with
+    B = sum_omega sigma(b omega, d omega) (x y^*) sigma(0, -omega).
+    The inner sum is one matrix product; the outer sum is p cyclic shifts of
+    B with row phases. O(p^3) time, O(p^2) memory."""
+    p = g.p.p
+    inv2 = pow(2, -1, p)
+    t = np.arange(p)
+    psi = np.exp(2j * np.pi * np.arange(p) / p)
+    U = axis_stack(x, g.b, g.d, p)
+    W = axis_stack(y, 0, 1, p)
+    B = U @ W.conj().T
+    c0 = inv2 * g.a % p * g.c % p
+    rho0 = np.zeros((p, p), dtype=np.complex128)
+    for tau in range(p):
+        ph = psi[(c0 * (tau * tau % p) + (g.c * tau % p) * t) % p]
+        rho0 += ph[:, None] * np.roll(B, (-(g.a * tau % p), -tau), axis=(0, 1))
+    return rho0
+
+
+def weil_operator_oracle(g: GroupElement) -> np.ndarray:
+    """rho(g) by plane averaging from one seeded rank-1 matrix, unitarized by
+    a column norm, with rho[0, 0] turned real and positive (it is nonzero for
+    every g: p^{-1/2} when b != 0, a unit when b = 0)."""
+    p = g.p.p
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal(p) + 1j * rng.standard_normal(p)
+    y = rng.standard_normal(p) + 1j * rng.standard_normal(p)
+    rho = averaged_intertwiner(g, x, y)
+    rho /= np.linalg.norm(rho[:, 0])
+    return rho * (np.conj(rho[0, 0]) / abs(rho[0, 0]))

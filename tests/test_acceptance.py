@@ -12,8 +12,8 @@ against 2/sqrt(101) + 1e-9 = 0.199007. test_04 fails where its sampled
 same-torus pair lands on the split torus of trace 3 (nondegenerate
 eigenvectors 29 and 7): 0.200796, below the pair bound 2 sqrt(p)/(p-1) =
 0.200998. Which vectors the sampled indices name follows the eigenbasis
-order, which rests on floating-point rounding, so test_04 is red on some
-platforms only. Both tests state the envelope bound faithfully and fail on
+order, which is by exact eigenvalue, so where test_04 fails does not rest
+on float rounding. Both tests state the envelope bound faithfully and fail on
 split tori; test_weil.py locks the exact finite-p bounds, which every
 measured value satisfies.
 """

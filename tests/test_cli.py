@@ -31,7 +31,7 @@ def test_gen_flag_signal(tmp_path, capsys):
     path = tmp_path / "flag.sig"
     code, out, _ = run(capsys, "gen", "--p", 101, "--kind", "flag",
                        "--line", 1, "--torus-trace", 0, "--b-index", 0,
-                       "--eig-index", 0, "--out", path)
+                       "--eig-index", 1, "--out", path)
     assert code == 0
     assert "kind=flag" in out and "p=101" in out
     sig, header = read_signal(path)
@@ -57,6 +57,17 @@ def test_gen_rejects_composite_p(tmp_path, capsys):
                        "--out", tmp_path / "x.sig")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("kind", ["flag", "weil"])
+@pytest.mark.parametrize("eig", [101, -1])
+def test_gen_rejects_eig_index_out_of_range(tmp_path, capsys, kind, eig):
+    code, _, err = run(capsys, "gen", "--p", 101, "--kind", kind, "--line", 1,
+                       "--torus-trace", 0, "--b-index", 0, "--eig-index", eig,
+                       "--out", tmp_path / "w.sig")
+    assert code == 2
+    assert "--eig-index" in err
+    assert not (tmp_path / "w.sig").exists()
 
 
 def test_ambiguity_grid_and_profile(tmp_path, capsys):

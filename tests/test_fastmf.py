@@ -8,14 +8,13 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from helpers import dft_oracle, mf_oracle, unit_monte_carlo_template
+from helpers import cross_correlate, dft_oracle, mf_oracle, unit_monte_carlo_template
 
 from tfshift import (
     Line,
     PlanePoint,
     as_prime,
     counters,
-    cross_correlate,
     dft,
     fastmf,
     heisenberg_op,

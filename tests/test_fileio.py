@@ -5,6 +5,7 @@ import pytest
 
 from tfshift import (
     Line,
+    LineProfile,
     PlanePoint,
     Signal,
     as_prime,
@@ -138,6 +139,20 @@ def test_non_finite_payload_rejected(sig, tmp_path):
     text.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="finite"):
         read_signal(text)
+
+
+def test_non_finite_grid_and_profile_rejected(tmp_path):
+    p = as_prime(31)
+    grid = np.ones((31, 31))
+    grid[4, 7] = np.nan
+    write_grid(tmp_path / "g.bin", p, grid, fmt="binary")
+    with pytest.raises(ValueError, match="finite"):
+        read_grid(tmp_path / "g.bin")
+    values = np.ones(31, dtype=np.complex128)
+    values[3] = complex(np.inf, 0.0)
+    write_profile(tmp_path / "prof.txt", LineProfile(Line(2, p), values), fmt="text")
+    with pytest.raises(ValueError, match="finite"):
+        read_profile(tmp_path / "prof.txt")
 
 
 def test_empty_file_rejected(tmp_path):

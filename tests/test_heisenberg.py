@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from helpers import line_basis_oracle
+
 from tfshift import (
     Line,
     as_prime,
@@ -11,7 +13,6 @@ from tfshift import (
     heisenberg_op,
     inner,
     line_basis,
-    line_basis_oracle,
     line_points,
     line_vector,
     lines_through_origin,

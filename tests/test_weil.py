@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import psi
+from helpers import psi, weil_operator_oracle
 
 import tfshift
 from tfshift import (
@@ -16,6 +16,7 @@ from tfshift import (
     Line,
     PlanePoint,
     Signal,
+    WeilOperator,
     as_prime,
     default_torus_roster,
     flag_family,
@@ -30,6 +31,7 @@ from tfshift import (
     random_signal,
     sigma_op,
     torus_eigenbasis,
+    weil,
     weil_operator,
 )
 
@@ -168,6 +170,21 @@ def test_weil_operator_deterministic_and_cached():
     assert not r1.matrix.flags.writeable
 
 
+@pytest.mark.parametrize("p", [31, 101])
+def test_closed_form_matches_averaging_oracle(p):
+    # the kernel formulas against plane averaging, on both branches (b != 0
+    # and b = 0) and on the roster generators the flags use
+    pp = as_prime(p)
+    rng = np.random.default_rng(p)
+    diagonal = []
+    for a, c in rng.integers(1, p, (4, 2)):
+        diagonal.append(GroupElement(int(a), 0, int(c), pow(int(a), -1, p), pp))
+    roster = [T.generator for T in default_torus_roster(p, 8)]
+    for g in sample_elements(p) + roster + diagonal:
+        err = np.abs(rho_matrix(g) - weil_operator_oracle(g)).max()
+        assert err < 1e-12, ((g.a, g.b, g.c, g.d), err)
+
+
 # -------------------------------------------------------------------- tori
 
 def test_make_torus_kinds_and_orders():
@@ -223,6 +240,60 @@ def test_torus_eigenbasis_structure():
             assert abs(abs(w.eigenvalue) - 1.0) < 1e-9
             res = rho @ w.signal.samples - w.eigenvalue * w.signal.samples
             assert np.abs(res).max() < 1e-7
+
+
+@pytest.mark.parametrize("p", [31, 101])
+def test_torus_eigenbasis_key_order_and_phase_rule(p):
+    # exact lattice eigenvalues e^{i pi k/n} in increasing k, one shared k
+    # (the two degenerate vectors) on split tori, <v, random_signal(p, 0)> > 0
+    ref = random_signal(p, 0)
+    for T in default_torus_roster(p, 8):
+        basis = torus_eigenbasis(T)
+        n = T.order
+        keys = [round(n * np.angle(w.eigenvalue) / np.pi) % (2 * n) for w in basis]
+        assert keys == sorted(keys)
+        for k, w in zip(keys, basis):
+            assert abs(w.eigenvalue - np.exp(1j * np.pi * k / n)) < 1e-15
+            assert w.degenerate == (keys.count(k) > 1)
+            c = inner(w.signal, ref)
+            assert abs(c.imag) < 1e-12 and c.real > 0
+        assert sum(w.degenerate for w in basis) == (2 if T.kind == "split" else 0)
+
+
+def test_eigenvector_names_survive_operator_rounding(monkeypatch):
+    # an operator that differs from the closed form only by rounding (plane
+    # averaging) names the same vectors with the same phases
+    for p in (31, 101):
+        for T in default_torus_roster(p, 5):
+            want = torus_eigenbasis(T)
+            with monkeypatch.context() as m:
+                m.setattr(weil, "weil_operator",
+                          lambda g: WeilOperator(g, weil_operator_oracle(g)))
+                got = torus_eigenbasis.__wrapped__(T)
+            assert [w.degenerate for w in got] == [w.degenerate for w in want]
+            for a, b in zip(got, want):
+                assert a.eigenvalue == b.eigenvalue
+                if not b.degenerate:
+                    err = np.abs(a.signal.samples - b.signal.samples).max()
+                    assert err < 1e-9, (p, T.generator, err)
+
+
+@pytest.mark.parametrize("trace", [0, 1])
+def test_eigenvalue_one_vector_comes_first(trace):
+    T = make_torus(trace, 101)
+    w = torus_eigenbasis(T)[0]
+    assert w.eigenvalue == 1 and not w.degenerate
+    v = w.signal.samples
+    assert np.abs(rho_matrix(T.generator) @ v - v).max() < 1e-9
+
+
+def test_trace0_index1_is_odd_vector():
+    # the vector `gen --kind flag --torus-trace 0 --eig-index 1` names at
+    # p = 101: eigenvalue e^{2 pi i/100} and odd, f(-t) = -f(t)
+    w = torus_eigenbasis(make_torus(0, 101))[1]
+    assert w.eigenvalue == pytest.approx(np.exp(2j * np.pi / 100), abs=1e-15)
+    v = w.signal.samples
+    assert np.abs(v[-np.arange(101) % 101] + v).max() < 1e-9
 
 
 def nondegenerate(T):
@@ -307,6 +378,13 @@ def test_flag_waveform_rejects_degenerate_eigenvector():
     assert len(deg) == 2
     with pytest.raises(ValueError):
         flag_waveform(Line(0, as_prime(p)), T, 0, deg[0])
+
+
+@pytest.mark.parametrize("eig", [101, -1])
+def test_flag_waveform_rejects_eig_index_out_of_range(eig):
+    p = as_prime(101)
+    with pytest.raises(ValueError, match="eig_index"):
+        flag_waveform(Line(1, p), make_torus(0, p), 0, eig)
 
 
 def test_flag_three_level_structure():
