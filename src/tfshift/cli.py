@@ -45,7 +45,7 @@ def _parse_prime(value) -> "Prime":
     try:
         return as_prime(int(value))
     except ValueError as e:
-        raise UsageError(str(e))
+        raise UsageError(f"bad prime {value!r}: {e}")
 
 
 def _parse_int_pair(text: str, option: str) -> tuple[int, int]:
@@ -75,49 +75,52 @@ def cmd_gen(args) -> int:
     fmt = args.format
     if args.eig_index is not None and not 0 <= args.eig_index < p.p:
         raise UsageError(f"--eig-index {args.eig_index} is not in 0..{p.p - 1}")
-    if args.kind == "heisenberg":
-        if args.line is None or args.index is None:
-            raise UsageError("heisenberg needs --line and --index")
-        L = Line(_parse_slope(args.line), p)
-        hv = line_vector(L, args.index)
-        sig, desc = hv.signal, {"line": _slope_token(L), "index": hv.index}
-    elif args.kind == "weil":
-        if args.torus_trace is None or args.eig_index is None:
-            raise UsageError("weil needs --torus-trace and --eig-index")
-        T = make_torus(args.torus_trace, p)
-        wv = torus_eigenbasis(T)[args.eig_index]
-        if wv.degenerate:
-            raise ValueError("requested Weil eigenvector is degenerate")
-        sig = wv.signal
-        desc = {"torus_trace": args.torus_trace, "eig_index": args.eig_index,
-                "torus_kind": T.kind}
-    elif args.kind == "flag":
-        if args.line is None or args.torus_trace is None \
-                or args.b_index is None or args.eig_index is None:
-            raise UsageError("flag needs --line, --torus-trace, --b-index, --eig-index")
-        L = Line(_parse_slope(args.line), p)
-        T = make_torus(args.torus_trace, p)
-        fl = flag_waveform(L, T, args.b_index, args.eig_index)
-        sig = fl.signal
-        desc = {"line": _slope_token(L), "torus_trace": args.torus_trace,
-                "b_index": args.b_index, "eig_index": args.eig_index}
-    elif args.kind == "cross":
-        if args.lines is None:
-            raise UsageError("cross needs --lines A,B")
-        parts = args.lines.split(",")
-        if len(parts) != 2:
-            raise UsageError("--lines expects two comma-separated slopes")
-        L = Line(_parse_slope(parts[0]), p)
-        M = Line(_parse_slope(parts[1]), p)
-        il, im = _parse_int_pair(args.indices or "0,0", "--indices")
-        sig = cross_waveform(L, M, il, im).signal
-        desc = {"line_l": _slope_token(L), "line_m": _slope_token(M),
-                "index_l": il, "index_m": im}
-    elif args.kind == "random":
-        sig = random_signal(p, args.seed)
-        desc = {"seed": args.seed}
-    else:  # pragma: no cover - argparse choices guard this
-        raise UsageError(f"unknown kind {args.kind!r}")
+    try:  # every field of the recipe is the user's choice
+        if args.kind == "heisenberg":
+            if args.line is None or args.index is None:
+                raise UsageError("heisenberg needs --line and --index")
+            L = Line(_parse_slope(args.line), p)
+            hv = line_vector(L, args.index)
+            sig, desc = hv.signal, {"line": _slope_token(L), "index": hv.index}
+        elif args.kind == "weil":
+            if args.torus_trace is None or args.eig_index is None:
+                raise UsageError("weil needs --torus-trace and --eig-index")
+            T = make_torus(args.torus_trace, p)
+            wv = torus_eigenbasis(T)[args.eig_index]
+            if wv.degenerate:
+                raise UsageError("requested Weil eigenvector is degenerate")
+            sig = wv.signal
+            desc = {"torus_trace": args.torus_trace, "eig_index": args.eig_index,
+                    "torus_kind": T.kind}
+        elif args.kind == "flag":
+            if args.line is None or args.torus_trace is None \
+                    or args.b_index is None or args.eig_index is None:
+                raise UsageError("flag needs --line, --torus-trace, --b-index, --eig-index")
+            L = Line(_parse_slope(args.line), p)
+            T = make_torus(args.torus_trace, p)
+            fl = flag_waveform(L, T, args.b_index, args.eig_index)
+            sig = fl.signal
+            desc = {"line": _slope_token(L), "torus_trace": args.torus_trace,
+                    "b_index": args.b_index, "eig_index": args.eig_index}
+        elif args.kind == "cross":
+            if args.lines is None:
+                raise UsageError("cross needs --lines A,B")
+            parts = args.lines.split(",")
+            if len(parts) != 2:
+                raise UsageError("--lines expects two comma-separated slopes")
+            L = Line(_parse_slope(parts[0]), p)
+            M = Line(_parse_slope(parts[1]), p)
+            il, im = _parse_int_pair(args.indices or "0,0", "--indices")
+            sig = cross_waveform(L, M, il, im).signal
+            desc = {"line_l": _slope_token(L), "line_m": _slope_token(M),
+                    "index_l": il, "index_m": im}
+        elif args.kind == "random":
+            sig = random_signal(p, args.seed)
+            desc = {"seed": args.seed}
+        else:  # pragma: no cover - argparse choices guard this
+            raise UsageError(f"unknown kind {args.kind!r}")
+    except ValueError as e:
+        raise UsageError(str(e))
     write_signal(args.out, sig, args.kind, desc, fmt)
     pairs = " ".join(f"{k}={v}" for k, v in desc.items())
     print(f"kind={args.kind} p={p.p} norm={sig.norm():.9g} {pairs} out={args.out}")
@@ -296,14 +299,11 @@ def cmd_simulate(args) -> int:
 # ------------------------------------------------------------------ bench
 
 def cmd_bench(args) -> int:
-    try:
-        ps = [int(x) for x in args.p.split(",") if x]
-    except ValueError:
-        raise UsageError(f"bad --p list {args.p!r}")
+    ps = [_parse_prime(x).p for x in args.p.split(",") if x]
     if not ps:
         raise UsageError("--p lists no primes")
-    for q in ps:
-        _parse_prime(q)
+    if args.repeats < 1 or args.full_rows < 1:
+        raise UsageError("--repeats and --full-rows must be >= 1")
     rows = bench_complexity(ps, repeats=args.repeats, full_rows=args.full_rows)
     out = ["p,t_line_s,dft_ops_line,t_full_s,full_extrapolated,ratio"]
     for row in rows:

@@ -227,24 +227,24 @@ PHASE_FLOOR = 1e-6  # smallest accepted |<v, random_signal(p, 0)>| for the phase
 def torus_eigenbasis(T: Torus) -> tuple[WeilVector, ...]:
     """Orthonormal eigenbasis of the torus action, sorted by exact eigenvalue.
 
-    rho(generator) is unitary, hence normal, so its complex Schur form
-    diagonalizes it with orthonormal columns. The eigenvalues lie on the
-    lattice e^{i pi k/n}, n = T.order (RuntimeError if one is more than
-    LATTICE_TOL off); vectors are sorted by the integer k, so the eigenvalue-1
-    vector comes first, and the one k that a split torus gives two vectors
-    marks both degenerate. Phase rule: <v, random_signal(p, 0)> is real and
-    positive (RuntimeError if below PHASE_FLOOR). A degenerate pair's basis is
-    whatever Schur returns; flag_waveform and `gen --kind weil` refuse it.
+    The eigenvalues of rho = rho(generator) lie on the lattice e^{i pi k/n},
+    n = T.order (RuntimeError if one is more than LATTICE_TOL off). The
+    Hermitian a + a^H, a = e^{-i phi} rho, takes rho's e^{i theta}-eigenvectors
+    to 2 cos(theta - phi). With phi = pi/(4n) two lattice angles share a value
+    only if they sum to pi/(2n), which is no multiple of pi/n; so eigh of a + a^H
+    gives rho's eigenspaces orthonormal, and z^H rho z reads each eigenvalue.
+    Vectors are sorted by the integer k, so the eigenvalue-1 vector comes
+    first, and the one k that a split torus gives two vectors marks both
+    degenerate. Phase rule: <v, random_signal(p, 0)> is real and positive
+    (RuntimeError if below PHASE_FLOOR). A degenerate pair's basis is whatever
+    the eigensolver returns; flag_waveform and `gen --kind weil` refuse it.
     """
-    # scipy.linalg is loaded for Weil design only, and before weil_operator
-    # allocates its p x p matrices, so the import adds nothing to their peak
-    from scipy.linalg import schur
-
     rho = weil_operator(T.generator).matrix
-    p = rho.shape[0]
+    p = T.generator.p
     n = T.order
-    Tm, Z = schur(rho, output="complex")
-    ev = np.diag(Tm)
+    a = np.exp(-1j * np.pi / (4 * n)) * rho
+    Z = np.linalg.eigh(a + a.conj().T)[1]
+    ev = np.einsum("ij,ij->j", Z.conj(), rho @ Z)
     key = np.rint(n * np.angle(ev) / np.pi).astype(np.int64) % (2 * n)
     lam = np.exp(1j * np.pi * key / n)
     if np.abs(ev - lam).max() > LATTICE_TOL:
@@ -255,8 +255,7 @@ def torus_eigenbasis(T: Torus) -> tuple[WeilVector, ...]:
     Z = Z * (overlap.conj() / np.abs(overlap))
     order = np.argsort(key, kind="stable")
     shared = np.bincount(key, minlength=2 * n) > 1
-    pp = as_prime(p)
-    return tuple(WeilVector(T, complex(lam[i]), Signal(pp, Z[:, i]), bool(shared[key[i]]))
+    return tuple(WeilVector(T, complex(lam[i]), Signal(p, Z[:, i]), bool(shared[key[i]]))
                  for i in order)
 
 

@@ -8,7 +8,8 @@ independent route.
 import numpy as np
 
 from tfshift import (GroupElement, HeisenbergVector, Line, PlanePoint, Signal,
-                     delta, dft, gfp, heisenberg_op, sim)
+                     delta, dft, gfp, heisenberg_op, random_signal, sim)
+from tfshift.weil import LATTICE_TOL, PHASE_FLOOR, Torus, WeilVector, weil_operator
 
 
 def psi(k: int, p: int) -> complex:
@@ -165,3 +166,30 @@ def weil_operator_oracle(g: GroupElement) -> np.ndarray:
     rho = averaged_intertwiner(g, x, y)
     rho /= np.linalg.norm(rho[:, 0])
     return rho * (np.conj(rho[0, 0]) / abs(rho[0, 0]))
+
+
+def torus_eigenbasis_oracle(T: Torus) -> tuple[WeilVector, ...]:
+    """torus_eigenbasis through the complex Schur form: rho(generator) is
+    unitary, hence normal, so its Schur form diagonalizes it with orthonormal
+    columns. Same lattice key, sort, degenerate marking and phase rule as the
+    library; a degenerate pair's basis is whatever Schur returns."""
+    from scipy.linalg import schur
+
+    rho = weil_operator(T.generator).matrix
+    p = rho.shape[0]
+    n = T.order
+    Tm, Z = schur(rho, output="complex")
+    ev = np.diag(Tm)
+    key = np.rint(n * np.angle(ev) / np.pi).astype(np.int64) % (2 * n)
+    lam = np.exp(1j * np.pi * key / n)
+    if np.abs(ev - lam).max() > LATTICE_TOL:
+        raise RuntimeError("torus eigenvalues off the lattice e^{i pi k/n}")
+    overlap = random_signal(p, 0).samples.conj() @ Z
+    if np.abs(overlap).min() < PHASE_FLOOR:
+        raise RuntimeError("eigenvector too close to orthogonal to the phase reference")
+    Z = Z * (overlap.conj() / np.abs(overlap))
+    order = np.argsort(key, kind="stable")
+    shared = np.bincount(key, minlength=2 * n) > 1
+    pp = gfp.as_prime(p)
+    return tuple(WeilVector(T, complex(lam[i]), Signal(pp, Z[:, i]), bool(shared[key[i]]))
+                 for i in order)

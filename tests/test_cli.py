@@ -70,6 +70,23 @@ def test_gen_rejects_eig_index_out_of_range(tmp_path, capsys, kind, eig):
     assert not (tmp_path / "w.sig").exists()
 
 
+@pytest.mark.parametrize("argv, word", [
+    (["--kind", "flag", "--line", 1, "--torus-trace", 0, "--b-index", 0,
+      "--eig-index", 50], "degenerate"),
+    (["--kind", "weil", "--torus-trace", 0, "--eig-index", 51], "degenerate"),
+    (["--kind", "flag", "--line", 1, "--torus-trace", 2, "--b-index", 0,
+      "--eig-index", 1], "parabolic"),
+    (["--kind", "cross", "--lines", "5,5"], "distinct"),
+], ids=["flag-degenerate", "weil-degenerate", "parabolic-trace", "same-lines"])
+def test_gen_rejects_bad_recipe_as_usage(tmp_path, capsys, argv, word):
+    # the recipe is the user's choice, so one that names no waveform is a
+    # usage error; callers retry a flag on the word "degenerate"
+    code, _, err = run(capsys, "gen", "--p", 101, *argv, "--out", tmp_path / "w.sig")
+    assert code == 2
+    assert err.startswith("error:") and word in err
+    assert not (tmp_path / "w.sig").exists()
+
+
 def test_ambiguity_grid_and_profile(tmp_path, capsys):
     flag = tmp_path / "flag.sig"
     assert run(capsys, "gen", "--p", 31, "--kind", "flag", "--line", 1,
@@ -309,6 +326,19 @@ def test_bench_csv(capsys):
 def test_bench_rejects_bad_list(capsys):
     assert run(capsys, "bench", "--p", "31,abc")[0] == 2
     assert run(capsys, "bench", "--p", "32")[0] == 2
+
+
+def test_bench_rejects_full_rows_below_one(capsys):
+    # checked before any timing: a zero row count divided the extrapolation
+    code, out, err = run(capsys, "bench", "--p", "2053", "--full-rows", 0)
+    assert code == 2 and out == ""
+    assert "--full-rows" in err
+
+
+def test_bench_rejects_repeats_below_one(capsys):
+    code, out, err = run(capsys, "bench", "--p", "31", "--repeats", 0)
+    assert code == 2 and out == ""
+    assert "--repeats" in err
 
 
 def test_usage_error_on_unknown_subcommand(capsys):

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import psi, weil_operator_oracle
+from helpers import psi, torus_eigenbasis_oracle, weil_operator_oracle
 
 import tfshift
 from tfshift import (
@@ -278,6 +278,23 @@ def test_eigenvector_names_survive_operator_rounding(monkeypatch):
                     assert err < 1e-9, (p, T.generator, err)
 
 
+@pytest.mark.parametrize("p", [31, 101])
+def test_torus_eigenbasis_matches_schur_oracle(p):
+    # the Hermitian eigensolve names the same vectors, at the same phases, as
+    # the complex Schur form; a degenerate pair spans the same plane
+    for T in default_torus_roster(p, 8):
+        got, want = torus_eigenbasis(T), torus_eigenbasis_oracle(T)
+        assert [w.eigenvalue for w in got] == [w.eigenvalue for w in want]
+        assert [w.degenerate for w in got] == [w.degenerate for w in want]
+        A = np.stack([w.signal.samples for w in got], axis=1)
+        B = np.stack([w.signal.samples for w in want], axis=1)
+        deg = np.array([w.degenerate for w in want])
+        assert np.abs(A[:, ~deg] - B[:, ~deg]).max() < 1e-9, (p, T.generator)
+        PA, PB = A[:, deg] @ A[:, deg].conj().T, B[:, deg] @ B[:, deg].conj().T
+        assert np.abs(PA - PB).max() < 1e-9, (p, T.generator)
+        assert np.abs(A.conj().T @ A - np.eye(p)).max() < 1e-12
+
+
 @pytest.mark.parametrize("trace", [0, 1])
 def test_eigenvalue_one_vector_comes_first(trace):
     T = make_torus(trace, 101)
@@ -422,20 +439,26 @@ def test_flag_family_deterministic():
     assert all(not f.phiT.degenerate for f in fam)
 
 
-def test_scipy_linalg_loaded_only_for_weil_design():
-    # a fresh interpreter: decoding crosses must not pull in scipy.linalg,
-    # building flags (Schur on the Weil operator) must
+def test_package_never_imports_scipy():
+    # a fresh interpreter: tfshift runs on numpy alone, so neither decoding,
+    # nor Weil design (an eigh of a Hermitian matrix that commutes with
+    # rho), nor the CLI that builds a flag file pulls in scipy
     code = """
 import sys
+import tempfile
 import tfshift
 from tfshift import Line, PlanePoint, cross_waveform, extract_bits, heisenberg_op
+from tfshift.cli import main
 p = 31
 c = cross_waveform(Line(0, p), Line(1, p), 2, 3)
 R = heisenberg_op(c.signal, PlanePoint(4, 5, p))
 assert extract_bits(R, [c])[0].detection.shift == PlanePoint(4, 5, p)
-assert "scipy.linalg" not in sys.modules, "loaded by decoding"
 tfshift.flag_family(p, 1, seed=0)
-assert "scipy.linalg" in sys.modules, "not loaded by flag_family"
+with tempfile.TemporaryDirectory() as d:
+    assert main(["gen", "--p", "31", "--kind", "flag", "--line", "1",
+                 "--torus-trace", "0", "--b-index", "0", "--eig-index", "1",
+                 "--out", d + "/flag.sig"]) == 0
+assert "scipy" not in sys.modules, "scipy was imported"
 """
     src = str(Path(tfshift.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
