@@ -15,10 +15,11 @@ import numpy as np
 
 from .detect import THETA1_DEFAULT, THETA2_DEFAULT, extract_bits, radar_detect
 from .fastmf import mf_on_line
-from .fileio import read_signal, write_grid, write_profile, write_signal
+from .fileio import (parse_slope, read_signal, slope_token, write_grid, write_profile,
+                     write_signal)
 from .gfp import Line, PlanePoint, as_prime
 from .heisenberg import cross_waveform, line_vector
-from .signals import mf_full, random_signal
+from .signals import Signal, mf_full, random_signal
 from .sim import ChannelSpec, UserSpec, bench_complexity, fit_exponent, monte_carlo
 from .weil import Flag, flag_waveform, make_torus, torus_eigenbasis
 
@@ -32,15 +33,6 @@ class UsageError(Exception):
     pass
 
 
-def _parse_slope(text: str):
-    if text == "vertical":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        raise UsageError(f"bad line {text!r}: expected an integer slope or 'vertical'")
-
-
 def _parse_prime(value) -> "Prime":
     try:
         return as_prime(int(value))
@@ -48,16 +40,12 @@ def _parse_prime(value) -> "Prime":
         raise UsageError(f"bad prime {value!r}: {e}")
 
 
-def _parse_int_pair(text: str, option: str) -> tuple[int, int]:
+def _parse_pair(text: str, option: str, parse=int) -> tuple:
     try:
-        a, b = (int(x) for x in text.split(","))
+        a, b = (parse(x) for x in text.split(","))
     except ValueError:
-        raise UsageError(f"bad {option} {text!r}: expected two comma-separated integers")
+        raise UsageError(f"bad {option} {text!r}: expected two comma-separated values")
     return a, b
-
-
-def _slope_token(line: Line) -> str:
-    return "vertical" if line.is_vertical else str(line.slope)
 
 
 def _read_signal_or_usage(path):
@@ -68,60 +56,79 @@ def _read_signal_or_usage(path):
         raise UsageError(f"cannot read signal file {path}: {e}")
 
 
+# ---------------------------------------------------------------- recipes
+
+def _waveform(kind: str, p, raw, label, where: str = ""):
+    """The waveform a recipe names, with the header fields that name it.
+
+    raw(key) is a recipe field's raw value (None if absent) and label(key) its
+    name in messages, which start with `where`. The recipe is the user's or
+    the file's choice, so one that names no waveform is a usage error.
+    """
+    def field(key, parse=int):
+        value = raw(key)
+        if value is None:
+            raise UsageError(f"{where}{kind} needs {label(key)}")
+        try:
+            return parse(value)
+        except ValueError:
+            raise UsageError(f"{where}bad {label(key)} value {value!r}")
+
+    def line(key):
+        return field(key, lambda text: Line(parse_slope(text), p))
+
+    try:
+        if kind == "random":
+            seed = field("seed")
+            return random_signal(p, seed), {"seed": seed}
+        if kind == "heisenberg":
+            hv = line_vector(line("line"), field("index"))
+            return hv, {"line": slope_token(hv.line), "index": hv.index}
+        if kind == "cross":
+            L, M, il, im = line("line_l"), line("line_m"), field("index_l"), field("index_m")
+            return cross_waveform(L, M, il, im), {
+                "line_l": slope_token(L), "line_m": slope_token(M),
+                "index_l": il, "index_m": im}
+        L = line("line") if kind == "flag" else None
+        b = field("b_index") if kind == "flag" else None
+        trace, eig = field("torus_trace"), field("eig_index")
+        if not 0 <= eig < p.p:
+            raise UsageError(f"{where}{label('eig_index')} {eig} is not in 0..{p.p - 1}")
+        T = make_torus(trace, p)
+        phi = torus_eigenbasis(T)[eig]
+        if phi.degenerate:
+            raise UsageError(f"{where}{label('eig_index')} {eig} names a degenerate "
+                             "Weil eigenvector")
+        if kind == "weil":
+            return phi, {"torus_trace": trace, "eig_index": eig, "torus_kind": T.kind}
+        return flag_waveform(L, T, b, eig), {
+            "line": slope_token(L), "torus_trace": trace, "b_index": b, "eig_index": eig}
+    except ValueError as e:
+        raise UsageError(f"{where}{e}")
+
+
 # ------------------------------------------------------------------- gen
+
+# recipe fields that gen reads from an A,B option: (option's attribute, position)
+_PAIRS = {"line_l": ("lines", 0), "line_m": ("lines", 1),
+          "index_l": ("indices", 0), "index_m": ("indices", 1)}
+
 
 def cmd_gen(args) -> int:
     p = _parse_prime(args.p)
-    fmt = args.format
-    if args.eig_index is not None and not 0 <= args.eig_index < p.p:
-        raise UsageError(f"--eig-index {args.eig_index} is not in 0..{p.p - 1}")
-    try:  # every field of the recipe is the user's choice
-        if args.kind == "heisenberg":
-            if args.line is None or args.index is None:
-                raise UsageError("heisenberg needs --line and --index")
-            L = Line(_parse_slope(args.line), p)
-            hv = line_vector(L, args.index)
-            sig, desc = hv.signal, {"line": _slope_token(L), "index": hv.index}
-        elif args.kind == "weil":
-            if args.torus_trace is None or args.eig_index is None:
-                raise UsageError("weil needs --torus-trace and --eig-index")
-            T = make_torus(args.torus_trace, p)
-            wv = torus_eigenbasis(T)[args.eig_index]
-            if wv.degenerate:
-                raise UsageError("requested Weil eigenvector is degenerate")
-            sig = wv.signal
-            desc = {"torus_trace": args.torus_trace, "eig_index": args.eig_index,
-                    "torus_kind": T.kind}
-        elif args.kind == "flag":
-            if args.line is None or args.torus_trace is None \
-                    or args.b_index is None or args.eig_index is None:
-                raise UsageError("flag needs --line, --torus-trace, --b-index, --eig-index")
-            L = Line(_parse_slope(args.line), p)
-            T = make_torus(args.torus_trace, p)
-            fl = flag_waveform(L, T, args.b_index, args.eig_index)
-            sig = fl.signal
-            desc = {"line": _slope_token(L), "torus_trace": args.torus_trace,
-                    "b_index": args.b_index, "eig_index": args.eig_index}
-        elif args.kind == "cross":
-            if args.lines is None:
-                raise UsageError("cross needs --lines A,B")
-            parts = args.lines.split(",")
-            if len(parts) != 2:
-                raise UsageError("--lines expects two comma-separated slopes")
-            L = Line(_parse_slope(parts[0]), p)
-            M = Line(_parse_slope(parts[1]), p)
-            il, im = _parse_int_pair(args.indices or "0,0", "--indices")
-            sig = cross_waveform(L, M, il, im).signal
-            desc = {"line_l": _slope_token(L), "line_m": _slope_token(M),
-                    "index_l": il, "index_m": im}
-        elif args.kind == "random":
-            sig = random_signal(p, args.seed)
-            desc = {"seed": args.seed}
-        else:  # pragma: no cover - argparse choices guard this
-            raise UsageError(f"unknown kind {args.kind!r}")
-    except ValueError as e:
-        raise UsageError(str(e))
-    write_signal(args.out, sig, args.kind, desc, fmt)
+
+    def option(key):
+        return "--" + _PAIRS.get(key, (key,))[0].replace("_", "-")
+
+    def raw(key):
+        if key not in _PAIRS:
+            return getattr(args, key)
+        text = getattr(args, _PAIRS[key][0])
+        return None if text is None else _parse_pair(text, option(key), str)[_PAIRS[key][1]]
+
+    w, desc = _waveform(args.kind, p, raw, option)
+    sig = w if isinstance(w, Signal) else w.signal
+    write_signal(args.out, sig, args.kind, desc, args.format)
     pairs = " ".join(f"{k}={v}" for k, v in desc.items())
     print(f"kind={args.kind} p={p.p} norm={sig.norm():.9g} {pairs} out={args.out}")
     return EXIT_OK
@@ -135,12 +142,15 @@ def cmd_ambiguity(args) -> int:
     if S.p != R.p:
         raise UsageError("sender and receiver have different p")
     if args.line is not None:
-        t, w = _parse_int_pair(args.offset or "0,0", "--offset")
+        t, w = _parse_pair(args.offset or "0,0", "--offset")
         off = PlanePoint(t, w, S.p)
-        line = Line(_parse_slope(args.line), S.p, offset=off)
+        try:
+            line = Line(parse_slope(args.line), S.p, offset=off)
+        except ValueError as e:
+            raise UsageError(str(e))
         prof = mf_on_line(S, R, line)
         write_profile(args.out, prof, args.format if args.format != "csv" else "text")
-        print(f"profile p={S.p.p} line={_slope_token(line)} "
+        print(f"profile p={S.p.p} line={slope_token(line)} "
               f"peak={float(np.max(np.abs(prof.values))):.9g} out={args.out}")
         return EXIT_OK
     M = mf_full(S, R)
@@ -152,33 +162,6 @@ def cmd_ambiguity(args) -> int:
 
 
 # ----------------------------------------------------------------- detect
-
-def _rebuild_waveform(header: dict, path):
-    """The waveform named by a file header's recipe; a missing or malformed
-    recipe field is a usage error naming the file and the field."""
-    def field(key, parse=int):
-        if key not in header:
-            raise UsageError(f"waveform {path}: header has no {key} field")
-        try:
-            return parse(header[key])
-        except (ValueError, UsageError):
-            raise UsageError(f"waveform {path}: bad {key} value {header[key]!r}")
-
-    p = as_prime(int(header["p"]))
-    kind = header.get("kind")
-    if kind == "flag":
-        L = Line(field("line", _parse_slope), p)
-        T = make_torus(field("torus_trace"), p)
-        eig = field("eig_index")
-        if not 0 <= eig < p.p:
-            raise UsageError(f"waveform {path}: eig_index {eig} is not in 0..{p.p - 1}")
-        return flag_waveform(L, T, field("b_index"), eig)
-    if kind == "cross":
-        L = Line(field("line_l", _parse_slope), p)
-        M = Line(field("line_m", _parse_slope), p)
-        return cross_waveform(L, M, field("index_l"), field("index_m"))
-    raise UsageError(f"manifest entries must be flag or cross waveforms, got {kind!r}")
-
 
 def cmd_detect(args) -> int:
     if args.method == "radar" and args.targets < 1:
@@ -197,7 +180,11 @@ def cmd_detect(args) -> int:
         stored, header = _read_signal_or_usage(path)
         if stored.p != R.p:
             raise UsageError(f"waveform {path} has p={stored.p.p}, receiver has p={R.p.p}")
-        w = _rebuild_waveform(header, path)
+        if header.get("kind") not in ("flag", "cross"):
+            raise UsageError("manifest entries must be flag or cross waveforms, "
+                             f"got {header.get('kind')!r}")
+        w, _ = _waveform(header["kind"], stored.p, header.get, lambda key: key,
+                         f"waveform {path}: ")
         if float(np.max(np.abs(w.signal.samples - stored.samples))) > 1e-8:
             print(f"warning: payload of {path} differs from its descriptor rebuild",
                   file=sys.stderr)
@@ -338,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--format", default="binary", choices=["binary", "text"])
     g.add_argument("--line", default=None, help="slope or 'vertical'")
     g.add_argument("--lines", default=None, help="two slopes A,B for a cross")
-    g.add_argument("--indices", default=None, help="two basis indices for a cross")
+    g.add_argument("--indices", default="0,0", help="two basis indices for a cross")
     g.add_argument("--index", type=int, default=None)
     g.add_argument("--b-index", type=int, default=None)
     g.add_argument("--eig-index", type=int, default=None)

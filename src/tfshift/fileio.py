@@ -4,6 +4,8 @@ Every file is a single text header line (space-separated key=value tokens,
 first token a magic tag, newline-terminated) followed by the payload. Binary
 payloads are 64-bit little-endian floats, interleaved re/im for complex data;
 text payloads print floats with %.17g so a float64 round-trips exactly.
+Writers check the whole file before they open it; readers check the magic,
+the prime p, the format, and the payload's length and finiteness.
 """
 
 from __future__ import annotations
@@ -19,17 +21,36 @@ GRID_MAGIC = "tfshift-grid"
 PROFILE_MAGIC = "tfshift-profile"
 
 
-def _header_line(magic: str, fields: dict) -> bytes:
+def slope_token(line: Line) -> str:
+    """A line's slope as written in headers and on the command line."""
+    return "vertical" if line.is_vertical else str(line.slope)
+
+
+def parse_slope(token: str) -> int | None:
+    """Inverse of slope_token: an integer slope, or None for 'vertical'."""
+    if token == "vertical":
+        return None
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"bad line {token!r}: expected an integer slope or 'vertical'")
+
+
+def _write(path, magic: str, fields: dict, payload: bytes) -> None:
     toks = [magic]
     for k, v in fields.items():
         sv = str(v)
         if any(ch.isspace() for ch in sv) or "=" in sv:
             raise ValueError(f"header value {sv!r} must be a simple token")
         toks.append(f"{k}={sv}")
-    return (" ".join(toks) + "\n").encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write((" ".join(toks) + "\n").encode("utf-8") + payload)
 
 
-def _split_file(raw: bytes, magic: str) -> tuple[dict, bytes]:
+def _read(path, magic: str):
+    """(header, payload bytes, p) of a file with the given magic tag."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
     nl = raw.find(b"\n")
     if nl < 0:
         raise ValueError("missing header line")
@@ -40,18 +61,7 @@ def _split_file(raw: bytes, magic: str) -> tuple[dict, bytes]:
     for tok in toks[1:]:
         k, _, v = tok.partition("=")
         header[k] = v
-    return header, raw[nl + 1:]
-
-
-def _complex_to_interleaved(z: np.ndarray) -> np.ndarray:
-    out = np.empty(2 * z.shape[0], dtype="<f8")
-    out[0::2] = z.real
-    out[1::2] = z.imag
-    return out
-
-
-def _interleaved_to_complex(f: np.ndarray) -> np.ndarray:
-    return f[0::2] + 1j * f[1::2]
+    return header, raw[nl + 1:], as_prime(int(header["p"]))
 
 
 def _finite(f: np.ndarray) -> np.ndarray:
@@ -60,39 +70,46 @@ def _finite(f: np.ndarray) -> np.ndarray:
     return f
 
 
-def write_signal(path, signal: Signal, kind: str, descriptor: dict | None = None,
-                 fmt: str = "binary") -> None:
+def _encode_complex(values, n: int, fmt: str) -> bytes:
+    """Payload of n complex values: interleaved re/im, binary or text."""
     if fmt not in ("binary", "text"):
         raise ValueError(f"unknown format {fmt!r}")
+    z = np.asarray(values, dtype=np.complex128)
+    if z.shape != (n,):
+        raise ValueError(f"expected {n} values, got shape {z.shape}")
+    if fmt == "text":
+        return "".join(f"{x.real:.17g} {x.imag:.17g}\n" for x in z).encode("utf-8")
+    f = np.empty(2 * n, dtype="<f8")
+    f[0::2] = z.real
+    f[1::2] = z.imag
+    return f.tobytes()
+
+
+def _decode_complex(payload: bytes, n: int, fmt: str) -> np.ndarray:
+    """Inverse of _encode_complex; the n values must all be finite."""
+    if fmt == "binary":
+        f = np.frombuffer(payload, dtype="<f8")
+    elif fmt == "text":
+        f = np.array([float(x) for x in payload.decode("utf-8").split()])
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    if f.shape[0] != 2 * n:
+        raise ValueError("payload length does not match p")
+    f = _finite(f)
+    return f[0::2] + 1j * f[1::2]
+
+
+def write_signal(path, signal: Signal, kind: str, descriptor: dict | None = None,
+                 fmt: str = "binary") -> None:
+    payload = _encode_complex(signal.samples, signal.p.p, fmt)
     fields = {"p": signal.p.p, "kind": kind, "format": fmt}
     fields.update(descriptor or {})
-    with open(path, "wb") as fh:
-        fh.write(_header_line(SIGNAL_MAGIC, fields))
-        if fmt == "binary":
-            fh.write(_complex_to_interleaved(signal.samples).tobytes())
-        else:
-            lines = [f"{z.real:.17g} {z.imag:.17g}" for z in signal.samples]
-            fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+    _write(path, SIGNAL_MAGIC, fields, payload)
 
 
 def read_signal(path) -> tuple[Signal, dict]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    header, payload = _split_file(raw, SIGNAL_MAGIC)
-    p = as_prime(int(header["p"]))
-    fmt = header.get("format", "binary")
-    if fmt == "binary":
-        f = np.frombuffer(payload, dtype="<f8")
-        if f.shape[0] != 2 * p.p:
-            raise ValueError("payload length does not match p")
-        z = _interleaved_to_complex(f)
-    else:
-        rows = payload.decode("utf-8").split()
-        if len(rows) != 2 * p.p:
-            raise ValueError("payload length does not match p")
-        f = np.array([float(x) for x in rows])
-        z = _interleaved_to_complex(f)
-    return Signal(p, z), header
+    header, payload, p = _read(path, SIGNAL_MAGIC)
+    return Signal(p, _decode_complex(payload, p.p, header.get("format", "binary"))), header
 
 
 def write_grid(path, p, magnitudes: np.ndarray, fmt: str = "csv") -> None:
@@ -101,69 +118,49 @@ def write_grid(path, p, magnitudes: np.ndarray, fmt: str = "csv") -> None:
     m = np.asarray(magnitudes, dtype=np.float64)
     if m.shape != (pp.p, pp.p):
         raise ValueError(f"expected a {pp.p} x {pp.p} grid")
-    if fmt not in ("csv", "binary"):
+    if fmt == "binary":
+        payload = m.astype("<f8").tobytes()
+    elif fmt == "csv":
+        payload = "".join(",".join(f"{x:.17g}" for x in row) + "\n" for row in m).encode()
+    else:
         raise ValueError(f"unknown format {fmt!r}")
-    with open(path, "wb") as fh:
-        fh.write(_header_line(GRID_MAGIC, {"p": pp.p, "format": fmt}))
-        if fmt == "binary":
-            fh.write(m.astype("<f8").tobytes())
-        else:
-            lines = [",".join(f"{x:.17g}" for x in row) for row in m]
-            fh.write(("\n".join(lines) + "\n").encode("utf-8"))
+    _write(path, GRID_MAGIC, {"p": pp.p, "format": fmt}, payload)
 
 
 def read_grid(path) -> tuple[np.ndarray, dict]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    header, payload = _split_file(raw, GRID_MAGIC)
-    p = int(header["p"])
+    header, payload, pp = _read(path, GRID_MAGIC)
+    p = pp.p
     fmt = header.get("format", "csv")
     if fmt == "binary":
-        f = np.frombuffer(payload, dtype="<f8")
-        if f.shape[0] != p * p:
-            raise ValueError("payload length does not match p")
-        return _finite(f).reshape(p, p).copy(), header
-    rows = payload.decode("utf-8").strip().split("\n")
-    if len(rows) != p:
+        m = np.frombuffer(payload, dtype="<f8")
+        m = m.reshape(p, p).copy() if m.shape[0] == p * p else m
+    elif fmt == "csv":
+        rows = payload.decode("utf-8").strip().split("\n")
+        m = np.array([[float(x) for x in r.split(",")] for r in rows])
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
+    if m.shape != (p, p):
         raise ValueError("payload length does not match p")
-    return _finite(np.array([[float(x) for x in r.split(",")] for r in rows])), header
+    return _finite(m), header
 
 
 def write_profile(path, profile: LineProfile, fmt: str = "binary") -> None:
     """One matched-filter line profile, complex values in line_points order."""
     line = profile.line
+    payload = _encode_complex(profile.values, line.p.p, fmt)
     fields = {
         "p": line.p.p,
-        "line": "vertical" if line.is_vertical else line.slope,
+        "line": slope_token(line),
         "offset_tau": line.offset.tau,
         "offset_omega": line.offset.omega,
         "format": fmt,
     }
-    with open(path, "wb") as fh:
-        fh.write(_header_line(PROFILE_MAGIC, fields))
-        vals = np.asarray(profile.values, dtype=np.complex128)
-        if fmt == "binary":
-            fh.write(_complex_to_interleaved(vals).tobytes())
-        elif fmt == "text":
-            lines = [f"{z.real:.17g} {z.imag:.17g}" for z in vals]
-            fh.write(("\n".join(lines) + "\n").encode("utf-8"))
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
+    _write(path, PROFILE_MAGIC, fields, payload)
 
 
 def read_profile(path) -> tuple[LineProfile, dict]:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    header, payload = _split_file(raw, PROFILE_MAGIC)
-    p = as_prime(int(header["p"]))
-    slope = None if header["line"] == "vertical" else int(header["line"])
+    header, payload, p = _read(path, PROFILE_MAGIC)
     off = PlanePoint(int(header["offset_tau"]), int(header["offset_omega"]), p)
-    line = Line(slope, p, offset=off)
-    fmt = header.get("format", "binary")
-    if fmt == "binary":
-        f = np.frombuffer(payload, dtype="<f8")
-    else:
-        f = np.array([float(x) for x in payload.decode("utf-8").split()])
-    if f.shape[0] != 2 * p.p:
-        raise ValueError("payload length does not match p")
-    return LineProfile(line, _interleaved_to_complex(_finite(f))), header
+    line = Line(parse_slope(header["line"]), p, offset=off)
+    values = _decode_complex(payload, p.p, header.get("format", "binary"))
+    return LineProfile(line, values), header

@@ -179,8 +179,10 @@ def bench_complexity(p_list, repeats: int = 3, full_rows: int = 32) -> list[dict
     transforms, where the first scan of a sender on a slope costs 3. Beyond
     FULL_MF_LIMIT the full-matrix time is estimated from `full_rows` rows and
     flagged extrapolated; the row loop is exact per row, so the estimate is a
-    straight per-row scale-up.
+    straight per-row scale-up. ValueError if repeats or full_rows is below 1.
     """
+    if repeats < 1 or full_rows < 1:
+        raise ValueError(f"repeats and full_rows must be >= 1, got {repeats} and {full_rows}")
     rows = []
     for p in p_list:
         pp = as_prime(p)
@@ -189,7 +191,7 @@ def bench_complexity(p_list, repeats: int = 3, full_rows: int = 32) -> list[dict
         line = Line(1, pp)
         mf_on_line(S, R, line)  # builds the sender's plan outside the timing
         times = []
-        for _ in range(max(1, repeats)):
+        for _ in range(repeats):
             t0 = time.perf_counter()
             mf_on_line(S, R, line)
             times.append(time.perf_counter() - t0)

@@ -87,6 +87,31 @@ def test_gen_rejects_bad_recipe_as_usage(tmp_path, capsys, argv, word):
     assert not (tmp_path / "w.sig").exists()
 
 
+@pytest.mark.parametrize("fmt", ["binary", "text"])
+@pytest.mark.parametrize("argv, header", [
+    (["--kind", "heisenberg", "--line", 40, "--index", 33],
+     "tfshift-signal p=31 kind=heisenberg format={} line=9 index=2"),
+    (["--kind", "weil", "--torus-trace", 3, "--eig-index", 2],
+     "tfshift-signal p=31 kind=weil format={} torus_trace=3 eig_index=2 "
+     "torus_kind=split"),
+    (["--kind", "flag", "--line", "vertical", "--torus-trace", 0, "--b-index", 35,
+      "--eig-index", 1],
+     "tfshift-signal p=31 kind=flag format={} line=vertical torus_trace=0 "
+     "b_index=35 eig_index=1"),
+    (["--kind", "cross", "--lines", "3,vertical", "--indices", "40,-2"],
+     "tfshift-signal p=31 kind=cross format={} line_l=3 line_m=vertical "
+     "index_l=40 index_m=-2"),
+    (["--kind", "random", "--seed", 7],
+     "tfshift-signal p=31 kind=random format={} seed=7"),
+], ids=["heisenberg", "weil", "flag", "cross", "random"])
+def test_gen_header_format_is_pinned(tmp_path, capsys, argv, header, fmt):
+    # the header line is the file format: heisenberg stores index mod p, weil
+    # adds torus_kind, and the other fields keep the values given
+    path = tmp_path / "w.sig"
+    assert run(capsys, "gen", "--p", 31, *argv, "--format", fmt, "--out", path)[0] == 0
+    assert path.read_bytes().split(b"\n", 1)[0].decode() == header.format(fmt)
+
+
 def test_ambiguity_grid_and_profile(tmp_path, capsys):
     flag = tmp_path / "flag.sig"
     assert run(capsys, "gen", "--p", 31, "--kind", "flag", "--line", 1,
@@ -139,6 +164,20 @@ def test_detect_flag_roundtrip(tmp_path, capsys):
                        "--manifest", manifest)
     assert code == 0
     assert "shift_tau=50 shift_omega=50" in out
+    assert "confident=1" in out and "bit=+1" in out
+
+
+def test_detect_cross_roundtrip(tmp_path, capsys):
+    cross = tmp_path / "cross.sig"
+    assert run(capsys, "gen", "--p", 31, "--kind", "cross", "--lines", "4,vertical",
+               "--indices", "7,30", "--out", cross)[0] == 0
+    recv = make_receiver(tmp_path, cross, (5, 17))
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{cross}\n")
+    code, out, err = run(capsys, "detect", "--receiver", recv,
+                         "--manifest", manifest)
+    assert code == 0 and err == ""
+    assert "shift_tau=5 shift_omega=17" in out
     assert "confident=1" in out and "bit=+1" in out
 
 
@@ -248,10 +287,16 @@ def test_malformed_arguments_are_usage_errors(tmp_path, capsys):
     ("cross", {"line_l": "0", "line_m": "1", "index_l": 0}, "index_m"),
     ("cross", {"line_l": "0", "line_m": "1", "index_l": "1.5", "index_m": 0},
      "index_l"),
+    ("flag", {"line": "1", "torus_trace": 2, "b_index": 0, "eig_index": 1},
+     "parabolic"),
+    ("flag", {"line": "1", "torus_trace": 1, "b_index": 0, "eig_index": 7},
+     "degenerate"),
+    ("cross", {"line_l": "3", "line_m": "3", "index_l": 0, "index_m": 0},
+     "distinct"),
 ])
 def test_detect_rejects_bad_recipe_fields(tmp_path, capsys, kind, fields, bad):
-    # a header recipe that is missing a field or holds a malformed one is a
-    # bad input file: usage error naming the file and the field
+    # a header recipe that is missing a field, holds a malformed one, or names
+    # no waveform is a bad input file: usage error naming the file and the field
     p = as_prime(31)
     wave = tmp_path / "w.sig"
     write_signal(wave, awgn(p, 0.1, seed=3), kind, fields)

@@ -160,3 +160,44 @@ def test_empty_file_rejected(tmp_path):
     path.write_bytes(b"")
     with pytest.raises(ValueError):
         read_signal(path)
+
+
+def test_write_profile_unknown_format_leaves_no_file(tmp_path):
+    prof = mf_on_line(random_signal(31, seed=3), random_signal(31, seed=4),
+                      Line(1, as_prime(31)))
+    path = tmp_path / "prof.csv"
+    with pytest.raises(ValueError, match="unknown format"):
+        write_profile(path, prof, "csv")
+    assert not path.exists()
+
+
+def _with_format(path, fmt):
+    raw = path.read_bytes()
+    nl = raw.index(b"\n")
+    head = b" ".join(b"format=" + fmt if tok.startswith(b"format=") else tok
+                     for tok in raw[:nl].split())
+    path.write_bytes(head + raw[nl:])
+
+
+@pytest.mark.parametrize("fmt", [b"xml", b"", b"BINARY"])
+def test_readers_reject_unknown_format(sig, tmp_path, fmt):
+    # each reader once parsed any unknown format as its text or CSV layout
+    write_signal(tmp_path / "a.sig", sig, "random", fmt="text")
+    write_grid(tmp_path / "g.csv", 31, np.ones((31, 31)), fmt="csv")
+    prof = mf_on_line(sig, sig, Line(2, as_prime(31)))
+    write_profile(tmp_path / "p.txt", prof, fmt="text")
+    for name, reader in (("a.sig", read_signal), ("g.csv", read_grid),
+                         ("p.txt", read_profile)):
+        _with_format(tmp_path / name, fmt)
+        with pytest.raises(ValueError, match="unknown format"):
+            reader(tmp_path / name)
+
+
+@pytest.mark.parametrize("p", [4, 0, 1, 2])
+def test_read_grid_rejects_non_prime_p(tmp_path, p):
+    # header and payload agree, so only the prime check can refuse the file
+    path = tmp_path / "g.grid"
+    path.write_bytes(f"tfshift-grid p={p} format=binary\n".encode()
+                     + np.ones(p * p, dtype="<f8").tobytes())
+    with pytest.raises(ValueError, match="prime"):
+        read_grid(path)

@@ -148,6 +148,13 @@ def test_bench_complexity_extrapolates_large_p():
     assert row["t_full_s"] > 0
 
 
+@pytest.mark.parametrize("kwargs", [{"repeats": 0}, {"repeats": -1}, {"full_rows": 0}])
+def test_bench_complexity_rejects_counts_below_one(kwargs):
+    # checked before any timing: repeats=0 ran once, full_rows=0 divided by zero
+    with pytest.raises(ValueError, match="must be >= 1"):
+        bench_complexity([2053], **kwargs)
+
+
 def test_fit_exponent_recovers_power_law():
     ps = [10.0, 100.0, 1000.0]
     ys = [7.0 * p ** 1.17 for p in ps]
