@@ -37,7 +37,8 @@ def main() -> None:
     v0 = PlanePoint(50, 50, P)
     counters.reset()
     det = flag_detect(received(flag.signal, v0, 0.0, 0), flag)
-    print(f"\nplanted (50, 50), noiseless ({counters.line_calls} line scans):")
+    print(f"\nplanted (50, 50), noiseless (two line scans, {counters.dft_calls} "
+          "transforms with the sender's chirp plans built cold):")
     show("flag", det)
 
     # 2. noise at signal level (p sigma^2 = 1): still exact here

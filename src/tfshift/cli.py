@@ -52,7 +52,7 @@ def _read_signal_or_usage(path):
     """Read an input signal file; any problem with it is a usage error."""
     try:
         return read_signal(path)
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError) as e:
         raise UsageError(f"cannot read signal file {path}: {e}")
 
 

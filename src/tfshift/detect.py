@@ -5,18 +5,21 @@ Flag and cross detection are one scan. Stage 1 scans a line transverse to the
 waveform's carrier line (a flag's transverse_line, a cross's second line M);
 its peak lands on the shifted carrier line. Stage 2 scans that shifted line;
 its peak is the time-frequency shift, and the matched-filter value there
-carries the bit. Both stages are single mf_on_line calls, and decisions are
-taken on magnitudes, so bits (pure phases) never disturb detection. Radar
-scans stage 1 once and runs the same stage 2 for each candidate.
+carries the bit. Decisions are taken on magnitudes, so bits (pure phases)
+never disturb detection. Each stage is one stacked line scan
+(fastmf.mf_on_lines) over a (T, p) stack of receivers, so a single receiver
+is the one-row case and sim.monte_carlo scans all its trials at once. Radar
+scans stage 1 once and runs the same stage 2 for all candidates as one stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .fastmf import mf_on_line
+from .fastmf import line_offset, mf_on_line, mf_on_lines
 from .gfp import Line, PlanePoint, line_point, line_through
 from .heisenberg import Cross
 from .signals import Signal
@@ -73,29 +76,60 @@ def _lines(waveform) -> tuple[Line, Line]:
     raise TypeError(f"unsupported waveform type {type(waveform).__name__}")
 
 
-def _peak(S: Signal, R: Signal, line: Line) -> tuple[PlanePoint, complex]:
-    """The point of `line` where |M[S,R]| peaks, and M[S,R] there."""
-    prof = mf_on_line(S, R, line)
-    k = prof.argmax()
-    return line_point(line, k), prof.values[k]
+class Scan(NamedTuple):
+    """The two-stage scan of one waveform over a (T, p) receiver stack, per row."""
+
+    tau: np.ndarray       # detected shift
+    omega: np.ndarray
+    stage1: np.ndarray    # |M| at the stage-1 peak
+    magnitude: np.ndarray  # |M| at the detected shift
+    peak: np.ndarray      # M at the detected shift
+    bit: np.ndarray       # sign(Re soft), soft = peak/2
 
 
-def _detect(R: Signal, waveform, theta1: float,
-            theta2: float) -> tuple[Detection, complex]:
-    """The two-stage scan; also returns M[S,R] at the detected shift."""
+def _peaks(S: Signal, R: np.ndarray, slope: int | None,
+           offsets: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per row: the point (tau, omega) of its line where |M[S, R_i]| peaks,
+    |M| and M there; gfp.line_point per row."""
+    values = mf_on_lines(S, R, slope, offsets)
+    mags = np.abs(values)
+    k = np.argmax(mags, axis=1)
+    rows = np.arange(k.shape[0])
+    if slope is None:
+        tau, omega = offsets, k
+    else:
+        tau, omega = k, (offsets + slope * k) % S.p.p
+    return tau, omega, mags[rows, k], values[rows, k]
+
+
+def _detect(R: np.ndarray, waveform) -> Scan:
+    """The two-stage scan of one waveform over the rows of R: stage 1 on the
+    same line for every row, stage 2 on each row's shifted carrier line."""
     carrier, stage1_line = _lines(waveform)
-    v_star, m1 = _peak(waveform.signal, R, stage1_line)
-    shift, m2 = _peak(waveform.signal, R, line_through(carrier.slope, v_star))
-    mag1, mag2 = float(np.abs(m1)), float(np.abs(m2))
-    return Detection(shift, mag2, mag1, mag1 >= theta1 and mag2 >= theta2), m2
+    S, m = waveform.signal, carrier.slope
+    tau1, omega1, mag1, _ = _peaks(S, R, stage1_line.slope,
+                                   np.full(R.shape[0], line_offset(stage1_line)))
+    # line_offset of line_through(m, stage-1 peak), per row
+    offsets = tau1 if m is None else (omega1 - m * tau1) % S.p.p
+    tau, omega, mag2, peak = _peaks(S, R, m, offsets)
+    return Scan(tau, omega, mag1, mag2, peak, np.where((peak / 2.0).real >= 0, 1, -1))
+
+
+def _detect_one(R: Signal, waveform, theta1: float,
+                theta2: float) -> tuple[Detection, Scan]:
+    """_detect on one receiver, with its Detection."""
+    scan = _detect(R.samples[None, :], waveform)
+    mag1, mag2 = float(scan.stage1[0]), float(scan.magnitude[0])
+    shift = PlanePoint(int(scan.tau[0]), int(scan.omega[0]), R.p)
+    return Detection(shift, mag2, mag1, mag1 >= theta1 and mag2 >= theta2), scan
 
 
 def flag_detect(R: Signal, flag: Flag,
                 theta1: float = THETA1_DEFAULT,
                 theta2: float = THETA2_DEFAULT) -> Detection:
     """Flag algorithm: scan a transverse line, then the shifted carrier line.
-    Exactly two mf_on_line calls."""
-    return _detect(R, flag, theta1, theta2)[0]
+    Exactly two line scans."""
+    return _detect_one(R, flag, theta1, theta2)[0]
 
 
 def cross_detect(R: Signal, cross: Cross,
@@ -103,7 +137,7 @@ def cross_detect(R: Signal, cross: Cross,
                  theta2: float = THETA2_DEFAULT) -> Detection:
     """Cross algorithm: the second line M of the cross is already transverse
     to L, so stage 1 scans M itself; stage 2 scans the shifted L."""
-    return _detect(R, cross, theta1, theta2)[0]
+    return _detect_one(R, cross, theta1, theta2)[0]
 
 
 def extract_bits(R: Signal, family: list,
@@ -113,10 +147,8 @@ def extract_bits(R: Signal, family: list,
     soft = M[S_k, R](shift)/2, bit = sign(Re soft)."""
     out = []
     for w in family:
-        det, peak = _detect(R, w, theta1, theta2)
-        soft = complex(peak) / 2.0
-        bit = 1 if soft.real >= 0 else -1
-        out.append(BitDecision(bit, soft, det))
+        det, scan = _detect_one(R, w, theta1, theta2)
+        out.append(BitDecision(int(scan.bit[0]), complex(scan.peak[0]) / 2.0, det))
     return out
 
 
@@ -155,9 +187,9 @@ def radar_detect(R: Signal, flag: Flag, r: int,
     Stage 2 scans each candidate's shifted line for its peak. Only candidates
     whose stage-2 peak clears theta2 are returned, so every Detection is
     confirmed (confident) and a bump from a bare ridge or from noise is
-    dropped. Costs 1 + at most r mf_on_line calls. If fewer than r echoes are
-    confirmed, the shorter list is returned and callers see the shortfall in
-    the list length.
+    dropped. Costs two line scans: stage 1, then all candidates' stage 2 as
+    one stack. If fewer than r echoes are confirmed, the shorter list is
+    returned and callers see the shortfall in the list length.
     """
     if r < 1:
         raise ValueError(f"radar needs r >= 1 targets, got {r}")
@@ -166,12 +198,18 @@ def radar_detect(R: Signal, flag: Flag, r: int,
     mags = np.abs(prof1.values)
     cands = _local_maxima(mags, theta)
     cands.sort(key=lambda i: -mags[i])
+    cands = cands[:r]
+    if not cands:
+        return []
+    offsets = np.array([line_offset(line_through(carrier.slope, line_point(lperp, k)))
+                        for k in cands])
+    tau, omega, mag2, _ = _peaks(flag.signal, np.broadcast_to(R.samples, (len(cands), R.p.p)),
+                                 carrier.slope, offsets)
     out = []
     seen = set()
-    for k in cands[:r]:
-        shift, m2 = _peak(flag.signal, R,
-                          line_through(carrier.slope, line_point(lperp, k)))
-        mag = float(np.abs(m2))
+    for i, k in enumerate(cands):
+        shift = PlanePoint(int(tau[i]), int(omega[i]), R.p)
+        mag = float(mag2[i])
         if mag < theta2 or shift in seen:
             continue
         seen.add(shift)

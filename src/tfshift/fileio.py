@@ -5,7 +5,8 @@ first token a magic tag, newline-terminated) followed by the payload. Binary
 payloads are 64-bit little-endian floats, interleaved re/im for complex data;
 text payloads print floats with %.17g so a float64 round-trips exactly.
 Writers check the whole file before they open it; readers check the magic,
-the prime p, the format, and the payload's length and finiteness.
+the required header fields, the prime p, the format, and the payload's length
+and finiteness, and raise ValueError for any mismatch.
 """
 
 from __future__ import annotations
@@ -47,6 +48,13 @@ def _write(path, magic: str, fields: dict, payload: bytes) -> None:
         fh.write((" ".join(toks) + "\n").encode("utf-8") + payload)
 
 
+def _field(header: dict, key: str) -> str:
+    """A required header field; ValueError naming it if it is missing."""
+    if key not in header:
+        raise ValueError(f"header has no {key}= field")
+    return header[key]
+
+
 def _read(path, magic: str):
     """(header, payload bytes, p) of a file with the given magic tag."""
     with open(path, "rb") as fh:
@@ -61,7 +69,7 @@ def _read(path, magic: str):
     for tok in toks[1:]:
         k, _, v = tok.partition("=")
         header[k] = v
-    return header, raw[nl + 1:], as_prime(int(header["p"]))
+    return header, raw[nl + 1:], as_prime(int(_field(header, "p")))
 
 
 def _finite(f: np.ndarray) -> np.ndarray:
@@ -160,7 +168,7 @@ def write_profile(path, profile: LineProfile, fmt: str = "binary") -> None:
 
 def read_profile(path) -> tuple[LineProfile, dict]:
     header, payload, p = _read(path, PROFILE_MAGIC)
-    off = PlanePoint(int(header["offset_tau"]), int(header["offset_omega"]), p)
-    line = Line(parse_slope(header["line"]), p, offset=off)
+    off = PlanePoint(int(_field(header, "offset_tau")), int(_field(header, "offset_omega")), p)
+    line = Line(parse_slope(_field(header, "line")), p, offset=off)
     values = _decode_complex(payload, p.p, header.get("format", "binary"))
     return LineProfile(line, values), header

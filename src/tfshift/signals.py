@@ -68,12 +68,21 @@ def awgn(p, sigma: float, seed: int) -> Signal:
     """White Gaussian noise: per-sample variance sigma^2, split evenly between
     real and imaginary parts, so E||W||^2 = p * sigma^2."""
     pp = as_prime(p)
+    return Signal(pp, awgn_rows(pp.p, sigma, [seed])[0])
+
+
+def awgn_rows(p: int, sigma: float, seeds) -> np.ndarray:
+    """A (len(seeds), p) stack of noise: row i holds awgn(p, sigma, seeds[i]),
+    the real parts drawn before the imaginary parts from default_rng(seeds[i])."""
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    rng = np.random.default_rng(seed)
+    z = np.empty((2, len(seeds), p))
+    for i, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        z[0, i] = rng.standard_normal(p)
+        z[1, i] = rng.standard_normal(p)
     scale = sigma / np.sqrt(2.0)
-    s = scale * (rng.standard_normal(pp.p) + 1j * rng.standard_normal(pp.p))
-    return Signal(pp, s)
+    return scale * (z[0] + 1j * z[1])
 
 
 def inner(f1: Signal, f2: Signal) -> complex:

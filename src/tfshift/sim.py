@@ -11,18 +11,19 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fastmf
-from .detect import THETA1_DEFAULT, THETA2_DEFAULT, extract_bits
+from .detect import THETA1_DEFAULT, THETA2_DEFAULT, _detect
 from .fastmf import mf_on_line
 from .gfp import Line, PlanePoint, Prime, as_prime
 from .heisenberg import cross_family
-from .signals import Signal, awgn, heisenberg_op, mf_full, random_signal
+from .signals import Signal, _modulation, awgn_rows, mf_full, random_signal
 from .weil import flag_family
+
+TRIAL_CHUNK = 64  # Monte Carlo trials synthesized and scanned as one stack
 
 
 @dataclass(frozen=True)
@@ -67,23 +68,44 @@ class TrialStats:
     wall_time: float
 
 
+def _receivers(senders: list, shifts: np.ndarray, coef: np.ndarray,
+               noise: np.ndarray) -> np.ndarray:
+    """The (T, p) stack R_i = sum_j coef[i,j] pi(shifts[i,j]) S_j + noise_i for
+    sender sample vectors S_j, (T, r, 2) shifts (tau, omega) and (T, r)
+    coefficients. The terms are added in sender order and the noise last, and
+    pi(v) S_j is built as heisenberg_op builds it (a fancy-index roll, then the
+    modulation), so every row equals the receiver synthesized alone."""
+    p = noise.shape[1]
+    t = np.arange(p)
+    psi = _modulation(1, p)
+    acc = np.zeros(noise.shape, dtype=np.complex128)
+    for j, S in enumerate(senders):
+        tau, omega = shifts[:, j, 0, None], shifts[:, j, 1, None]
+        acc = acc + coef[:, j, None] * (psi[omega * t % p] * S[(t + tau) % p])
+    return acc + noise
+
+
 def synthesize_receiver(spec: ChannelSpec, waveforms: dict) -> Signal:
-    """R = sum_j intensity_j * bit_j * pi(shift_j) S_j + awgn(p, sigma, seed)."""
+    """R = sum_j intensity_j * bit_j * pi(shift_j) S_j + awgn(p, sigma, seed):
+    the one-row case of the receiver stack monte_carlo builds."""
     p = spec.p
-    acc = np.zeros(p.p, dtype=np.complex128)
+    senders = []
     for u in spec.users:
         if u.waveform_id not in waveforms:
             raise ValueError(f"unknown waveform id {u.waveform_id!r}")
         S = waveforms[u.waveform_id]
-        if S.p != p:
+        if S.p != p or u.shift.p != p:
             raise ValueError("waveform modulus does not match channel")
-        acc = acc + u.intensity * u.bit * heisenberg_op(S, u.shift).samples
-    acc = acc + awgn(p, spec.sigma, spec.seed).samples
-    return Signal(p, acc)
+        senders.append(S.samples)
+    R = _receivers(senders, np.array([[(u.shift.tau, u.shift.omega) for u in spec.users]]),
+                   np.array([[u.intensity * u.bit for u in spec.users]]),
+                   awgn_rows(p.p, spec.sigma, [spec.seed]))
+    return Signal(p, R[0])
 
 
 def thread_cap() -> int:
-    """Parallelism cap from TFSHIFT_THREADS (default 1)."""
+    """The thread cap TFSHIFT_THREADS asks for (default 1). monte_carlo runs
+    on one thread and does not read it; it is kept as a reported setting."""
     raw = os.environ.get("TFSHIFT_THREADS", "1")
     try:
         return max(1, int(raw))
@@ -105,63 +127,57 @@ def build_family(p, r: int, method: str, seed: int) -> list:
 def monte_carlo(template: ChannelSpec, trials: int, method: str = "flag",
                 theta1: float = THETA1_DEFAULT,
                 theta2: float = THETA2_DEFAULT) -> TrialStats:
-    """Randomized detection trials.
+    """Randomized detection trials, run as stacked scans on one thread.
 
     Per trial, shifts are drawn uniformly over the plane and bits uniformly
     over +-1 (intensities come from the template); the receiver is synthesized
-    and every waveform detected. Rates are per sender-detection. The per-trial
-    random streams are spawned from one seed sequence, so results do not
-    depend on the execution schedule; trials may run in parallel up to
-    TFSHIFT_THREADS.
+    and every waveform detected. Rates are per sender-detection. Each trial
+    has its own random stream, spawned from one seed sequence, and draws the
+    shifts, the bits and the noise seed from it in that order. Trials go
+    TRIAL_CHUNK at a time: their receivers are built as one (trials, p)
+    stack and each waveform's two-stage scan runs once over the stack, so the
+    statistics equal those of synthesize_receiver and extract_bits run trial
+    by trial. theta1 and theta2 only set Detection.confident, which no
+    statistic reports.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     p = template.p
     r = len(template.users)
     family = build_family(p, r, method, template.seed)
-    signals = {f"w{k}": w.signal for k, w in enumerate(family)}
-    children = np.random.SeedSequence(template.seed).spawn(trials)
+    senders = [w.signal.samples for w in family]
+    intensity = np.array([u.intensity for u in template.users])
+    seeds = np.random.SeedSequence(template.seed)
+    signs = np.array([-1, 1])
     t0 = time.perf_counter()
-
-    def run_trial(child) -> tuple[int, int, float, float]:
-        rng = np.random.default_rng(child)
-        draws = rng.integers(0, p.p, size=(r, 2))
-        bits = rng.choice(np.array([-1, 1]), size=r)
-        users = tuple(
-            UserSpec(f"w{k}", PlanePoint(int(draws[k, 0]), int(draws[k, 1]), p),
-                     int(bits[k]), template.users[k].intensity)
-            for k in range(r)
-        )
-        noise_seed = int(rng.integers(0, 2**63))
-        spec = ChannelSpec(p, users, template.sigma, noise_seed)
-        R = synthesize_receiver(spec, signals)
-        decisions = extract_bits(R, family, theta1, theta2)
-        hits = 0
-        errs = 0
-        s1 = 0.0
-        pk = 0.0
-        for u, d in zip(users, decisions):
-            if d.detection.shift == u.shift:
-                hits += 1
-            if d.bit != u.bit:
-                errs += 1
-            s1 += d.detection.stage1_magnitude
-            pk += d.detection.magnitude
-        return hits, errs, s1, pk
-
-    workers = thread_cap()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(run_trial, children))
-    else:
-        results = [run_trial(c) for c in children]
-
-    hits = sum(x[0] for x in results)
-    errs = sum(x[1] for x in results)
-    s1 = sum(x[2] for x in results)
-    pk = sum(x[3] for x in results)
+    hits = errs = 0
+    s1: list[float] = []
+    pk: list[float] = []
+    for start in range(0, trials, TRIAL_CHUNK):
+        n = min(TRIAL_CHUNK, trials - start)
+        draws = np.empty((n, r, 2), dtype=np.int64)
+        bits = np.empty((n, r), dtype=np.int64)
+        noise_seeds = []
+        for i, child in enumerate(seeds.spawn(n)):
+            rng = np.random.default_rng(child)
+            draws[i] = rng.integers(0, p.p, size=(r, 2))
+            bits[i] = rng.choice(signs, size=r)
+            noise_seeds.append(int(rng.integers(0, 2**63)))
+        R = _receivers(senders, draws, intensity * bits,
+                       awgn_rows(p.p, template.sigma, noise_seeds))
+        s1_rows = np.zeros(n)
+        pk_rows = np.zeros(n)
+        for k, w in enumerate(family):
+            scan = _detect(R, w)
+            hits += int(np.count_nonzero((scan.tau == draws[:, k, 0])
+                                         & (scan.omega == draws[:, k, 1])))
+            errs += int(np.count_nonzero(scan.bit != bits[:, k]))
+            s1_rows = s1_rows + scan.stage1
+            pk_rows = pk_rows + scan.magnitude
+        s1 += s1_rows.tolist()
+        pk += pk_rows.tolist()
     n = trials * r
-    return TrialStats(trials, hits / n, errs / n, s1 / n, pk / n,
+    return TrialStats(trials, hits / n, errs / n, sum(s1) / n, sum(pk) / n,
                       time.perf_counter() - t0)
 
 

@@ -173,6 +173,7 @@ def _factor(n: int) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=64)
 def make_torus(trace_class: int, p) -> Torus:
     """The torus containing a regular element of the given trace.
 
@@ -180,7 +181,8 @@ def make_torus(trace_class: int, p) -> Torus:
     SL2, i.e. pairs (a, b) with a^2 + a b t + b^2 = 1. The torus is split of
     order p-1 when t^2-4 is a nonzero square, nonsplit of order p+1 when it is
     a nonsquare; t^2 = 4 is parabolic and rejected. The generator is the first
-    centralizer element of full order in lexicographic (a, b) scan.
+    centralizer element of full order in lexicographic (a, b) scan. The scan
+    is O(p^2), so tori are cached (a Torus is immutable).
     """
     pp = as_prime(p)
     pi = pp.p

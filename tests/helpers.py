@@ -8,7 +8,7 @@ independent route.
 import numpy as np
 
 from tfshift import (GroupElement, HeisenbergVector, Line, PlanePoint, Signal,
-                     delta, dft, gfp, heisenberg_op, random_signal, sim)
+                     delta, dft, extract_bits, gfp, heisenberg_op, random_signal, sim)
 from tfshift.weil import LATTICE_TOL, PHASE_FLOOR, Torus, WeilVector, weil_operator
 
 
@@ -193,3 +193,37 @@ def torus_eigenbasis_oracle(T: Torus) -> tuple[WeilVector, ...]:
     pp = gfp.as_prime(p)
     return tuple(WeilVector(T, complex(lam[i]), Signal(pp, Z[:, i]), bool(shared[key[i]]))
                  for i in order)
+
+
+def monte_carlo_oracle(template, trials: int, method: str = "flag") -> "sim.TrialStats":
+    """sim.monte_carlo one trial at a time: each trial's receiver built alone
+    by synthesize_receiver and decoded alone by extract_bits, from the same
+    per-trial streams (shifts, bits, noise seed). wall_time is 0."""
+    p = template.p
+    r = len(template.users)
+    family = sim.build_family(p, r, method, template.seed)
+    signals = {f"w{k}": w.signal for k, w in enumerate(family)}
+    results = []
+    for child in np.random.SeedSequence(template.seed).spawn(trials):
+        rng = np.random.default_rng(child)
+        draws = rng.integers(0, p.p, size=(r, 2))
+        bits = rng.choice(np.array([-1, 1]), size=r)
+        users = tuple(
+            sim.UserSpec(f"w{k}", PlanePoint(int(draws[k, 0]), int(draws[k, 1]), p),
+                         int(bits[k]), template.users[k].intensity)
+            for k in range(r))
+        noise_seed = int(rng.integers(0, 2**63))
+        R = sim.synthesize_receiver(sim.ChannelSpec(p, users, template.sigma, noise_seed),
+                                    signals)
+        hits = errs = 0
+        s1 = pk = 0.0
+        for u, d in zip(users, extract_bits(R, family)):
+            hits += d.detection.shift == u.shift
+            errs += d.bit != u.bit
+            s1 += d.detection.stage1_magnitude
+            pk += d.detection.magnitude
+        results.append((hits, errs, s1, pk))
+    n = trials * r
+    return sim.TrialStats(trials, sum(x[0] for x in results) / n,
+                          sum(x[1] for x in results) / n, sum(x[2] for x in results) / n,
+                          sum(x[3] for x in results) / n, 0.0)

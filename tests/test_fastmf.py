@@ -13,6 +13,7 @@ from helpers import cross_correlate, dft_oracle, mf_oracle, unit_monte_carlo_tem
 from tfshift import (
     Line,
     PlanePoint,
+    Signal,
     as_prime,
     counters,
     dft,
@@ -111,6 +112,37 @@ def test_counters_track_work():
     assert counters.snapshot()[0] == 2
 
 
+@pytest.mark.parametrize("p, rows", [(5, 3), (31, 7), (503, 64), (101, 1)])
+def test_dft_rows_match_vector_dft(p, rows):
+    rng = np.random.default_rng(p + rows)
+    X = rng.standard_normal((rows, p)) + 1j * rng.standard_normal((rows, p))
+    for direction in ("forward", "inverse"):
+        F = dft(X, direction)
+        assert F.shape == (rows, p)
+        for i in range(rows):
+            assert np.array_equal(F[i], dft(X[i], direction)), (direction, i)
+
+
+def test_dft_stack_counts_one_call_and_ops_per_row():
+    p, rows = 101, 9
+    X = np.ones((rows, p), dtype=np.complex128)
+    dft(X)  # warm any cached plan before measuring
+    counters.reset()
+    dft(X, "inverse")
+    assert counters.snapshot() == (1, rows * fastmf._modelled_ops(p), 0)
+    counters.reset()
+    dft(X[0])
+    assert counters.snapshot() == (1, fastmf._modelled_ops(p), 0)
+
+
+def test_dft_stack_rejects_bad_shapes():
+    for shape in ((2, 3, 5), (1, 1, 5), (3, 4), (5, 9), (2, 1)):
+        with pytest.raises(ValueError):
+            dft(np.ones(shape, dtype=np.complex128))
+    with pytest.raises(ValueError, match="rows != p"):
+        dft(np.ones((7, 7), dtype=np.complex128))  # a p x p matrix, not a stack
+
+
 def test_ops_growth_near_linear():
     # counter-based curve over a wide prime spread; pure p^2 growth would
     # push the fitted slope above 1.8
@@ -202,6 +234,43 @@ def test_line_profile_argmax_and_counter():
     k = prof.argmax()
     assert line_points(L)[k] == v
     assert abs(prof.values[k]) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("p, rows", [(31, 5), (31, 31), (101, 1)])
+def test_mf_on_lines_rows_match_mf_on_line(p, rows):
+    # one stacked scan per line kind, each row on its own line of the slope;
+    # rows == p is scanned as two stacks, since dft refuses square arrays
+    pp = as_prime(p)
+    rng = np.random.default_rng(p * rows)
+    S = random_signal(p, seed=51)
+    R = np.stack([random_signal(p, seed=60 + i).samples for i in range(rows)])
+    offsets = rng.integers(p, size=rows)
+    for slope in (0, 4, None):
+        got = fastmf.mf_on_lines(S, R, slope, offsets)
+        assert got.shape == (rows, p)
+        for i in range(rows):
+            off = PlanePoint(int(offsets[i]), 0, pp) if slope is None \
+                else PlanePoint(0, int(offsets[i]), pp)
+            L = Line(slope, pp, offset=off)
+            assert fastmf.line_offset(L) == offsets[i]
+            want = mf_on_line(S, Signal(pp, R[i]), L).values
+            assert np.array_equal(got[i], want), (slope, i)
+
+
+def test_mf_on_lines_counts_transforms_not_lines():
+    p, rows = 101, 16
+    S = random_signal(p, seed=71)
+    R = np.stack([random_signal(p, seed=80 + i).samples for i in range(rows)])
+    offsets = np.arange(rows)
+    counters.reset()
+    fastmf.mf_on_lines(S, R, 5, offsets)
+    assert counters.snapshot()[0::2] == (3, 0)  # cold plan, no mf_on_line call
+    counters.reset()
+    fastmf.mf_on_lines(S, R, 5, offsets)
+    assert counters.snapshot()[0::2] == (2, 0)
+    counters.reset()
+    fastmf.mf_on_lines(S, R, None, offsets)
+    assert counters.snapshot() == (1, rows * fastmf._modelled_ops(p), 0)
 
 
 # ------------------------------------------------ sender plans for sloped scans

@@ -201,3 +201,38 @@ def test_read_grid_rejects_non_prime_p(tmp_path, p):
                      + np.ones(p * p, dtype="<f8").tobytes())
     with pytest.raises(ValueError, match="prime"):
         read_grid(path)
+
+
+def _without_field(path, key):
+    raw = path.read_bytes()
+    nl = raw.index(b"\n")
+    head = b" ".join(tok for tok in raw[:nl].split() if not tok.startswith(key + b"="))
+    path.write_bytes(head + raw[nl:])
+
+
+def test_read_grid_missing_p_names_the_field(tmp_path):
+    # the reader raised KeyError 'p' here
+    path = tmp_path / "g.csv"
+    path.write_bytes(b"tfshift-grid format=csv\n1,2\n")
+    with pytest.raises(ValueError, match="no p= field"):
+        read_grid(path)
+
+
+@pytest.mark.parametrize("key", [b"offset_tau", b"offset_omega", b"line", b"p"])
+def test_read_profile_missing_field_names_it(tmp_path, key):
+    p = as_prime(31)
+    prof = mf_on_line(random_signal(p, seed=3), random_signal(p, seed=4),
+                      Line(2, p, PlanePoint(0, 5, p)))
+    path = tmp_path / "prof.bin"
+    write_profile(path, prof)
+    _without_field(path, key)
+    with pytest.raises(ValueError, match=f"no {key.decode()}= field"):
+        read_profile(path)
+
+
+def test_read_signal_missing_p_names_the_field(sig, tmp_path):
+    path = tmp_path / "a.sig"
+    write_signal(path, sig, "random")
+    _without_field(path, b"p")
+    with pytest.raises(ValueError, match="no p= field"):
+        read_signal(path)

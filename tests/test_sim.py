@@ -1,12 +1,15 @@
 """Channel synthesis, Monte Carlo harness, benchmark table."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from helpers import unit_monte_carlo_template
+from helpers import monte_carlo_oracle, unit_monte_carlo_template
 
 from tfshift import (
     ChannelSpec,
+    sim,
     PlanePoint,
     UserSpec,
     as_prime,
@@ -104,6 +107,35 @@ def test_monte_carlo_deterministic():
     assert a.exact_shift_rate == b.exact_shift_rate
     assert a.mean_stage1_mag == b.mean_stage1_mag
     assert a.mean_peak_mag == b.mean_peak_mag
+
+
+def _same_as_oracle(template, trials, method):
+    got = dataclasses.replace(monte_carlo(template, trials, method), wall_time=0.0)
+    assert got == monte_carlo_oracle(template, trials, method)
+    return got
+
+
+@pytest.mark.parametrize("p, r, nsr, seed, method, trials", [
+    (101, 3, 0.0, 0, "flag", 40),      # sigma = 0
+    (101, 2, 1.0, 3, "cross", 40),
+    (101, 3, 12.0, 4, "flag", 40),     # noise high enough to miss shifts
+    (11, 6, 0.0, 2, "cross", 20),      # the last cross's stage-1 line is vertical
+    (11, 12, 0.5, 6, "flag", 10),      # flag 11's carrier line is vertical
+])
+def test_monte_carlo_equals_per_trial_oracle(p, r, nsr, seed, method, trials):
+    stats = _same_as_oracle(unit_monte_carlo_template(p, r, np.sqrt(nsr / p), seed),
+                            trials, method)
+    if nsr == 12.0:
+        assert 0.0 < stats.exact_shift_rate < 1.0
+
+
+def test_monte_carlo_equals_oracle_across_chunks(monkeypatch):
+    # 23 trials in stacks of 5 (the last one short), and 70 > TRIAL_CHUNK as set
+    monkeypatch.setattr(sim, "TRIAL_CHUNK", 5)
+    _same_as_oracle(unit_monte_carlo_template(31, 2, np.sqrt(0.5 / 31), 8), 23, "flag")
+    monkeypatch.undo()
+    assert sim.TRIAL_CHUNK < 70
+    _same_as_oracle(unit_monte_carlo_template(31, 2, np.sqrt(1 / 31), 9), 70, "cross")
 
 
 def test_monte_carlo_argument_errors():

@@ -211,6 +211,21 @@ def test_make_torus_rejects_parabolic():
         make_torus(29, 31)  # -2 mod 31
 
 
+@pytest.mark.parametrize("p, trace, abcd", [
+    (31, 0, (2, 20, 11, 2)), (31, 3, (28, 1, 30, 0)), (101, 0, (5, 73, 28, 5)),
+    (101, 1, (78, 26, 75, 3)), (503, 3, (3, 502, 1, 0)), (1009, 4, (339, 925, 84, 3)),
+])
+def test_make_torus_cached_with_pinned_generator(p, trace, abcd):
+    # generators pinned from the uncached lexicographic scan; the cache must
+    # hand back the same Torus object without rescanning
+    make_torus.cache_clear()
+    T = make_torus(trace, p)
+    g = T.generator
+    assert (g.a, g.b, g.c, g.d) == abcd
+    assert make_torus(trace, p) is T
+    assert make_torus.cache_info().hits == 1
+
+
 def test_generator_has_full_order():
     for trace in (0, 3):
         T = make_torus(trace, 31)
