@@ -17,7 +17,8 @@ from .heisenberg import (Cross, HeisenbergVector, cross_family, cross_waveform,
                          line_basis, line_vector)
 from .weil import (Flag, GroupElement, Torus, WeilOperator, WeilVector,
                    default_torus_roster, flag_family, flag_waveform, identity,
-                   make_torus, sigma_op, torus_eigenbasis, weil_operator)
+                   make_torus, sigma_op, torus_eigenbasis, torus_vector,
+                   weil_operator)
 from .detect import (BitDecision, Detection, GpsFix, cross_detect, extract_bits,
                      flag_detect, gps_solve, radar_detect, transverse_line)
 from .sim import (ChannelSpec, TrialStats, UserSpec, bench_complexity,

@@ -21,7 +21,7 @@ from .gfp import Line, PlanePoint, as_prime
 from .heisenberg import cross_waveform, line_vector
 from .signals import Signal, mf_full, random_signal
 from .sim import ChannelSpec, UserSpec, bench_complexity, fit_exponent, monte_carlo
-from .weil import Flag, flag_waveform, make_torus, torus_eigenbasis
+from .weil import Flag, flag_waveform, make_torus, torus_vector
 
 EXIT_OK = 0
 EXIT_LOW_CONFIDENCE = 1
@@ -95,7 +95,7 @@ def _waveform(kind: str, p, raw, label, where: str = ""):
         if not 0 <= eig < p.p:
             raise UsageError(f"{where}{label('eig_index')} {eig} is not in 0..{p.p - 1}")
         T = make_torus(trace, p)
-        phi = torus_eigenbasis(T)[eig]
+        phi = torus_vector(T, eig)
         if phi.degenerate:
             raise UsageError(f"{where}{label('eig_index')} {eig} names a degenerate "
                              "Weil eigenvector")
@@ -269,10 +269,11 @@ def cmd_simulate(args) -> int:
                         theta1, theta2)
     lines = [
         "p,r,sigma,trials,method,seed,exact_shift_rate,bit_error_rate,"
-        "mean_stage1_mag,mean_peak_mag",
+        "mean_stage1_mag,mean_peak_mag,confident_rate,confident_wrong_rate",
         f"{p.p},{r},{sigma:.9g},{trials},{method},{seed},"
         f"{stats.exact_shift_rate:.9g},{stats.bit_error_rate:.9g},"
-        f"{stats.mean_stage1_mag:.9g},{stats.mean_peak_mag:.9g}",
+        f"{stats.mean_stage1_mag:.9g},{stats.mean_peak_mag:.9g},"
+        f"{stats.confident_rate:.9g},{stats.confident_wrong_rate:.9g}",
     ]
     out = "\n".join(lines) + "\n"
     if args.out:

@@ -65,6 +65,8 @@ class TrialStats:
     bit_error_rate: float
     mean_stage1_mag: float
     mean_peak_mag: float
+    confident_rate: float        # detections with stage1 >= theta1 and peak >= theta2
+    confident_wrong_rate: float  # confident detections with a wrong shift
     wall_time: float
 
 
@@ -137,8 +139,10 @@ def monte_carlo(template: ChannelSpec, trials: int, method: str = "flag",
     TRIAL_CHUNK at a time: their receivers are built as one (trials, p)
     stack and each waveform's two-stage scan runs once over the stack, so the
     statistics equal those of synthesize_receiver and extract_bits run trial
-    by trial. theta1 and theta2 only set Detection.confident, which no
-    statistic reports.
+    by trial. theta1 and theta2 set the confident rates: a detection is
+    confident when its stage-1 magnitude reaches theta1 and its peak reaches
+    theta2, as Detection.confident, and confident but wrong when its shift
+    is also wrong.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -150,7 +154,7 @@ def monte_carlo(template: ChannelSpec, trials: int, method: str = "flag",
     seeds = np.random.SeedSequence(template.seed)
     signs = np.array([-1, 1])
     t0 = time.perf_counter()
-    hits = errs = 0
+    hits = errs = confident = wrong = 0
     s1: list[float] = []
     pk: list[float] = []
     for start in range(0, trials, TRIAL_CHUNK):
@@ -169,16 +173,19 @@ def monte_carlo(template: ChannelSpec, trials: int, method: str = "flag",
         pk_rows = np.zeros(n)
         for k, w in enumerate(family):
             scan = _detect(R, w)
-            hits += int(np.count_nonzero((scan.tau == draws[:, k, 0])
-                                         & (scan.omega == draws[:, k, 1])))
+            hit = (scan.tau == draws[:, k, 0]) & (scan.omega == draws[:, k, 1])
+            sure = (scan.stage1 >= theta1) & (scan.magnitude >= theta2)
+            hits += int(np.count_nonzero(hit))
             errs += int(np.count_nonzero(scan.bit != bits[:, k]))
+            confident += int(np.count_nonzero(sure))
+            wrong += int(np.count_nonzero(sure & ~hit))
             s1_rows = s1_rows + scan.stage1
             pk_rows = pk_rows + scan.magnitude
         s1 += s1_rows.tolist()
         pk += pk_rows.tolist()
     n = trials * r
     return TrialStats(trials, hits / n, errs / n, sum(s1) / n, sum(pk) / n,
-                      time.perf_counter() - t0)
+                      confident / n, wrong / n, time.perf_counter() - t0)
 
 
 # ----------------------------------------------------------------- benchmark

@@ -18,17 +18,28 @@ equivalently, on the plain operators,
 with q(tau, omega) = tau * omega. The scalar is identically 1 on v with
 q(gv) = q(v) but not in general; it is forced by the pi composition law
 pi(a) pi(b) = e^{(2 pi i/p) tau_a omega_b} pi(a+b), whose scalar is not
-SL2-invariant. The law fixes rho(g) up to a scalar; weil_operator builds it
-from the explicit chirp kernel of Gurevich, Hadani and Sochen ("The finite
-harmonic oscillator and its applications to sequences, communication and
-radar", IEEE Trans. IT 2008) and fixes the phase by rho[0, 0] > 0.
-Eigenspaces of rho are unaffected by any of this phase bookkeeping.
+SL2-invariant. The law fixes rho(g) up to a scalar; _rho applies it to a
+stack of signals through the explicit chirp kernel of Gurevich, Hadani and
+Sochen ("The finite harmonic oscillator and its applications to sequences,
+communication and radar", IEEE Trans. IT 2008), a chirp, one length-p FFT and
+a second chirp, and fixes the phase by rho[0, 0] > 0. Eigenspaces of rho are
+unaffected by any of this phase bookkeeping.
+
+A flag needs one torus eigenvector, and torus_vector builds it matrix-free:
+the eigenvalues come from tr rho in O(p), and the vector is the projection
+of a fixed reference signal on its eigenspace, a sum over the torus orbit.
+The sum reuses a cached head of the orbit (at most HEAD_CAP samples per
+torus) and climbs the rest in O(log p) FFTs per vector. Only numpy's FFT
+runs; nothing calls LAPACK. weil_operator (the dense matrix) and
+torus_eigenbasis (all p vectors) are O(p^2) in memory, for tests, demos and
+full-basis callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -121,29 +132,39 @@ class WeilOperator:
     matrix: np.ndarray
 
 
-@lru_cache(maxsize=64)
-def weil_operator(g: GroupElement) -> WeilOperator:
-    """rho(g) from its closed-form kernel, with e(z) = e^{(2 pi i/p) z}:
+def _chirp(p: int, c: int) -> np.ndarray:
+    """e(c x^2) for x in F_p, with e(z) = e^{(2 pi i/p) z}."""
+    x = np.arange(p)
+    return np.exp(2j * np.pi * (c % p * (x * x % p) % p) / p)
+
+
+def _rho(g: GroupElement):
+    """rho(g) as a map on the rows of a (..., p) stack, from the closed-form
+    kernel, with e(z) = e^{(2 pi i/p) z} and divisions taken in F_p:
 
         b != 0:  rho[x, y] = p^{-1/2} e((-d x^2 + 2 x y - a y^2) / (2b)),
-        b == 0:  rho[x, d x] = e(-c d x^2 / 2), zero elsewhere,
+        b == 0:  rho[x, d x] = e(-c d x^2 / 2), zero elsewhere.
 
-    divisions taken in F_p. The first is a chirp, a DFT read at x/b and a
-    second chirp; the second a chirp on a dilation. The global phase makes
-    rho[0, 0] real and positive (it is p^{-1/2} or 1). O(p^2) to fill.
-    """
+    The first is a chirp, a length-p transform read at x/b and a second
+    chirp, O(p log p) per row; the second a chirp on a dilation. The global
+    phase makes rho[0, 0] real and positive (it is p^{-1/2} or 1). The
+    transform is numpy's own, so fastmf.counters count only matched-filter
+    transforms."""
     p = g.p.p
     x = np.arange(p)
-    xx = x * x % p
-    psi = np.exp(2j * np.pi * x / p)
     if g.b:
         k = pow(2 * g.b, -1, p)
-        expo = (-g.d * k % p) * xx[:, None] + (2 * k % p) * np.outer(x, x) % p \
-            + (-g.a * k % p) * xx[None, :]
-        rho = psi[expo % p] / np.sqrt(p)
-    else:
-        rho = np.zeros((p, p), dtype=np.complex128)
-        rho[x, g.d * x % p] = psi[-g.c * g.d * pow(2, -1, p) % p * xx % p]
+        pre, post, at = _chirp(p, -g.a * k), _chirp(p, -g.d * k), x * pow(g.b, -1, p) % p
+        return lambda F: post * np.fft.ifft(pre * F, norm="ortho")[..., at]
+    post, at = _chirp(p, -g.c * g.d * pow(2, -1, p)), g.d * x % p
+    return lambda F: post * F[..., at]
+
+
+@lru_cache(maxsize=8)
+def weil_operator(g: GroupElement) -> WeilOperator:
+    """rho(g) as a dense p x p matrix: the kernel of _rho applied to the
+    identity. O(p^2) memory; the Weil vectors never build it."""
+    rho = np.ascontiguousarray(_rho(g)(np.eye(g.p.p)).T)
     rho.setflags(write=False)
     return WeilOperator(g, rho)
 
@@ -221,44 +242,225 @@ class WeilVector:
     degenerate: bool
 
 
-LATTICE_TOL = 1e-6  # largest accepted distance of an eigenvalue from its lattice point
+LATTICE_TOL = 1e-6  # largest accepted distance of an eigenvalue from its lattice
+                    # point, and largest accepted residual ||rho v - lambda v||
 PHASE_FLOOR = 1e-6  # smallest accepted |<v, random_signal(p, 0)>| for the phase rule
 
 
+class _Spectrum(NamedTuple):
+    """The eigenvalues of rho(T.generator), one per eigenvector, in eig_index order."""
+
+    keys: np.ndarray        # lattice key k of eigenvalue e^{i pi k/n}, increasing
+    eigenvalues: np.ndarray
+    degenerate: np.ndarray  # the one key a split torus gives two eigenvectors
+
+
 @lru_cache(maxsize=64)
+def _spectrum(T: Torus) -> _Spectrum:
+    """Every eigenvalue of rho = rho(T.generator), read off its trace in O(p).
+
+    rho^n is a scalar (n = T.order), and the eigenvalues are the n lattice
+    points e^{i pi k/n} of one parity of k, each once, except that a split
+    torus (n = p-1) has one of them twice and a nonsplit torus (n = p+1)
+    misses one. The n points of one parity sum to 0, so tr rho is the double
+    eigenvalue of a split torus and minus the missing one of a nonsplit torus;
+    on the diagonal of the kernel, tr rho = p^{-1/2} sum_x e((2-a-d) x^2/(2b)).
+    RuntimeError if that eigenvalue is more than LATTICE_TOL off the lattice.
+    """
+    g, n = T.generator, T.order
+    p = g.p.p
+    # b != 0 for every torus generator: b = 0 would make it +-I
+    tr = _chirp(p, (2 - g.a - g.d) * pow(2 * g.b, -1, p)).sum() / np.sqrt(p)
+    z = tr if T.kind == "split" else -tr
+    k0 = int(np.rint(n * np.angle(z) / np.pi)) % (2 * n)
+    if abs(z - np.exp(1j * np.pi * k0 / n)) > LATTICE_TOL:
+        raise RuntimeError("torus eigenvalues off the lattice e^{i pi k/n}")
+    keys = np.arange(k0 % 2, 2 * n, 2)
+    keys = np.sort(np.append(keys, k0)) if T.kind == "split" else keys[keys != k0]
+    spec = _Spectrum(keys, np.exp(1j * np.pi * keys / n), keys == k0)
+    for a in spec:
+        a.setflags(write=False)
+    return spec
+
+
+def _reference(p: int, *seeds: int) -> np.ndarray:
+    """The (len(seeds), p) stack of random_signal(p, seed) samples."""
+    return np.stack([random_signal(p, s).samples for s in seeds])
+
+
+def _climb(rho, X: np.ndarray, s: int) -> np.ndarray:
+    """The (s, rows, p) stack rho^i X, i < s."""
+    out = np.empty((s,) + X.shape, dtype=np.complex128)
+    out[0] = X
+    for i in range(1, s):
+        out[i] = rho(out[i - 1])
+    return out
+
+
+HEAD_CAP = 2**17  # largest cached orbit head, in samples (2 MB per torus)
+
+
+class _Orbit(NamedTuple):
+    """What _project reuses for one torus: rho = rho(T.generator), the head
+    rho^i x (i < s, x = random_signal(p, 0)) and the ladder steps."""
+
+    rho: object
+    head: np.ndarray
+    steps: tuple
+
+
+@lru_cache(maxsize=8)
+def _orbit(T: Torus) -> _Orbit:
+    """The cached part of _project for T, n = T.order: s transforms for the
+    head and at most two for each ladder step. s = min(n/4, HEAD_CAP/p) keeps
+    the head within HEAD_CAP samples and a quarter of the orbit.
+
+    The ladder sums Z^q over the Q = ceil(n/s) blocks, Z = z^s: its exponents
+    run 1 -> Q by doubling or adding one (the halving chain of Q, reversed).
+    Step (h, c, R, double) takes G_e = sum_{q<e} Z^q W to G_{2e} = G_e +
+    Z^e G_e when doubling (h = e s) and to G_{e+1} = W + Z G_e otherwise
+    (h = s), where rho^h = c R and R = rho(g^h) in closed form. c, a unit
+    scalar, is read off rho^h x, which the ladder climbs alongside.
+    """
+    g, n = T.generator, T.order
+    p = g.p.p
+    s = max(1, min(n // 4, HEAD_CAP // p))
+    rho = _rho(g)
+    head = _climb(rho, _reference(p, 0), s)
+    x, v = head[0, 0], rho(head[-1, 0])  # v = rho^(e s) x, with e = 1
+
+    def scalar(h):  # (c, R) with rho^h = c R, R = rho(g^h), read off v = rho^h x
+        R = _rho(g.power(h))
+        z = R(x)
+        return np.vdot(z, v) / np.vdot(z, z), R
+
+    chain = []
+    q = -(-n // s)
+    while q > 1:
+        chain.append(q)
+        q = q // 2 if q % 2 == 0 else q - 1
+    one = scalar(s)  # the block step rho^s = c R
+    e, steps = 1, []
+    for target in reversed(chain):
+        if target == 2 * e:
+            c, R = scalar(e * s) if e > 1 else one
+            steps.append((e * s, c, R, True))
+        else:
+            c, R = one
+            steps.append((s, c, R, False))
+        v = c * R(v)
+        e = target
+    return _Orbit(rho, head, tuple(steps))
+
+
+def _project(T: Torus, keys: np.ndarray, X: np.ndarray | None = None) -> np.ndarray:
+    """The (K, rows, p) stack P_k x = (1/n) sum_{j<n} z^j x, z = e^{-i pi k/n} rho,
+    for each of K keys k and each row x of X (default random_signal(p, 0)),
+    n = T.order.
+
+    P_k projects onto the e^{i pi k/n}-eigenspace of rho = rho(T.generator):
+    rho^n is a scalar and every eigenvalue has the parity of k, so the sum
+    cancels every other eigenvalue, and z^n = 1. In blocks of s (_orbit), the
+    head sum W = sum_{i<s} z^i x is one product with the head, the ladder
+    sums the Q blocks in at most 2 log2(Q) transforms of the (K, rows, p)
+    stack, and the Q s - n terms past n, which z^n = 1 folds back onto the
+    head, come off. O(K rows p) memory besides the head, which X other than
+    the default rebuilds.
+    """
+    n = T.order
+    orbit = _orbit(T)
+    if X is None:
+        head, X = orbit.head, orbit.head[0]
+    else:
+        head = _climb(orbit.rho, X, len(orbit.head))
+    s = len(head)
+    w = np.exp(-1j * np.pi * (np.outer(keys, np.arange(s)) % (2 * n)) / n)
+
+    def head_sum(m):  # sum_{i<m} z^i x
+        return (w[:, :m] @ head[:m].reshape(m, -1)).reshape((len(keys),) + X.shape)
+
+    W = G = head_sum(s)
+    for h, c, R, double in orbit.steps:
+        z = c * np.exp(-1j * np.pi * (keys * h % (2 * n)) / n)[:, None, None]
+        G = (G if double else W) + z * R(G)
+    past = -n % s
+    return (G - head_sum(past) if past else G) / n
+
+
+def _unit(P: np.ndarray) -> np.ndarray:
+    """The rows of P over their norms. A row is the projection of a unit
+    reference vector x, so its norm is |<v, x>| for the unit vector v it gives:
+    RuntimeError if that is below PHASE_FLOOR."""
+    norms = np.linalg.norm(P, axis=-1, keepdims=True)
+    if norms.min() < PHASE_FLOOR:
+        raise RuntimeError("eigenvector too close to orthogonal to the phase reference")
+    return P / norms
+
+
+def _pair(T: Torus, key: int) -> np.ndarray:
+    """A (2, p) orthonormal basis of the two-dimensional eigenspace of a split
+    torus that meets the phase rule: u and w the unit projections of
+    random_signal(p, 0) and random_signal(p, 1), w made orthogonal to u, then
+    (u + w)/sqrt 2 and (u - w)/sqrt 2. Both have <v, random_signal(p, 0)> =
+    ||P random_signal(p, 0)||/sqrt 2 > 0, because w is orthogonal to u."""
+    p = T.generator.p.p
+    u, w = _unit(_project(T, np.array([key]), _reference(p, 0, 1))[0])
+    w = _unit(w - np.vdot(u, w) * u)
+    return np.stack([u + w, u - w]) / np.sqrt(2)
+
+
+def _checked(T: Torus, index: np.ndarray, V: np.ndarray) -> list[WeilVector]:
+    """WeilVectors for the eig_indices `index` from unit rows V, once each
+    meets ||rho v - lambda v|| <= LATTICE_TOL (RuntimeError if not)."""
+    spec = _spectrum(T)
+    lam = spec.eigenvalues[index]
+    if np.linalg.norm(_orbit(T).rho(V) - lam[:, None] * V, axis=1).max() > LATTICE_TOL:
+        raise RuntimeError("Weil vector fails its eigenvalue equation")
+    p = T.generator.p
+    return [WeilVector(T, complex(e), Signal(p, v), bool(d))
+            for e, v, d in zip(lam, V, spec.degenerate[index])]
+
+
+@lru_cache(maxsize=64)
+def torus_vector(T: Torus, index: int) -> WeilVector:
+    """The eigenvector torus_eigenbasis(T)[index] names, built alone with no
+    p x p array: the eigenvalue from the trace, the vector by projecting
+    random_signal(p, 0) on its eigenspace (_project), O(log p) transforms of
+    length p once the torus's orbit head is cached. The projection meets
+    the phase rule by itself, since <P x, x> = ||P x||^2 > 0. ValueError
+    for an index outside 0..p-1."""
+    spec = _spectrum(T)
+    if not 0 <= index < len(spec.keys):
+        raise ValueError(f"eig_index {index} is not in 0..{len(spec.keys) - 1}")
+    key = spec.keys[index]
+    if spec.degenerate[index]:
+        v = _pair(T, key)[index - int(np.searchsorted(spec.keys, key))]
+    else:
+        v = _unit(_project(T, np.array([key]))[0, 0])
+    return _checked(T, np.array([index]), v[None])[0]
+
+
+@lru_cache(maxsize=8)
 def torus_eigenbasis(T: Torus) -> tuple[WeilVector, ...]:
     """Orthonormal eigenbasis of the torus action, sorted by exact eigenvalue.
 
     The eigenvalues of rho = rho(generator) lie on the lattice e^{i pi k/n},
-    n = T.order (RuntimeError if one is more than LATTICE_TOL off). The
-    Hermitian a + a^H, a = e^{-i phi} rho, takes rho's e^{i theta}-eigenvectors
-    to 2 cos(theta - phi). With phi = pi/(4n) two lattice angles share a value
-    only if they sum to pi/(2n), which is no multiple of pi/n; so eigh of a + a^H
-    gives rho's eigenspaces orthonormal, and z^H rho z reads each eigenvalue.
-    Vectors are sorted by the integer k, so the eigenvalue-1 vector comes
-    first, and the one k that a split torus gives two vectors marks both
-    degenerate. Phase rule: <v, random_signal(p, 0)> is real and positive
-    (RuntimeError if below PHASE_FLOOR). A degenerate pair's basis is whatever
-    the eigensolver returns; flag_waveform and `gen --kind weil` refuse it.
+    n = T.order, and come from the trace (_spectrum). Vectors are sorted by
+    the integer k, so the eigenvalue-1 vector comes first, and the one k that
+    a split torus gives two vectors marks both degenerate. Phase rule:
+    <v, random_signal(p, 0)> is real and positive (RuntimeError if below
+    PHASE_FLOOR). Each vector is the projection of random_signal(p, 0) on
+    its eigenspace, as in torus_vector, with all keys as one (p, p) stack.
+    A degenerate pair is the basis _pair builds; flag_waveform and
+    `gen --kind weil` refuse it. O(p^2) memory: for tests, demos and
+    full-basis callers; a flag needs one vector (torus_vector).
     """
-    rho = weil_operator(T.generator).matrix
-    p = T.generator.p
-    n = T.order
-    a = np.exp(-1j * np.pi / (4 * n)) * rho
-    Z = np.linalg.eigh(a + a.conj().T)[1]
-    ev = np.einsum("ij,ij->j", Z.conj(), rho @ Z)
-    key = np.rint(n * np.angle(ev) / np.pi).astype(np.int64) % (2 * n)
-    lam = np.exp(1j * np.pi * key / n)
-    if np.abs(ev - lam).max() > LATTICE_TOL:
-        raise RuntimeError("torus eigenvalues off the lattice e^{i pi k/n}")
-    overlap = random_signal(p, 0).samples.conj() @ Z
-    if np.abs(overlap).min() < PHASE_FLOOR:
-        raise RuntimeError("eigenvector too close to orthogonal to the phase reference")
-    Z = Z * (overlap.conj() / np.abs(overlap))
-    order = np.argsort(key, kind="stable")
-    shared = np.bincount(key, minlength=2 * n) > 1
-    return tuple(WeilVector(T, complex(lam[i]), Signal(p, Z[:, i]), bool(shared[key[i]]))
-                 for i in order)
+    spec = _spectrum(T)
+    V = _unit(_project(T, spec.keys)[:, 0])
+    deg = np.flatnonzero(spec.degenerate)
+    if deg.size:
+        V[deg] = _pair(T, spec.keys[deg[0]])
+    return tuple(_checked(T, np.arange(len(V)), V))
 
 
 # ------------------------------------------------------------------ flags
@@ -276,12 +478,10 @@ class Flag:
 
 def flag_waveform(L: Line, T: Torus, b_index: int, eig_index: int) -> Flag:
     """Build a flag from the b-th line vector and the eig_index-th torus
-    eigenvector (0..p-1, in torus_eigenbasis order). Degenerate eigenvectors
-    are refused: their peak behavior carries no guarantee."""
-    basis = torus_eigenbasis(T)
-    if not 0 <= eig_index < len(basis):
-        raise ValueError(f"eig_index {eig_index} is not in 0..{len(basis) - 1}")
-    phi = basis[eig_index]
+    eigenvector (0..p-1, in torus_eigenbasis order), built alone by
+    torus_vector. Degenerate eigenvectors are refused: their peak behavior
+    carries no guarantee."""
+    phi = torus_vector(T, eig_index)
     if phi.degenerate:
         raise ValueError("degenerate Weil eigenvector requested for a flag")
     fL = line_vector(L, b_index)
@@ -319,9 +519,8 @@ def flag_family(p, r: int, seed: int) -> list[Flag]:
         L = Line(slope, pp)
         ti = i % len(roster)
         T = roster[ti]
-        basis = torus_eigenbasis(T)
-        candidates = [k for k, w in enumerate(basis)
-                      if not w.degenerate and k not in used[ti]]
+        candidates = [k for k in np.flatnonzero(~_spectrum(T).degenerate).tolist()
+                      if k not in used[ti]]
         if not candidates:
             raise ValueError("insufficient non-degenerate eigenvectors in roster")
         eig = int(rng.choice(np.array(candidates)))

@@ -198,7 +198,8 @@ def torus_eigenbasis_oracle(T: Torus) -> tuple[WeilVector, ...]:
 def monte_carlo_oracle(template, trials: int, method: str = "flag") -> "sim.TrialStats":
     """sim.monte_carlo one trial at a time: each trial's receiver built alone
     by synthesize_receiver and decoded alone by extract_bits, from the same
-    per-trial streams (shifts, bits, noise seed). wall_time is 0."""
+    per-trial streams (shifts, bits, noise seed). The confident rates count
+    Detection.confident at the default thresholds. wall_time is 0."""
     p = template.p
     r = len(template.users)
     family = sim.build_family(p, r, method, template.seed)
@@ -215,15 +216,15 @@ def monte_carlo_oracle(template, trials: int, method: str = "flag") -> "sim.Tria
         noise_seed = int(rng.integers(0, 2**63))
         R = sim.synthesize_receiver(sim.ChannelSpec(p, users, template.sigma, noise_seed),
                                     signals)
-        hits = errs = 0
+        hits = errs = sure = wrong = 0
         s1 = pk = 0.0
         for u, d in zip(users, extract_bits(R, family)):
             hits += d.detection.shift == u.shift
             errs += d.bit != u.bit
             s1 += d.detection.stage1_magnitude
             pk += d.detection.magnitude
-        results.append((hits, errs, s1, pk))
+            sure += d.detection.confident
+            wrong += d.detection.confident and d.detection.shift != u.shift
+        results.append((hits, errs, s1, pk, sure, wrong))
     n = trials * r
-    return sim.TrialStats(trials, sum(x[0] for x in results) / n,
-                          sum(x[1] for x in results) / n, sum(x[2] for x in results) / n,
-                          sum(x[3] for x in results) / n, 0.0)
+    return sim.TrialStats(trials, *(sum(x[i] for x in results) / n for i in range(6)), 0.0)

@@ -388,3 +388,40 @@ def test_bench_rejects_repeats_below_one(capsys):
 
 def test_usage_error_on_unknown_subcommand(capsys):
     assert run(capsys, "frobnicate")[0] == 2
+
+
+def test_gen_and_detect_flag_at_p1009(tmp_path, capsys):
+    # the recipe path builds one Weil vector, so p = 1009 costs milliseconds;
+    # the payload is flag_waveform's and detect's rebuild matches it
+    flag = tmp_path / "flag.sig"
+    code, out, _ = run(capsys, "gen", "--p", 1009, "--kind", "flag", "--line", 5,
+                       "--torus-trace", 3, "--b-index", 77, "--eig-index", 400,
+                       "--out", flag)
+    assert code == 0 and "p=1009" in out
+    sig, header = read_signal(flag)
+    p = as_prime(1009)
+    want = flag_waveform(Line(5, p), make_torus(3, p), 77, 400).signal.samples
+    assert np.abs(sig.samples - want).max() < 1e-12
+    recv = make_receiver(tmp_path, flag, (321, 654))
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{flag}\n")
+    code, out, err = run(capsys, "detect", "--receiver", recv, "--manifest", manifest)
+    assert code == 0 and err == ""
+    assert "shift_tau=321 shift_omega=654" in out and "confident=1" in out
+
+
+def test_simulate_thresholds_change_the_confident_columns(capsys):
+    rows = []
+    for theta in (0.01, 9):
+        code, out, _ = run(capsys, "simulate", "--p", 31, "--r", 2, "--sigma", 0.1,
+                           "--trials", 20, "--theta1", theta, "--theta2", theta)
+        assert code == 0
+        header, row = out.strip().splitlines()
+        rows.append(dict(zip(header.split(","), row.split(","))))
+    low, high = rows
+    assert header.endswith(",confident_rate,confident_wrong_rate")
+    assert low != high
+    assert float(low["confident_rate"]) == 1.0 and float(high["confident_rate"]) == 0.0
+    assert float(high["confident_wrong_rate"]) == 0.0
+    # every detection is confident at the low thresholds, so each miss counts
+    assert float(low["confident_wrong_rate"]) == pytest.approx(1 - float(low["exact_shift_rate"]))

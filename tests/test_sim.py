@@ -192,3 +192,20 @@ def test_fit_exponent_recovers_power_law():
     ys = [7.0 * p ** 1.17 for p in ps]
     assert fit_exponent(ps, ys) == pytest.approx(1.17, abs=1e-9)
     assert fit_exponent([2, 4, 8], [6, 12, 24]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_monte_carlo_confident_rates_follow_thresholds():
+    # thresholds change only the confident rates; a noiseless single sender
+    # is always found, confidently
+    template = unit_monte_carlo_template(as_prime(31), 2, 0.1, 0)
+    base = monte_carlo(template, 40)
+    for theta1, theta2 in ((0.0, 0.0), (0.9, 1.7), (9.0, 9.0)):
+        got = monte_carlo(template, 40, "flag", theta1, theta2)
+        assert dataclasses.replace(got, confident_rate=0.0, confident_wrong_rate=0.0,
+                                   wall_time=0.0) == dataclasses.replace(
+            base, confident_rate=0.0, confident_wrong_rate=0.0, wall_time=0.0)
+        assert 0.0 <= got.confident_wrong_rate <= got.confident_rate <= 1.0
+    assert monte_carlo(template, 40, "flag", 0.0, 0.0).confident_rate == 1.0
+    assert monte_carlo(template, 40, "flag", 9.0, 9.0).confident_rate == 0.0
+    clean = monte_carlo(unit_monte_carlo_template(as_prime(101), 1, 0.0, 1), 20)
+    assert clean.confident_rate == 1.0 and clean.confident_wrong_rate == 0.0

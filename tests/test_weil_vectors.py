@@ -1,0 +1,160 @@
+"""Matrix-free Weil vectors: eigenvalues from the trace, vectors by projection."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from helpers import torus_eigenbasis_oracle
+
+from tfshift import (
+    PlanePoint,
+    as_prime,
+    default_torus_roster,
+    extract_bits,
+    flag_family,
+    inner,
+    make_torus,
+    random_signal,
+    sim,
+    torus_eigenbasis,
+    torus_vector,
+    weil,
+    weil_operator,
+)
+
+
+@pytest.mark.parametrize("p", [31, 101])
+def test_torus_vector_matches_schur_oracle(p):
+    # every index of every roster torus names the oracle's eigenvalue and
+    # degenerate mark, and the oracle's vector when it is not degenerate
+    ref = random_signal(p, 0)
+    for T in default_torus_roster(p, 8):
+        want = torus_eigenbasis_oracle(T)
+        got = [torus_vector(T, i) for i in range(p)]
+        assert [w.eigenvalue for w in got] == [w.eigenvalue for w in want]
+        assert [w.degenerate for w in got] == [w.degenerate for w in want]
+        for a, b in zip(got, want):
+            if not b.degenerate:
+                err = np.abs(a.signal.samples - b.signal.samples).max()
+                assert err < 1e-9, (p, T.generator, err)
+        # a degenerate pair is an orthonormal basis of the oracle's plane
+        # that meets the phase rule
+        deg = [w for w in got if w.degenerate]
+        if deg:
+            A = np.stack([w.signal.samples for w in deg], axis=1)
+            B = np.stack([w.signal.samples for w in want if w.degenerate], axis=1)
+            assert np.abs(A.conj().T @ A - np.eye(2)).max() < 1e-12
+            assert np.abs(A @ A.conj().T - B @ B.conj().T).max() < 1e-9
+            for w in deg:
+                c = inner(w.signal, ref)
+                assert abs(c.imag) < 1e-12 and c.real > 0
+
+
+def test_torus_vector_is_the_basis_vector_and_cached():
+    T = make_torus(3, 101)
+    basis = torus_eigenbasis(T)
+    for i in (0, 7, 50, 100):
+        v = torus_vector(T, i)
+        assert v.eigenvalue == basis[i].eigenvalue
+        assert np.abs(v.signal.samples - basis[i].signal.samples).max() < 1e-12
+        assert torus_vector(T, i) is v
+
+
+@pytest.mark.parametrize("index", [-1, 101, 10**6])
+def test_torus_vector_rejects_index_out_of_range(index):
+    with pytest.raises(ValueError, match="eig_index"):
+        torus_vector(make_torus(0, 101), index)
+
+
+@pytest.mark.parametrize("p", [31, 101, 307])
+def test_trace_names_double_and_missing_eigenvalue(p):
+    # |tr rho| = 1 and tr rho = p^-1/2 sum_x e((2 - a - d) x^2/(2b)); a split
+    # torus repeats the eigenvalue tr rho, a nonsplit torus misses -tr rho,
+    # and every other lattice point of the eigenvalues' parity occurs once
+    kinds = set()
+    for T in default_torus_roster(p, 8 if p < 307 else 4):
+        g, n = T.generator, T.order
+        tr = np.trace(weil_operator(g).matrix)
+        x = np.arange(p)
+        e = (2 - g.a - g.d) * pow(2 * g.b, -1, p) % p * (x * x % p) % p
+        assert abs(tr - np.exp(2j * np.pi * e / p).sum() / np.sqrt(p)) < 1e-9
+        assert abs(abs(tr) - 1) < 1e-9
+        keys = [round(n * np.angle(w.eigenvalue) / np.pi) % (2 * n)
+                for w in torus_eigenbasis_oracle(T)]
+        special = round(n * np.angle(tr if T.kind == "split" else -tr) / np.pi) % (2 * n)
+        lattice = list(range(special % 2, 2 * n, 2))
+        if T.kind == "split":
+            assert sorted(keys) == sorted(lattice + [special])
+        else:
+            assert sorted(keys) == [k for k in lattice if k != special]
+        kinds.add(T.kind)
+    assert kinds == {"split", "nonsplit"}
+
+
+def test_flag_family_at_p10007_is_matrix_free(monkeypatch):
+    # no dense operator, no eigensolver, no full basis and no p x p array:
+    # one such array at p = 10007 is 1.6 GB
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense Weil path called")
+
+    monkeypatch.setattr(weil, "weil_operator", refuse)
+    monkeypatch.setattr(weil, "torus_eigenbasis", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    p = as_prime(10007)
+    tracemalloc.start()
+    try:
+        fam = flag_family(p, 3, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50e6, peak
+    shifts = [PlanePoint(17, 9000, p), PlanePoint(5000, 3, p), PlanePoint(10006, 1234, p)]
+    bits = [1, -1, -1]
+    users = tuple(sim.UserSpec(f"w{k}", v, b) for k, (v, b) in enumerate(zip(shifts, bits)))
+    R = sim.synthesize_receiver(sim.ChannelSpec(p, users, 0.0, 0),
+                                {f"w{k}": f.signal for k, f in enumerate(fam)})
+    got = extract_bits(R, fam)
+    assert [d.detection.shift for d in got] == shifts
+    assert [d.bit for d in got] == bits
+    assert all(d.detection.confident for d in got)
+
+
+# (slope, roster trace, eig_index, b_index, <S, random_signal(p, 7)>, S[0], S[p//2]),
+# taken from the dense eigensolver path that torus_vector replaced
+PINNED = {
+    (101, 5): [
+        (0, 0, 68, 81, 0.008606405874360814 - 0.04311978816221976j,
+         0.09950371902099912 - 1.8782453432341916e-16j,
+         0.15721060047035507 - 0.013252834259280491j),
+        (1, 1, 2, 81, 0.0779058319864246 - 0.07559135248801091j,
+         0.030375787480979438 - 0.17687536360838435j,
+         0.119435683918544 - 0.09583677918412996j),
+        (2, 3, 46, 52, -0.07694348737867823 + 0.13110032901138824j,
+         0.06869171229365109 + 0.04637354559701536j,
+         0.10479443352259442 - 0.03596517900803812j),
+    ],
+    (503, 1): [
+        (0, 0, 238, 257, 0.008924426878024864 + 0.02539602695245135j,
+         0.04458779620677061 - 3.6470129150683493e-17j,
+         0.03991441706958282 + 0.048285821084012547j),
+        (1, 1, 379, 478, 0.0505559953374081 - 0.034951877346751405j,
+         0.04458779620677091 - 2.4908347169463347e-16j,
+         -0.06943242084291569 + 0.08888926711497097j),
+        (2, 3, 17, 72, -0.021024490172124925 - 0.04212879319056019j,
+         0.044316621990994745 - 0.00019093961993040825j,
+         0.024613828854878173 - 0.06818499486984675j),
+    ],
+}
+
+
+@pytest.mark.parametrize("p, seed", sorted(PINNED))
+def test_flag_family_recipes_pinned(p, seed):
+    ref = random_signal(p, 7)
+    for fl, (slope, trace, eig, b, overlap, s0, mid) in zip(flag_family(p, 3, seed), PINNED[p, seed]):
+        assert fl.line.slope == slope and fl.fL.index == b
+        assert fl.torus == make_torus(trace, p)
+        assert fl.phiT is torus_vector(fl.torus, eig)
+        s = fl.signal.samples
+        assert abs(inner(fl.signal, ref) - overlap) < 1e-9
+        assert abs(s[0] - s0) < 1e-9 and abs(s[p // 2] - mid) < 1e-9
