@@ -48,6 +48,11 @@ def _parse_pair(text: str, option: str, parse=int) -> tuple:
     return a, b
 
 
+def _check_thresholds(theta1: float, theta2: float) -> None:
+    if not (np.isfinite(theta1) and np.isfinite(theta2)):
+        raise UsageError(f"--theta1 and --theta2 must be finite, got {theta1}, {theta2}")
+
+
 def _read_signal_or_usage(path):
     """Read an input signal file; any problem with it is a usage error."""
     try:
@@ -166,6 +171,7 @@ def cmd_ambiguity(args) -> int:
 def cmd_detect(args) -> int:
     if args.method == "radar" and args.targets < 1:
         raise UsageError(f"--targets must be >= 1, got {args.targets}")
+    _check_thresholds(args.theta1, args.theta2)
     R, _ = _read_signal_or_usage(args.receiver)
     try:
         with open(args.manifest, "r", encoding="utf-8") as fh:
@@ -262,6 +268,7 @@ def cmd_simulate(args) -> int:
     theta2 = float(pick("theta2", float))
     if method not in ("flag", "cross"):
         raise UsageError(f"unknown method {method!r}")
+    _check_thresholds(theta1, theta2)
     if trials < 1 or r < 1:
         raise UsageError("trials and r must be >= 1")
     users = tuple(UserSpec(f"w{k}", PlanePoint(0, 0, p)) for k in range(r))

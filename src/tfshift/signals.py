@@ -74,8 +74,8 @@ def awgn(p, sigma: float, seed: int) -> Signal:
 def awgn_rows(p: int, sigma: float, seeds) -> np.ndarray:
     """A (len(seeds), p) stack of noise: row i holds awgn(p, sigma, seeds[i]),
     the real parts drawn before the imaginary parts from default_rng(seeds[i])."""
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0 <= sigma < np.inf:  # NaN fails too
+        raise ValueError("sigma must be finite and nonnegative")
     z = np.empty((2, len(seeds), p))
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)

@@ -54,8 +54,8 @@ class ChannelSpec:
         object.__setattr__(self, "users", tuple(self.users))
         if len(self.users) < 1:
             raise ValueError("at least one user required")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0 <= self.sigma < np.inf:  # NaN fails too
+            raise ValueError("sigma must be finite and nonnegative")
 
 
 @dataclass(frozen=True)

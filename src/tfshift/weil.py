@@ -25,14 +25,16 @@ communication and radar", IEEE Trans. IT 2008), a chirp, one length-p FFT and
 a second chirp, and fixes the phase by rho[0, 0] > 0. Eigenspaces of rho are
 unaffected by any of this phase bookkeeping.
 
-A flag needs one torus eigenvector, and torus_vector builds it matrix-free:
-the eigenvalues come from tr rho in O(p), and the vector is the projection
-of a fixed reference signal on its eigenspace, a sum over the torus orbit.
-The sum reuses a cached head of the orbit (at most HEAD_CAP samples per
-torus) and climbs the rest in O(log p) FFTs per vector. Only numpy's FFT
-runs; nothing calls LAPACK. weil_operator (the dense matrix) and
-torus_eigenbasis (all p vectors) are O(p^2) in memory, for tests, demos and
-full-basis callers.
+A flag needs one torus eigenvector, built matrix-free: the vector is the
+projection of a fixed reference signal on its eigenspace, a sum over the
+torus orbit. One cached record per torus (_orbit) holds what every vector of
+that torus shares: the eigenvalues, read off tr rho in O(p), a head of the
+orbit (at most HEAD_CAP samples) and a doubling ladder that climbs the rest
+in O(log p) FFTs per vector. One builder (_vectors) projects any set of
+eigenvalue indices as one stack and checks the result; torus_vector (one
+vector) and torus_eigenbasis (all p, O(p^2) memory, for tests, demos and
+full-basis callers) both call it. Only numpy's FFT runs; nothing calls
+LAPACK. weil_operator is the dense matrix, for tests and demos.
 """
 
 from __future__ import annotations
@@ -245,42 +247,7 @@ class WeilVector:
 LATTICE_TOL = 1e-6  # largest accepted distance of an eigenvalue from its lattice
                     # point, and largest accepted residual ||rho v - lambda v||
 PHASE_FLOOR = 1e-6  # smallest accepted |<v, random_signal(p, 0)>| for the phase rule
-
-
-class _Spectrum(NamedTuple):
-    """The eigenvalues of rho(T.generator), one per eigenvector, in eig_index order."""
-
-    keys: np.ndarray        # lattice key k of eigenvalue e^{i pi k/n}, increasing
-    eigenvalues: np.ndarray
-    degenerate: np.ndarray  # the one key a split torus gives two eigenvectors
-
-
-@lru_cache(maxsize=64)
-def _spectrum(T: Torus) -> _Spectrum:
-    """Every eigenvalue of rho = rho(T.generator), read off its trace in O(p).
-
-    rho^n is a scalar (n = T.order), and the eigenvalues are the n lattice
-    points e^{i pi k/n} of one parity of k, each once, except that a split
-    torus (n = p-1) has one of them twice and a nonsplit torus (n = p+1)
-    misses one. The n points of one parity sum to 0, so tr rho is the double
-    eigenvalue of a split torus and minus the missing one of a nonsplit torus;
-    on the diagonal of the kernel, tr rho = p^{-1/2} sum_x e((2-a-d) x^2/(2b)).
-    RuntimeError if that eigenvalue is more than LATTICE_TOL off the lattice.
-    """
-    g, n = T.generator, T.order
-    p = g.p.p
-    # b != 0 for every torus generator: b = 0 would make it +-I
-    tr = _chirp(p, (2 - g.a - g.d) * pow(2 * g.b, -1, p)).sum() / np.sqrt(p)
-    z = tr if T.kind == "split" else -tr
-    k0 = int(np.rint(n * np.angle(z) / np.pi)) % (2 * n)
-    if abs(z - np.exp(1j * np.pi * k0 / n)) > LATTICE_TOL:
-        raise RuntimeError("torus eigenvalues off the lattice e^{i pi k/n}")
-    keys = np.arange(k0 % 2, 2 * n, 2)
-    keys = np.sort(np.append(keys, k0)) if T.kind == "split" else keys[keys != k0]
-    spec = _Spectrum(keys, np.exp(1j * np.pi * keys / n), keys == k0)
-    for a in spec:
-        a.setflags(write=False)
-    return spec
+HEAD_CAP = 2**17    # largest cached orbit head, in samples (2 MB per torus)
 
 
 def _reference(p: int, *seeds: int) -> np.ndarray:
@@ -297,13 +264,14 @@ def _climb(rho, X: np.ndarray, s: int) -> np.ndarray:
     return out
 
 
-HEAD_CAP = 2**17  # largest cached orbit head, in samples (2 MB per torus)
-
-
 class _Orbit(NamedTuple):
-    """What _project reuses for one torus: rho = rho(T.generator), the head
+    """Everything the Weil vectors of one torus share: the eigenvalues of
+    rho = rho(T.generator) in eig_index order, rho itself, the orbit head
     rho^i x (i < s, x = random_signal(p, 0)) and the ladder steps."""
 
+    keys: np.ndarray        # lattice key k of eigenvalue e^{i pi k/n}, increasing
+    eigenvalues: np.ndarray
+    degenerate: np.ndarray  # the one key a split torus gives two eigenvectors
     rho: object
     head: np.ndarray
     steps: tuple
@@ -311,19 +279,41 @@ class _Orbit(NamedTuple):
 
 @lru_cache(maxsize=8)
 def _orbit(T: Torus) -> _Orbit:
-    """The cached part of _project for T, n = T.order: s transforms for the
-    head and at most two for each ladder step. s = min(n/4, HEAD_CAP/p) keeps
-    the head within HEAD_CAP samples and a quarter of the orbit.
+    """The one cached record of T, n = T.order.
 
-    The ladder sums Z^q over the Q = ceil(n/s) blocks, Z = z^s: its exponents
-    run 1 -> Q by doubling or adding one (the halving chain of Q, reversed).
-    Step (h, c, R, double) takes G_e = sum_{q<e} Z^q W to G_{2e} = G_e +
-    Z^e G_e when doubling (h = e s) and to G_{e+1} = W + Z G_e otherwise
-    (h = s), where rho^h = c R and R = rho(g^h) in closed form. c, a unit
-    scalar, is read off rho^h x, which the ladder climbs alongside.
+    Eigenvalues, read off the trace in O(p): rho^n is a scalar, and the
+    eigenvalues are the n lattice points e^{i pi k/n} of one parity of k,
+    each once, except that a split torus (n = p-1) has one of them twice and
+    a nonsplit torus (n = p+1) misses one. The n points of one parity sum to
+    0, so tr rho is the double eigenvalue of a split torus and minus the
+    missing one of a nonsplit torus; on the diagonal of the kernel, tr rho =
+    p^{-1/2} sum_x e((2-a-d) x^2/(2b)). RuntimeError if that eigenvalue is
+    more than LATTICE_TOL off the lattice.
+
+    Orbit: s transforms for the head and at most two for each ladder step,
+    with s = min(n/4, HEAD_CAP/p) to keep the head within HEAD_CAP samples
+    and a quarter of the orbit. The ladder sums Z^q over the Q = ceil(n/s)
+    blocks, Z = z^s, by the binary method: its exponent e runs 1 -> Q,
+    doubling for each bit of Q after the leading one and then adding one if
+    that bit is set. Step (h, c, R, double) takes G_e = sum_{q<e} Z^q W to
+    G_{2e} = G_e + Z^e G_e when doubling (h = e s) and to G_{e+1} = W + Z G_e
+    otherwise (h = s), where rho^h = c R and R = rho(g^h) in closed form. c,
+    a unit scalar, is read off rho^h x, which the ladder climbs alongside.
     """
     g, n = T.generator, T.order
     p = g.p.p
+    # b != 0 for every torus generator: b = 0 would make it +-I
+    tr = _chirp(p, (2 - g.a - g.d) * pow(2 * g.b, -1, p)).sum() / np.sqrt(p)
+    lam = tr if T.kind == "split" else -tr
+    k0 = int(np.rint(n * np.angle(lam) / np.pi)) % (2 * n)
+    if abs(lam - np.exp(1j * np.pi * k0 / n)) > LATTICE_TOL:
+        raise RuntimeError("torus eigenvalues off the lattice e^{i pi k/n}")
+    keys = np.arange(k0 % 2, 2 * n, 2)
+    keys = np.sort(np.append(keys, k0)) if T.kind == "split" else keys[keys != k0]
+    spectrum = (keys, np.exp(1j * np.pi * keys / n), keys == k0)
+    for a in spectrum:
+        a.setflags(write=False)
+
     s = max(1, min(n // 4, HEAD_CAP // p))
     rho = _rho(g)
     head = _climb(rho, _reference(p, 0), s)
@@ -334,23 +324,17 @@ def _orbit(T: Torus) -> _Orbit:
         z = R(x)
         return np.vdot(z, v) / np.vdot(z, z), R
 
-    chain = []
-    q = -(-n // s)
-    while q > 1:
-        chain.append(q)
-        q = q // 2 if q % 2 == 0 else q - 1
     one = scalar(s)  # the block step rho^s = c R
     e, steps = 1, []
-    for target in reversed(chain):
-        if target == 2 * e:
-            c, R = scalar(e * s) if e > 1 else one
-            steps.append((e * s, c, R, True))
-        else:
+    for bit in bin(-(-n // s))[3:]:
+        c, R = scalar(e * s) if e > 1 else one
+        steps.append((e * s, c, R, True))
+        v, e = c * R(v), 2 * e
+        if bit == "1":
             c, R = one
             steps.append((s, c, R, False))
-        v = c * R(v)
-        e = target
-    return _Orbit(rho, head, tuple(steps))
+            v, e = c * R(v), e + 1
+    return _Orbit(*spectrum, rho, head, tuple(steps))
 
 
 def _project(T: Torus, keys: np.ndarray, X: np.ndarray | None = None) -> np.ndarray:
@@ -397,47 +381,41 @@ def _unit(P: np.ndarray) -> np.ndarray:
     return P / norms
 
 
-def _pair(T: Torus, key: int) -> np.ndarray:
-    """A (2, p) orthonormal basis of the two-dimensional eigenspace of a split
-    torus that meets the phase rule: u and w the unit projections of
-    random_signal(p, 0) and random_signal(p, 1), w made orthogonal to u, then
-    (u + w)/sqrt 2 and (u - w)/sqrt 2. Both have <v, random_signal(p, 0)> =
-    ||P random_signal(p, 0)||/sqrt 2 > 0, because w is orthogonal to u."""
-    p = T.generator.p.p
-    u, w = _unit(_project(T, np.array([key]), _reference(p, 0, 1))[0])
-    w = _unit(w - np.vdot(u, w) * u)
-    return np.stack([u + w, u - w]) / np.sqrt(2)
-
-
-def _checked(T: Torus, index: np.ndarray, V: np.ndarray) -> list[WeilVector]:
-    """WeilVectors for the eig_indices `index` from unit rows V, once each
-    meets ||rho v - lambda v|| <= LATTICE_TOL (RuntimeError if not)."""
-    spec = _spectrum(T)
-    lam = spec.eigenvalues[index]
-    if np.linalg.norm(_orbit(T).rho(V) - lam[:, None] * V, axis=1).max() > LATTICE_TOL:
+def _vectors(T: Torus, index: np.ndarray) -> list[WeilVector]:
+    """WeilVectors for the eig_indices `index`, built as one stack: each the
+    unit projection of random_signal(p, 0) on its eigenspace (_project),
+    which meets the phase rule by itself, since <P x, x> = ||P x||^2 > 0.
+    The degenerate key of a split torus gets an orthonormal pair that meets
+    it too: u and w the unit projections of random_signal(p, 0) and
+    random_signal(p, 1), w made orthogonal to u, then (u + w)/sqrt 2 and
+    (u - w)/sqrt 2, both with <v, random_signal(p, 0)> = ||P x||/sqrt 2.
+    RuntimeError unless every v meets ||rho v - lambda v|| <= LATTICE_TOL."""
+    orbit, pp = _orbit(T), T.generator.p
+    keys = orbit.keys[index]
+    V = _unit(_project(T, keys)[:, 0])
+    deg = np.flatnonzero(orbit.degenerate[index])
+    if deg.size:
+        u, w = _unit(_project(T, keys[deg[:1]], _reference(pp.p, 0, 1))[0])
+        w = _unit(w - np.vdot(u, w) * u)
+        pair = np.stack([u + w, u - w]) / np.sqrt(2)
+        V[deg] = pair[index[deg] - np.searchsorted(orbit.keys, keys[deg[0]])]
+    lam = orbit.eigenvalues[index]
+    if np.linalg.norm(orbit.rho(V) - lam[:, None] * V, axis=1).max() > LATTICE_TOL:
         raise RuntimeError("Weil vector fails its eigenvalue equation")
-    p = T.generator.p
-    return [WeilVector(T, complex(e), Signal(p, v), bool(d))
-            for e, v, d in zip(lam, V, spec.degenerate[index])]
+    return [WeilVector(T, complex(e), Signal(pp, v), bool(d))
+            for e, v, d in zip(lam, V, orbit.degenerate[index])]
 
 
 @lru_cache(maxsize=64)
 def torus_vector(T: Torus, index: int) -> WeilVector:
     """The eigenvector torus_eigenbasis(T)[index] names, built alone with no
-    p x p array: the eigenvalue from the trace, the vector by projecting
-    random_signal(p, 0) on its eigenspace (_project), O(log p) transforms of
-    length p once the torus's orbit head is cached. The projection meets
-    the phase rule by itself, since <P x, x> = ||P x||^2 > 0. ValueError
-    for an index outside 0..p-1."""
-    spec = _spectrum(T)
-    if not 0 <= index < len(spec.keys):
-        raise ValueError(f"eig_index {index} is not in 0..{len(spec.keys) - 1}")
-    key = spec.keys[index]
-    if spec.degenerate[index]:
-        v = _pair(T, key)[index - int(np.searchsorted(spec.keys, key))]
-    else:
-        v = _unit(_project(T, np.array([key]))[0, 0])
-    return _checked(T, np.array([index]), v[None])[0]
+    p x p array by _vectors: O(log p) transforms of length p once the
+    torus's record (_orbit) is cached. ValueError for an index outside
+    0..p-1, raised before any torus work."""
+    p = T.generator.p.p
+    if not 0 <= index < p:
+        raise ValueError(f"eig_index {index} is not in 0..{p - 1}")
+    return _vectors(T, np.array([index]))[0]
 
 
 @lru_cache(maxsize=8)
@@ -445,22 +423,16 @@ def torus_eigenbasis(T: Torus) -> tuple[WeilVector, ...]:
     """Orthonormal eigenbasis of the torus action, sorted by exact eigenvalue.
 
     The eigenvalues of rho = rho(generator) lie on the lattice e^{i pi k/n},
-    n = T.order, and come from the trace (_spectrum). Vectors are sorted by
-    the integer k, so the eigenvalue-1 vector comes first, and the one k that
-    a split torus gives two vectors marks both degenerate. Phase rule:
+    n = T.order, and come from the trace (_orbit). Vectors are sorted by the
+    integer k, so the eigenvalue-1 vector comes first, and the one k that a
+    split torus gives two vectors marks both degenerate. Phase rule:
     <v, random_signal(p, 0)> is real and positive (RuntimeError if below
-    PHASE_FLOOR). Each vector is the projection of random_signal(p, 0) on
-    its eigenspace, as in torus_vector, with all keys as one (p, p) stack.
-    A degenerate pair is the basis _pair builds; flag_waveform and
-    `gen --kind weil` refuse it. O(p^2) memory: for tests, demos and
-    full-basis callers; a flag needs one vector (torus_vector).
+    PHASE_FLOOR). The vectors are torus_vector's, built as one (p, p) stack
+    by _vectors; flag_waveform and `gen --kind weil` refuse a degenerate
+    one. O(p^2) memory: for tests, demos and full-basis callers; a flag
+    needs one vector (torus_vector).
     """
-    spec = _spectrum(T)
-    V = _unit(_project(T, spec.keys)[:, 0])
-    deg = np.flatnonzero(spec.degenerate)
-    if deg.size:
-        V[deg] = _pair(T, spec.keys[deg[0]])
-    return tuple(_checked(T, np.arange(len(V)), V))
+    return tuple(_vectors(T, np.arange(T.generator.p.p)))
 
 
 # ------------------------------------------------------------------ flags
@@ -519,7 +491,7 @@ def flag_family(p, r: int, seed: int) -> list[Flag]:
         L = Line(slope, pp)
         ti = i % len(roster)
         T = roster[ti]
-        candidates = [k for k in np.flatnonzero(~_spectrum(T).degenerate).tolist()
+        candidates = [k for k in np.flatnonzero(~_orbit(T).degenerate).tolist()
                       if k not in used[ti]]
         if not candidates:
             raise ValueError("insufficient non-degenerate eigenvectors in roster")

@@ -425,3 +425,39 @@ def test_simulate_thresholds_change_the_confident_columns(capsys):
     assert float(high["confident_wrong_rate"]) == 0.0
     # every detection is confident at the low thresholds, so each miss counts
     assert float(low["confident_wrong_rate"]) == pytest.approx(1 - float(low["exact_shift_rate"]))
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-1"])
+def test_simulate_rejects_bad_sigma_as_construction_error(capsys, sigma):
+    code, out, err = run(capsys, "simulate", "--p", 31, "--trials", 1,
+                         f"--sigma={sigma}")
+    assert code == 3 and out == ""
+    assert "sigma must be finite and nonnegative" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("option", ["theta1", "theta2"])
+def test_simulate_rejects_non_finite_thresholds(tmp_path, capsys, option, value):
+    code, out, err = run(capsys, "simulate", "--p", 31, "--trials", 1,
+                         f"--{option}={value}")
+    assert code == 2 and out == "" and "must be finite" in err
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text(f"p=31\ntrials=1\n{option}={value}\n")
+    code, out, err = run(capsys, "simulate", "--config", cfg)
+    assert code == 2 and out == "" and "must be finite" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("option", ["theta1", "theta2"])
+def test_detect_rejects_non_finite_thresholds(tmp_path, capsys, option, value):
+    flag = tmp_path / "flag.sig"
+    assert run(capsys, "gen", "--p", 31, "--kind", "flag", "--line", 2,
+               "--torus-trace", 0, "--b-index", 0, "--eig-index", 0,
+               "--out", flag)[0] == 0
+    recv = make_receiver(tmp_path, flag, (5, 7))
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{flag}\n")
+    for method in ("flag", "radar"):
+        code, out, err = run(capsys, "detect", "--receiver", recv, "--manifest",
+                             manifest, "--method", method, f"--{option}={value}")
+        assert code == 2 and out == "" and "must be finite" in err, method

@@ -21,7 +21,7 @@ from tfshift import (
     random_signal,
     time_shift,
 )
-from tfshift.signals import add, scale
+from tfshift.signals import add, awgn_rows, scale
 
 
 def test_signal_validation():
@@ -69,6 +69,14 @@ def test_awgn_seeded_and_scaled():
     for s in range(200):
         tot += np.sum(np.abs(awgn(p, 0.3, seed=s).samples) ** 2)
     assert tot / 200 == pytest.approx(p * 0.09, rel=0.05)
+
+
+@pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, -0.1])
+def test_awgn_rejects_bad_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+        awgn_rows(31, sigma, [0, 1])
+    with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+        awgn(31, sigma, seed=0)
 
 
 def test_shift_modulate_heisenberg_against_oracle():

@@ -33,6 +33,9 @@ def test_channel_spec_validation():
         ChannelSpec(p, (), 0.0, 0)
     with pytest.raises(ValueError):
         ChannelSpec(p, (u,), -0.1, 0)
+    for sigma in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            ChannelSpec(p, (u,), sigma, 0)
 
 
 def test_synthesize_receiver_matches_oracle():

@@ -16,7 +16,6 @@ from tfshift import (
     Line,
     PlanePoint,
     Signal,
-    WeilOperator,
     as_prime,
     default_torus_roster,
     flag_family,
@@ -278,13 +277,20 @@ def test_torus_eigenbasis_key_order_and_phase_rule(p):
 def test_eigenvector_names_survive_operator_rounding(monkeypatch):
     # an operator that differs from the closed form only by rounding (plane
     # averaging) names the same vectors with the same phases
+    def rounded(g):
+        M = weil_operator_oracle(g)
+        return lambda F: F @ M.T
+
     for p in (31, 101):
         for T in default_torus_roster(p, 5):
             want = torus_eigenbasis(T)
             with monkeypatch.context() as m:
-                m.setattr(weil, "weil_operator",
-                          lambda g: WeilOperator(g, weil_operator_oracle(g)))
-                got = torus_eigenbasis.__wrapped__(T)
+                m.setattr(weil, "_rho", rounded)
+                weil._orbit.cache_clear()
+                try:
+                    got = torus_eigenbasis.__wrapped__(T)
+                finally:
+                    weil._orbit.cache_clear()
             assert [w.degenerate for w in got] == [w.degenerate for w in want]
             for a, b in zip(got, want):
                 assert a.eigenvalue == b.eigenvalue

@@ -51,6 +51,29 @@ def test_torus_vector_matches_schur_oracle(p):
                 assert abs(c.imag) < 1e-12 and c.real > 0
 
 
+@pytest.mark.parametrize("p", [31, 101])
+def test_ladder_with_small_heads_matches_schur_oracle(p, monkeypatch):
+    # heads of s = 1, 2 and 3 samples leave the ladder Q = ceil(n/s) blocks to
+    # sum, up to Q = n, and s = 3 leaves terms past n to take off
+    roster = default_torus_roster(p, 8)
+    want = {T: torus_eigenbasis_oracle(T) for T in roster}
+    assert any(-T.order % 3 for T in roster)
+    for s in (1, 2, 3):
+        monkeypatch.setattr(weil, "HEAD_CAP", s * p)
+        weil._orbit.cache_clear()
+        torus_vector.cache_clear()
+        try:
+            for T in roster:
+                assert len(weil._orbit(T).head) == s
+                for i, b in enumerate(want[T]):
+                    if not b.degenerate:
+                        err = np.abs(torus_vector(T, i).signal.samples - b.signal.samples).max()
+                        assert err < 1e-9, (p, s, T.generator, i, err)
+        finally:
+            weil._orbit.cache_clear()
+            torus_vector.cache_clear()
+
+
 def test_torus_vector_is_the_basis_vector_and_cached():
     T = make_torus(3, 101)
     basis = torus_eigenbasis(T)
