@@ -8,7 +8,7 @@ harness, benchmark, and file formats.
 
 from .gfp import (Line, PlanePoint, Prime, as_prime, inv, is_prime, legendre,
                   line_contains, line_point, line_points, line_through,
-                  lines_through_origin)
+                  lines_through_origin, transverse_line)
 from .signals import (MFMatrix, Signal, awgn, const_signal, delta, heisenberg_op,
                       inner, mf_entry, mf_full, mfi_coefficient, modulate,
                       random_signal, time_shift)
@@ -20,7 +20,7 @@ from .weil import (Flag, GroupElement, Torus, WeilOperator, WeilVector,
                    make_torus, sigma_op, torus_eigenbasis, torus_vector,
                    weil_operator)
 from .detect import (BitDecision, Detection, GpsFix, cross_detect, extract_bits,
-                     flag_detect, gps_solve, radar_detect, transverse_line)
+                     flag_detect, gps_solve, radar_detect)
 from .sim import (ChannelSpec, TrialStats, UserSpec, bench_complexity,
                   build_family, fit_exponent, monte_carlo, synthesize_receiver,
                   thread_cap)

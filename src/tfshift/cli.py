@@ -21,7 +21,7 @@ from .gfp import Line, PlanePoint, as_prime
 from .heisenberg import cross_waveform, line_vector
 from .signals import Signal, mf_full, random_signal
 from .sim import ChannelSpec, UserSpec, bench_complexity, fit_exponent, monte_carlo
-from .weil import Flag, flag_waveform, make_torus, torus_vector
+from .weil import flag_waveform, make_torus, torus_vector
 
 EXIT_OK = 0
 EXIT_LOW_CONFIDENCE = 1
@@ -51,6 +51,16 @@ def _parse_pair(text: str, option: str, parse=int) -> tuple:
 def _check_thresholds(theta1: float, theta2: float) -> None:
     if not (np.isfinite(theta1) and np.isfinite(theta2)):
         raise UsageError(f"--theta1 and --theta2 must be finite, got {theta1}, {theta2}")
+
+
+def _read_lines(path, what: str) -> list[str]:
+    """A text file's stripped lines less blanks and comments; a usage error if unreadable."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return [ln.strip() for ln in fh
+                    if ln.strip() and not ln.strip().startswith("#")]
+    except (OSError, UnicodeDecodeError) as e:
+        raise UsageError(f"cannot read {what}: {e}")
 
 
 def _read_signal_or_usage(path):
@@ -142,6 +152,8 @@ def cmd_gen(args) -> int:
 # -------------------------------------------------------------- ambiguity
 
 def cmd_ambiguity(args) -> int:
+    if args.offset is not None and args.line is None:
+        raise UsageError("--offset needs --line")
     S, _ = _read_signal_or_usage(args.sender)
     R, _ = _read_signal_or_usage(args.receiver)
     if S.p != R.p:
@@ -173,15 +185,10 @@ def cmd_detect(args) -> int:
         raise UsageError(f"--targets must be >= 1, got {args.targets}")
     _check_thresholds(args.theta1, args.theta2)
     R, _ = _read_signal_or_usage(args.receiver)
-    try:
-        with open(args.manifest, "r", encoding="utf-8") as fh:
-            paths = [ln.strip() for ln in fh
-                     if ln.strip() and not ln.strip().startswith("#")]
-    except OSError as e:
-        raise UsageError(f"cannot read manifest: {e}")
+    paths = _read_lines(args.manifest, "manifest")
     if not paths:
         raise UsageError("manifest lists no waveforms")
-    entries = []
+    entries, kinds = [], []
     for path in paths:
         stored, header = _read_signal_or_usage(path)
         if stored.p != R.p:
@@ -196,9 +203,10 @@ def cmd_detect(args) -> int:
                   file=sys.stderr)
         # the header recipe supplies the scan lines; detection uses the payload
         entries.append(dataclasses.replace(w, signal=stored))
+        kinds.append(header["kind"])
 
     if args.method == "radar":
-        if len(entries) != 1 or not isinstance(entries[0], Flag):
+        if kinds != ["flag"]:
             raise UsageError("radar detection expects a manifest with exactly one flag")
         dets = radar_detect(R, entries[0], args.targets, args.theta1, args.theta2)
         for i, d in enumerate(dets):
@@ -223,18 +231,11 @@ def cmd_detect(args) -> int:
 
 def _load_config(path: str) -> dict:
     cfg = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for ln in fh:
-                ln = ln.strip()
-                if not ln or ln.startswith("#"):
-                    continue
-                if "=" not in ln:
-                    raise UsageError(f"bad config line {ln!r}: expected key=value")
-                k, _, v = ln.partition("=")
-                cfg[k.strip()] = v.strip()
-    except OSError as e:
-        raise UsageError(f"cannot read config: {e}")
+    for ln in _read_lines(path, "config"):
+        if "=" not in ln:
+            raise UsageError(f"bad config line {ln!r}: expected key=value")
+        k, _, v = ln.partition("=")
+        cfg[k.strip()] = v.strip()
     return cfg
 
 

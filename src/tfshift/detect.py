@@ -1,29 +1,31 @@
 """Two-stage detection in O(p log p) per waveform: flag and cross algorithms,
 multi-user bit extraction, GPS fixes, and multi-target radar.
 
-Flag and cross detection are one scan. Stage 1 scans a line transverse to the
-waveform's carrier line (a flag's transverse_line, a cross's second line M);
-its peak lands on the shifted carrier line. Stage 2 scans that shifted line;
-its peak is the time-frequency shift, and the matched-filter value there
-carries the bit. Decisions are taken on magnitudes, so bits (pure phases)
-never disturb detection. Each stage is one stacked line scan
-(fastmf.mf_on_lines) over a (T, p) stack of receivers, so a single receiver
-is the one-row case and sim.monte_carlo scans all its trials at once. Radar
-scans stage 1 once and runs the same stage 2 for all candidates as one stack.
+Every detector is one two-stage scan. Each waveform names its scan_lines:
+the carrier line and a stage-1 line transverse to it (a flag's
+gfp.transverse_line, a cross's second line M). Stage 1's peak lands on the
+shifted carrier line; stage 2 (_stage2, shared by all detectors) scans that
+line, and its peak gives the shift, the bit and the confidence. Decisions are
+taken on magnitudes, so bits (pure phases) never disturb detection. Each stage
+is one stacked line scan (fastmf.mf_on_lines) over a (T, p) receiver stack:
+one receiver is the one-row case, sim.monte_carlo scans all its trials at
+once, and radar runs stage 2 on several stage-1 peaks at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .fastmf import line_offset, mf_on_line, mf_on_lines
-from .gfp import Line, PlanePoint, line_point, line_through
-from .heisenberg import Cross
-from .signals import Signal
-from .weil import Flag
+from .fastmf import line_offset, mf_on_lines
+from .gfp import Line, PlanePoint
+
+if TYPE_CHECKING:
+    from .heisenberg import Cross
+    from .signals import Signal
+    from .weil import Flag
 
 THETA1_DEFAULT = 0.5
 THETA2_DEFAULT = 1.5
@@ -57,25 +59,6 @@ class GpsFix:
     omega: int
 
 
-def transverse_line(L: Line) -> Line:
-    """A deterministic origin line different from L: successor slope for sloped
-    lines (m -> m+1 mod p, never vertical), slope 0 for the vertical line."""
-    if L.is_vertical:
-        return Line(0, L.p)
-    return Line((L.slope + 1) % L.p.p, L.p)
-
-
-def _lines(waveform) -> tuple[Line, Line]:
-    """(carrier line, stage-1 line): the one place a flag is told from a cross."""
-    if isinstance(waveform, Flag):
-        if not waveform.line.through_origin():
-            raise ValueError("flag carrier line must pass through the origin")
-        return waveform.line, transverse_line(waveform.line)
-    if isinstance(waveform, Cross):
-        return waveform.lineL, waveform.lineM
-    raise TypeError(f"unsupported waveform type {type(waveform).__name__}")
-
-
 class Scan(NamedTuple):
     """The two-stage scan of one waveform over a (T, p) receiver stack, per row."""
 
@@ -85,43 +68,53 @@ class Scan(NamedTuple):
     magnitude: np.ndarray  # |M| at the detected shift
     peak: np.ndarray      # M at the detected shift
     bit: np.ndarray       # sign(Re soft), soft = peak/2
+    confident: np.ndarray  # stage1 >= theta1 and magnitude >= theta2
 
 
-def _peaks(S: Signal, R: np.ndarray, slope: int | None,
-           offsets: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Per row: the point (tau, omega) of its line where |M[S, R_i]| peaks,
-    |M| and M there; gfp.line_point per row."""
-    values = mf_on_lines(S, R, slope, offsets)
+def _points(slope: int | None, offsets: np.ndarray, k: np.ndarray, p: int) -> tuple:
+    """Per row: point k (tau, omega) of its line of `slope`, as gfp.line_point."""
+    return (offsets, k) if slope is None else (k, (offsets + slope * k) % p)
+
+
+def _stage1(S: Signal, R: np.ndarray, line1: Line) -> np.ndarray:
+    """|M[S, R_i]| along the stage-1 line, one row per receiver row."""
+    return np.abs(mf_on_lines(S, R, line1.slope, np.full(R.shape[0], line_offset(line1))))
+
+
+def _stage2(S: Signal, R: np.ndarray, lines: tuple[Line, Line], k1: np.ndarray,
+            mag1: np.ndarray, theta1: float, theta2: float) -> Scan:
+    """Stage 2 over the rows of R: row i scans the carrier line through point
+    k1[i] of the stage-1 line, its stage-1 peak of magnitude mag1[i], and reads
+    the shift, the bit and the confidence rule off the stage-2 peak."""
+    (carrier, line1), m, p = lines, lines[0].slope, S.p.p
+    if not carrier.through_origin():
+        raise ValueError("carrier line must pass through the origin")
+    tau1, omega1 = _points(line1.slope, np.full(k1.shape, line_offset(line1)), k1, p)
+    # line_offset of line_through(m, stage-1 peak), per row
+    offsets = tau1 if m is None else (omega1 - m * tau1) % p
+    values = mf_on_lines(S, R, m, offsets)
     mags = np.abs(values)
     k = np.argmax(mags, axis=1)
     rows = np.arange(k.shape[0])
-    if slope is None:
-        tau, omega = offsets, k
-    else:
-        tau, omega = k, (offsets + slope * k) % S.p.p
-    return tau, omega, mags[rows, k], values[rows, k]
+    mag2, peak = mags[rows, k], values[rows, k]
+    return Scan(*_points(m, offsets, k, p), mag1, mag2, peak,
+                np.where((peak / 2.0).real >= 0, 1, -1), (mag1 >= theta1) & (mag2 >= theta2))
 
 
-def _detect(R: np.ndarray, waveform) -> Scan:
-    """The two-stage scan of one waveform over the rows of R: stage 1 on the
-    same line for every row, stage 2 on each row's shifted carrier line."""
-    carrier, stage1_line = _lines(waveform)
-    S, m = waveform.signal, carrier.slope
-    tau1, omega1, mag1, _ = _peaks(S, R, stage1_line.slope,
-                                   np.full(R.shape[0], line_offset(stage1_line)))
-    # line_offset of line_through(m, stage-1 peak), per row
-    offsets = tau1 if m is None else (omega1 - m * tau1) % S.p.p
-    tau, omega, mag2, peak = _peaks(S, R, m, offsets)
-    return Scan(tau, omega, mag1, mag2, peak, np.where((peak / 2.0).real >= 0, 1, -1))
+def _detect(R: np.ndarray, waveform: Flag | Cross, theta1: float, theta2: float) -> Scan:
+    """Both stages of one waveform's scan over the rows of R."""
+    lines = waveform.scan_lines
+    mags = _stage1(waveform.signal, R, lines[1])
+    k1 = np.argmax(mags, axis=1)
+    mag1 = mags[np.arange(k1.shape[0]), k1]
+    del mags  # stage 2's arrays then reuse this memory, which keeps a stacked scan fast
+    return _stage2(waveform.signal, R, lines, k1, mag1, theta1, theta2)
 
 
-def _detect_one(R: Signal, waveform, theta1: float,
-                theta2: float) -> tuple[Detection, Scan]:
-    """_detect on one receiver, with its Detection."""
-    scan = _detect(R.samples[None, :], waveform)
-    mag1, mag2 = float(scan.stage1[0]), float(scan.magnitude[0])
-    shift = PlanePoint(int(scan.tau[0]), int(scan.omega[0]), R.p)
-    return Detection(shift, mag2, mag1, mag1 >= theta1 and mag2 >= theta2), scan
+def _detection(scan: Scan, i: int, p) -> Detection:
+    """Row i of a scan as a Detection."""
+    return Detection(PlanePoint(int(scan.tau[i]), int(scan.omega[i]), p),
+                     float(scan.magnitude[i]), float(scan.stage1[i]), bool(scan.confident[i]))
 
 
 def flag_detect(R: Signal, flag: Flag,
@@ -129,7 +122,7 @@ def flag_detect(R: Signal, flag: Flag,
                 theta2: float = THETA2_DEFAULT) -> Detection:
     """Flag algorithm: scan a transverse line, then the shifted carrier line.
     Exactly two line scans."""
-    return _detect_one(R, flag, theta1, theta2)[0]
+    return extract_bits(R, [flag], theta1, theta2)[0].detection
 
 
 def cross_detect(R: Signal, cross: Cross,
@@ -137,7 +130,7 @@ def cross_detect(R: Signal, cross: Cross,
                  theta2: float = THETA2_DEFAULT) -> Detection:
     """Cross algorithm: the second line M of the cross is already transverse
     to L, so stage 1 scans M itself; stage 2 scans the shifted L."""
-    return _detect_one(R, cross, theta1, theta2)[0]
+    return extract_bits(R, [cross], theta1, theta2)[0].detection
 
 
 def extract_bits(R: Signal, family: list,
@@ -147,8 +140,9 @@ def extract_bits(R: Signal, family: list,
     soft = M[S_k, R](shift)/2, bit = sign(Re soft)."""
     out = []
     for w in family:
-        det, scan = _detect_one(R, w, theta1, theta2)
-        out.append(BitDecision(int(scan.bit[0]), complex(scan.peak[0]) / 2.0, det))
+        scan = _detect(R.samples[None, :], w, theta1, theta2)
+        out.append(BitDecision(int(scan.bit[0]), complex(scan.peak[0]) / 2.0,
+                               _detection(scan, 0, R.p)))
     return out
 
 
@@ -156,9 +150,8 @@ def gps_solve(R: Signal, family: list,
               theta1: float = THETA1_DEFAULT,
               theta2: float = THETA2_DEFAULT) -> list[GpsFix]:
     """Per satellite: recover (bit, tau); omega rides along as auxiliary."""
-    bits = extract_bits(R, family, theta1, theta2)
     return [GpsFix(b.bit, b.detection.shift.tau, b.detection.shift.omega)
-            for b in bits]
+            for b in extract_bits(R, family, theta1, theta2)]
 
 
 def _local_maxima(mags: np.ndarray, theta: float) -> list[int]:
@@ -184,34 +177,25 @@ def radar_detect(R: Signal, flag: Flag, r: int,
 
     Stage 1 scans the transverse line once and keeps the r largest local
     maxima with magnitude >= theta, one per echoed (distinct) shifted line.
-    Stage 2 scans each candidate's shifted line for its peak. Only candidates
-    whose stage-2 peak clears theta2 are returned, so every Detection is
-    confirmed (confident) and a bump from a bare ridge or from noise is
-    dropped. Costs two line scans: stage 1, then all candidates' stage 2 as
-    one stack. If fewer than r echoes are confirmed, the shorter list is
-    returned and callers see the shortfall in the list length.
+    The shared stage 2 scans all their shifted lines as one stack. Only
+    confident candidates (stage-2 peak >= theta2) are returned, one per
+    shift, so a bump from a bare ridge or from noise is dropped. If fewer
+    than r echoes are confirmed, the returned list is shorter.
     """
     if r < 1:
         raise ValueError(f"radar needs r >= 1 targets, got {r}")
-    carrier, lperp = _lines(flag)
-    prof1 = mf_on_line(flag.signal, R, lperp)
-    mags = np.abs(prof1.values)
+    lines = flag.scan_lines
+    mags = _stage1(flag.signal, R.samples[None, :], lines[1])[0]
     cands = _local_maxima(mags, theta)
     cands.sort(key=lambda i: -mags[i])
-    cands = cands[:r]
-    if not cands:
+    k = np.array(cands[:r], dtype=np.int64)
+    if not k.size:
         return []
-    offsets = np.array([line_offset(line_through(carrier.slope, line_point(lperp, k)))
-                        for k in cands])
-    tau, omega, mag2, _ = _peaks(flag.signal, np.broadcast_to(R.samples, (len(cands), R.p.p)),
-                                 carrier.slope, offsets)
+    scan = _stage2(flag.signal, np.broadcast_to(R.samples, (k.size, R.p.p)), lines,
+                   k, mags[k], theta, theta2)
     out = []
-    seen = set()
-    for i, k in enumerate(cands):
-        shift = PlanePoint(int(tau[i]), int(omega[i]), R.p)
-        mag = float(mag2[i])
-        if mag < theta2 or shift in seen:
-            continue
-        seen.add(shift)
-        out.append(Detection(shift, mag, float(mags[k]), True))
+    for i in range(k.size):
+        det = _detection(scan, i, R.p)
+        if det.confident and det.shift not in {d.shift for d in out}:
+            out.append(det)
     return out

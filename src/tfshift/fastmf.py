@@ -178,9 +178,11 @@ def mf_on_lines(S: "Signal", R: np.ndarray, slope: int | None,
     dft(x)[k-c], a roll per row, and q and dft(q*S) come from the
     sender's plan, so the first scan of (S, m) costs three transforms and each
     later one two. dft refuses square arrays, so a stack of exactly p rows is
-    scanned as two stacks.
+    scanned as two stacks. Rows of another length than S are refused.
     """
     p = S.p.p
+    if R.shape[-1] != p:
+        raise ValueError("mismatched moduli")
     rows = R.shape[0]
     if rows == p:
         return np.concatenate([mf_on_lines(S, R[:-1], slope, offsets[:-1]),
@@ -197,10 +199,8 @@ def mf_on_lines(S: "Signal", R: np.ndarray, slope: int | None,
 def mf_on_line(S: "Signal", R: "Signal", line: Line) -> LineProfile:
     """Restrict the matched-filter matrix M[S,R] to a line, in O(p log p):
     the one-row case of mf_on_lines, which documents the method."""
-    if S.p != R.p:
-        raise ValueError("mismatched moduli")
     if line.p != S.p:
         raise ValueError("line modulus does not match signals")
-    counters.line_calls += 1
     values = mf_on_lines(S, R.samples[None, :], line.slope, np.array([line_offset(line)]))
+    counters.line_calls += 1
     return LineProfile(line, values[0])

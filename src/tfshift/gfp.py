@@ -144,6 +144,12 @@ def line_through(slope: int | None, v: PlanePoint) -> Line:
     return Line(slope, v.p, offset=v)
 
 
+def transverse_line(L: Line) -> Line:
+    """A deterministic origin line different from L: successor slope for sloped
+    lines (m -> m+1 mod p, never vertical), slope 0 for the vertical line."""
+    return Line(0 if L.is_vertical else (L.slope + 1) % L.p.p, L.p)
+
+
 def lines_through_origin(p) -> list[Line]:
     """All p+1 origin lines in canonical order: slopes 0..p-1, then vertical."""
     pp = as_prime(p)

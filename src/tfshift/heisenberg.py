@@ -36,6 +36,11 @@ class Cross:
     fM: HeisenbergVector
     signal: Signal
 
+    @property
+    def scan_lines(self) -> tuple[Line, Line]:
+        """(carrier line, stage-1 line): L, and M, which is already transverse to L."""
+        return self.lineL, self.lineM
+
 
 def line_vector(L: Line, b: int) -> HeisenbergVector:
     """The b-th basis vector of B_L in closed form.

@@ -65,7 +65,7 @@ class TrialStats:
     bit_error_rate: float
     mean_stage1_mag: float
     mean_peak_mag: float
-    confident_rate: float        # detections with stage1 >= theta1 and peak >= theta2
+    confident_rate: float        # confident detections (Detection.confident)
     confident_wrong_rate: float  # confident detections with a wrong shift
     wall_time: float
 
@@ -140,9 +140,8 @@ def monte_carlo(template: ChannelSpec, trials: int, method: str = "flag",
     stack and each waveform's two-stage scan runs once over the stack, so the
     statistics equal those of synthesize_receiver and extract_bits run trial
     by trial. theta1 and theta2 set the confident rates: a detection is
-    confident when its stage-1 magnitude reaches theta1 and its peak reaches
-    theta2, as Detection.confident, and confident but wrong when its shift
-    is also wrong.
+    confident as Detection.confident is, and confident but wrong when its
+    shift is also wrong.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -172,13 +171,12 @@ def monte_carlo(template: ChannelSpec, trials: int, method: str = "flag",
         s1_rows = np.zeros(n)
         pk_rows = np.zeros(n)
         for k, w in enumerate(family):
-            scan = _detect(R, w)
+            scan = _detect(R, w, theta1, theta2)
             hit = (scan.tau == draws[:, k, 0]) & (scan.omega == draws[:, k, 1])
-            sure = (scan.stage1 >= theta1) & (scan.magnitude >= theta2)
             hits += int(np.count_nonzero(hit))
             errs += int(np.count_nonzero(scan.bit != bits[:, k]))
-            confident += int(np.count_nonzero(sure))
-            wrong += int(np.count_nonzero(sure & ~hit))
+            confident += int(np.count_nonzero(scan.confident))
+            wrong += int(np.count_nonzero(scan.confident & ~hit))
             s1_rows = s1_rows + scan.stage1
             pk_rows = pk_rows + scan.magnitude
         s1 += s1_rows.tolist()

@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gfp import Line, PlanePoint, Prime, as_prime, inv, legendre
+from .gfp import Line, PlanePoint, Prime, as_prime, inv, legendre, transverse_line
 from .heisenberg import HeisenbergVector, line_vector
 from .signals import Signal, add, heisenberg_op, random_signal
 
@@ -446,6 +446,11 @@ class Flag:
     fL: HeisenbergVector
     phiT: WeilVector
     signal: Signal
+
+    @property
+    def scan_lines(self) -> tuple[Line, Line]:
+        """(carrier line, stage-1 line): the flag's line and its transverse line."""
+        return self.line, transverse_line(self.line)
 
 
 def flag_waveform(L: Line, T: Torus, b_index: int, eig_index: int) -> Flag:

@@ -461,3 +461,47 @@ def test_detect_rejects_non_finite_thresholds(tmp_path, capsys, option, value):
         code, out, err = run(capsys, "detect", "--receiver", recv, "--manifest",
                              manifest, "--method", method, f"--{option}={value}")
         assert code == 2 and out == "" and "must be finite" in err, method
+
+
+def test_detect_radar_needs_exactly_one_flag(tmp_path, capsys):
+    flag, cross = tmp_path / "flag.sig", tmp_path / "cross.sig"
+    assert run(capsys, "gen", "--p", 31, "--kind", "flag", "--line", 1,
+               "--torus-trace", 0, "--b-index", 0, "--eig-index", 0,
+               "--out", flag)[0] == 0
+    assert run(capsys, "gen", "--p", 31, "--kind", "cross", "--lines", "0,1",
+               "--out", cross)[0] == 0
+    recv = make_receiver(tmp_path, flag, (3, 4))
+    manifest = tmp_path / "manifest.txt"
+    for entries in ([cross], [flag, flag], [flag, cross]):
+        manifest.write_text("".join(f"{e}\n" for e in entries))
+        code, out, err = run(capsys, "detect", "--receiver", recv,
+                             "--manifest", manifest, "--method", "radar")
+        assert code == 2 and out == "", entries
+        assert "exactly one flag" in err
+
+
+def test_detect_rejects_non_utf8_manifest(tmp_path, capsys):
+    recv = tmp_path / "r.sig"
+    assert run(capsys, "gen", "--p", 31, "--kind", "random", "--out", recv)[0] == 0
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_bytes(b"\xff\xfe not utf-8\n")
+    code, out, err = run(capsys, "detect", "--receiver", recv, "--manifest", manifest)
+    assert code == 2 and out == ""
+    assert "cannot read manifest" in err
+
+
+def test_simulate_rejects_non_utf8_config(tmp_path, capsys):
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_bytes(b"p=31\ntrials=1\n# \xe9\n")
+    code, out, err = run(capsys, "simulate", "--config", cfg)
+    assert code == 2 and out == ""
+    assert "cannot read config" in err
+
+
+def test_ambiguity_offset_needs_line(tmp_path, capsys):
+    a = tmp_path / "a.sig"
+    assert run(capsys, "gen", "--p", 31, "--kind", "random", "--out", a)[0] == 0
+    code, out, err = run(capsys, "ambiguity", "--sender", a, "--receiver", a,
+                         "--offset", "5,2", "--out", tmp_path / "g.csv")
+    assert code == 2 and out == "" and "--offset" in err
+    assert not (tmp_path / "g.csv").exists()

@@ -15,10 +15,13 @@ from tfshift import (
     flag_detect,
     flag_family,
     gps_solve,
+    flag_waveform,
     heisenberg_op,
     line_points,
+    make_torus,
     mf_entry,
     radar_detect,
+    random_signal,
     transverse_line,
 )
 from tfshift.detect import THETA2_DEFAULT
@@ -112,6 +115,40 @@ def test_flag_detect_rejects_shifted_carrier(flag101):
                         flag101.signal)
     with pytest.raises(ValueError):
         flag_detect(received(flag101.signal, [PlanePoint(3, 4, P)]), bad)
+
+
+def test_cross_and_radar_reject_shifted_carrier(flag101, cross101):
+    # the shared stage 2 refuses a carrier line off the origin, for every kind
+    R = received(flag101.signal, [PlanePoint(3, 4, P)])
+    shifted = Line(cross101.lineL.slope, P, offset=PlanePoint(1, 5, P))
+    bad_cross = type(cross101)(shifted, cross101.lineM, cross101.fL, cross101.fM,
+                               cross101.signal)
+    with pytest.raises(ValueError, match="carrier line must pass through the origin"):
+        cross_detect(R, bad_cross)
+    bad_flag = type(flag101)(Line(flag101.line.slope, P, offset=PlanePoint(1, 5, P)),
+                             flag101.torus, flag101.fL, flag101.phiT, flag101.signal)
+    with pytest.raises(ValueError, match="carrier line must pass through the origin"):
+        radar_detect(R, bad_flag, 1)
+
+
+def test_scan_lines_name_carrier_and_stage1_line(flag101, cross101):
+    assert flag101.scan_lines == (flag101.line, transverse_line(flag101.line))
+    assert cross101.scan_lines == (cross101.lineL, cross101.lineM)
+
+
+@pytest.mark.parametrize("q", [97, 103])
+@pytest.mark.parametrize("detector", [
+    lambda R, w: flag_detect(R, w),
+    lambda R, w: cross_detect(R, w),
+    lambda R, w: extract_bits(R, [w]),
+    lambda R, w: gps_solve(R, [w]),
+    lambda R, w: radar_detect(R, w, 2),
+], ids=["flag_detect", "cross_detect", "extract_bits", "gps_solve", "radar_detect"])
+def test_detectors_refuse_mismatched_moduli(flag101, cross101, detector, q):
+    R = random_signal(q, seed=1)
+    for w in (flag101, cross101):
+        with pytest.raises(ValueError, match="mismatched moduli"):
+            detector(R, w)
 
 
 def test_cross_detect_exact_noiseless(cross101):
@@ -216,11 +253,14 @@ def test_radar_rejects_nonpositive_r(flag101):
 
 def test_radar_single_echo_matches_flag_detect(flag101):
     # radar's stage 2 is the flag detector's stage 2: on one echo the single
-    # radar target is the flag detection, magnitudes included
-    for v in (PlanePoint(10, 7, P), PlanePoint(77, 18, P)):
-        R = received(flag101.signal, [v])
-        det = flag_detect(R, flag101)
-        (got,) = radar_detect(R, flag101, 1)
+    # radar target is the flag detection, magnitudes included; the vertical
+    # carrier takes the other branch of the stage-2 offset
+    vertical = flag_waveform(Line(None, P), make_torus(0, P), 7, 3)
+    for flag, v in ((flag101, PlanePoint(10, 7, P)), (flag101, PlanePoint(77, 18, P)),
+                    (vertical, PlanePoint(10, 7, P)), (vertical, PlanePoint(0, 42, P))):
+        R = received(flag.signal, [v])
+        det = flag_detect(R, flag)
+        (got,) = radar_detect(R, flag, 1)
         assert got.shift == det.shift == v
         assert got.magnitude == det.magnitude
         assert got.stage1_magnitude == det.stage1_magnitude
