@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Restricting the matched filter to a line costs O(p log p), not O(p^2).
 
-The entries of M[S, R] along any line reduce to one cyclic correlation,
-computed here with prime-length DFTs (numpy's pocketfft). Operation counters
-charge each transform the modelled cost of a zero-padded radix-2 Rader
-transform, so the complexity shows without timing noise; wall clocks are
-printed as a sanity check. A sender's first scan on a slope costs three
-transforms and later scans two, since the sender's half is kept.
+The entries of M[S, R] along any line reduce to one cyclic correlation. A
+vertical line is one prime-length DFT (numpy's pocketfft); a sloped line is
+one correlation zero-padded to the 5-smooth length n >= 2p-1, a forward and
+an inverse FFT of length n. Operation counters charge each call per row the
+modelled cost of a zero-padded radix-2 Rader transform at a prime length and
+of one radix-2 pass at a padded length, so the complexity shows without
+timing noise; wall clocks are printed as a sanity check. A sender's first
+scan on a slope costs three transforms and later scans two, since the
+sender's half is kept.
 """
 
 import time

@@ -1,19 +1,23 @@
-"""The O(p log p) engine: prime-length DFT and matched filtering on lines.
+"""The O(p log p) engine: DFTs and matched filtering on lines.
 
 The forward transform uses the kernel e^{+2 pi i k t / p}, chosen so that a
 vertical-line slice of the matched-filter matrix is literally one forward
 transform. Transforms run through numpy.fft (pocketfft), which handles prime
-lengths in O(p log p) itself. Every transform is counted in an operation
-counter so complexity claims can be checked machine-independently.
+lengths in O(p log p) itself, by Bluestein's algorithm: two FFTs at a smooth
+length of at least 2p-1, plus chirps. Every transform is a dft call, counted
+in an operation counter so complexity claims can be checked
+machine-independently.
 
 mf_on_lines is the one line-scan kernel: it scans one sender against a stack
 of receivers, each row on its own line of a shared slope, with one transform
 call per step for the whole stack. mf_on_line is its one-row case. A vertical
-scan costs one transform. A sloped scan costs three the first time a sender is
-scanned on a slope and two afterwards: the sender's half of the correlation
-(its chirp and chirped spectrum) is kept as a read-only plan per (sender
-Signal, slope), at most PLAN_SLOPES slopes per sender, and dropped when the
-Signal is garbage-collected.
+scan costs one prime-length transform. A sloped scan is one zero-padded
+correlation at the 5-smooth length n >= 2p-1, so it runs two FFTs of length n
+where two prime-length transforms would run four. It costs three transforms
+the first time a sender is scanned on a slope and two afterwards: the
+sender's half of the correlation (its chirp and padded spectrum) is kept as a
+read-only plan per (sender Signal, slope), at most PLAN_SLOPES slopes per
+sender, and dropped when the Signal is garbage-collected.
 """
 
 from __future__ import annotations
@@ -40,12 +44,14 @@ class OpCounters:
     around single-threaded measurement sections only.
 
     dft_calls counts dft calls, and a call on a stack of rows counts once.
-    dft_ops is the modelled cost of the zero-padded radix-2 Rader scheme for
-    a prime length (see _modelled_ops) times the number of rows transformed,
-    not a count of instructions executed. A sloped scan adds 3 dft calls on
-    the first scan of a (sender, slope) pair and 2 on each later one, for any
-    number of receiver rows; a vertical scan adds 1. line_calls counts
-    mf_on_line calls only, so stacked scans (mf_on_lines) leave it alone.
+    dft_ops is a modelled cost times the number of rows transformed, not a
+    count of instructions executed: a prime length p is priced as a
+    zero-padded radix-2 Rader transform (_modelled_ops), a padded length n as
+    one radix-2 pass at the power of two N >= n (_radix2_ops). A sloped scan
+    adds 3 dft calls on the first scan of a (sender, slope) pair and 2 on
+    each later one, all padded, for any number of receiver rows; a vertical
+    scan adds 1 prime-length call. line_calls counts mf_on_line calls only,
+    so stacked scans (mf_on_lines) leave it alone.
     """
 
     dft_calls: int = 0
@@ -64,35 +70,64 @@ class OpCounters:
 counters = OpCounters()
 
 
+def _radix2_ops(n: int) -> int:
+    """Butterflies of one radix-2 pass at the power of two N >= n: (N/2)log2 N."""
+    n = 1 << (n - 1).bit_length()
+    return n // 2 * (n.bit_length() - 1)
+
+
 def _modelled_ops(p: int) -> int:
-    """Cost of one padded Rader transform: two radix-2 passes of length
-    N >= 2(p-1)-1, (N/2)log2 N butterflies each, plus N pointwise products."""
-    if p <= 3:
-        return 0
-    n = 1 << (2 * (p - 1) - 1).bit_length()
-    return n * (n.bit_length() - 1) + n
+    """Cost of one prime-length transform as a padded Rader transform: two
+    radix-2 passes at the power of two N >= 2(p-1), plus N pointwise products."""
+    n = 1 << (2 * p - 3).bit_length()
+    return 2 * _radix2_ops(n) + n
 
 
-def dft(x: np.ndarray, direction: str = "forward") -> np.ndarray:
+def _smooth_length(m: int) -> int:
+    """The smallest 5-smooth integer (2^a 3^b 5^c) >= m, for m >= 1."""
+    best = 1 << (m - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            best = min(best, f35 << (-(-m // f35) - 1).bit_length())
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
+def dft(x: np.ndarray, direction: str = "forward", *, n: int | None = None) -> np.ndarray:
     """Length-p DFT, p prime, of a vector or of each row of a (rows, p) stack.
     Forward: X[k] = sum_t x[t] e^{+2 pi i kt/p}; inverse applies the opposite
     kernel and the 1/p factor. A square array is refused: p x p is the shape
-    of a matched-filter matrix, not of a stack of receivers."""
+    of a matched-filter matrix, not of a stack of receivers.
+
+    With n, the transform has length n instead: each row is zero-padded to n
+    (n below the row length is refused), for any n and any number of rows.
+    Sloped scans use it for their padded correlation."""
     x = np.asarray(x, dtype=np.complex128)
-    if x.ndim not in (1, 2) or x.ndim == 2 and x.shape[0] == x.shape[1]:
-        raise ValueError(f"dft expects a vector or a (rows, p) stack with rows != p, "
-                         f"got shape {x.shape}")
-    p = x.shape[-1]
-    if not is_prime(p):
-        raise ValueError(f"dft length {p} is not prime")
+    if x.ndim not in (1, 2):
+        raise ValueError(f"dft expects a vector or a stack of rows, got shape {x.shape}")
+    if n is None:
+        n = x.shape[-1]
+        if x.ndim == 2 and x.shape[0] == n:
+            raise ValueError(f"dft expects a vector or a (rows, p) stack with rows != p, "
+                             f"got shape {x.shape}")
+        if not is_prime(n):
+            raise ValueError(f"dft length {n} is not prime")
+        ops = _modelled_ops(n)
+    elif n < x.shape[-1]:
+        raise ValueError(f"dft padded length {n} is below the row length {x.shape[-1]}")
+    else:
+        ops = _radix2_ops(n)
     if direction == "forward":
-        out = np.fft.ifft(x, norm="forward")
+        out = np.fft.ifft(x, n, norm="forward")
     elif direction == "inverse":
-        out = np.fft.fft(x, norm="forward")
+        out = np.fft.fft(x, n, norm="forward")
     else:
         raise ValueError(f"unknown direction {direction!r}")
     counters.dft_calls += 1
-    counters.dft_ops += x.size // p * _modelled_ops(p)
+    counters.dft_ops += (x.shape[0] if x.ndim == 2 else 1) * ops
     return out
 
 
@@ -111,14 +146,15 @@ class LineProfile:
 
 PLAN_SLOPES = 4  # sloped-scan plans kept per sender Signal
 
-# sender Signal -> {slope: (chirp q_m, dft(q_m * S))}, oldest slope first
+# sender Signal -> {slope: (chirp q_m, padded spectrum of q_m * S)}, oldest slope first
 _plans: "weakref.WeakKeyDictionary[Signal, dict]" = weakref.WeakKeyDictionary()
 _plans_lock = threading.Lock()
 
 
 def _sender_plan(S: "Signal", m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The chirp q_m(t) = e^{(2 pi i/p) 2^{-1} m t^2} and the spectrum
-    dft(q_m * S), built on first use and kept for later scans of S on slope m."""
+    """The chirp q_m(t) = e^{(2 pi i/p) 2^{-1} m t^2} and the length-n
+    spectrum of the periodic extension [q_m*S, (q_m*S)[:p-1]], n the 5-smooth
+    length >= 2p-1, built on first use and kept for later scans of S on slope m."""
     with _plans_lock:
         per = _plans.get(S)
         plan = per.pop(m, None) if per is not None else None
@@ -128,7 +164,8 @@ def _sender_plan(S: "Signal", m: int) -> tuple[np.ndarray, np.ndarray]:
     p = S.p.p
     t = np.arange(p)
     q = np.exp(2j * np.pi * ((inv(2, S.p) * m % p) * (t * t % p) % p) / p)
-    fa = dft(q * S.samples, "forward")
+    a = q * S.samples
+    fa = dft(np.concatenate([a, a[:p - 1]]), "forward", n=_smooth_length(2 * p - 1))
     q.setflags(write=False)
     fa.setflags(write=False)
     plan = (q, fa)
@@ -169,31 +206,52 @@ def mf_on_lines(S: "Signal", R: np.ndarray, slope: int | None,
     line_points of that line.
 
     Vertical: row i is one forward DFT of u(t) = S(t+tau0) conj(R_i(t)), the
-    sender rolled per row.
+    sender rolled per row. dft refuses square arrays, so a stack of exactly p
+    rows is scanned as two stacks.
 
     Sloped: with the chirp q(t) = e^{(2 pi i/p) 2^{-1} m t^2} the kernel
     factorizes as e^{(2 pi i/p) m tau t} = q(t+tau) conj(q(t)) conj(q(tau)),
-    so M(tau, m*tau+c) = conj(q(tau)) * crosscorr(q*S, q*R_i*e^{-2 pi i c t/p})[tau].
-    The offset is a cyclic shift of the spectrum, dft(x e^{-2 pi i c t/p})[k] =
-    dft(x)[k-c], a roll per row, and q and dft(q*S) come from the
-    sender's plan, so the first scan of (S, m) costs three transforms and each
-    later one two. dft refuses square arrays, so a stack of exactly p rows is
-    scanned as two stacks. Rows of another length than S are refused.
+    so M(tau, m*tau+c) = conj(q(tau)) * crosscorr(q*S, b_i)[tau], with
+    b_i(t) = q(t) R_i(t) e^{-2 pi i c t/p}, the offset a modulation per row.
+    For m != 0 the same identity makes the modulated chirp a shifted one,
+    q(t) e^{-2 pi i c t/p} = q(t+a) conj(q(a)) with a = -c/m, so b_i is a roll
+    of q and takes no exponential; on slope 0, q = 1 and the modulation is
+    read off the p-th roots of unity.
+    The cyclic correlation of length p is a linear one against the periodic
+    extension [q*S, (q*S)[:p-1]], so it is read off lags [:p] of a correlation
+    zero-padded to the 5-smooth length n >= 2p-1: one forward transform of
+    the stack and one inverse, both of length n. q and the padded spectrum of
+    q*S come from the sender's plan, so the first scan of (S, m) costs three
+    transforms and each later one two. Rows of another length than S are
+    refused.
     """
     p = S.p.p
     if R.shape[-1] != p:
         raise ValueError("mismatched moduli")
-    rows = R.shape[0]
-    if rows == p:
-        return np.concatenate([mf_on_lines(S, R[:-1], slope, offsets[:-1]),
-                               mf_on_lines(S, R[-1:], slope, offsets[-1:])])
     if slope is None:
+        if R.shape[0] == p:
+            return np.concatenate([mf_on_lines(S, R[:-1], slope, offsets[:-1]),
+                                   mf_on_lines(S, R[-1:], slope, offsets[-1:])])
         u = _roll_rows(np.broadcast_to(S.samples, R.shape), -offsets) * np.conj(R)
         return dft(u, "forward")
     q, fa = _sender_plan(S, slope)
-    fb = _roll_rows(dft(q * R, "forward"), offsets)
-    cc = dft(fa * np.conj(fb), "inverse")
-    return np.conj(q) * cc
+    if slope % p:
+        a = -offsets * inv(slope, S.p) % p
+        b = _roll_rows(np.broadcast_to(q, R.shape), -a)
+        b *= np.conj(q[a])[:, None]
+    else:  # q = 1
+        t = np.arange(p)
+        b = np.exp(-2j * np.pi * t / p)[np.multiply.outer(offsets % p, t) % p]
+    b *= R
+    # each (T, n) array is freed before the next is made, which bounds peak memory
+    n = fa.shape[-1]
+    fb = dft(b, "forward", n=n)
+    del b
+    np.conjugate(fb, out=fb)
+    fb *= fa
+    cc = dft(fb, "inverse", n=n)
+    del fb
+    return np.conj(q) * cc[:, :p]
 
 
 def mf_on_line(S: "Signal", R: "Signal", line: Line) -> LineProfile:

@@ -245,7 +245,9 @@ def bench_complexity(p_list, repeats: int = 3, full_rows: int = 32) -> list[dict
 
 
 def fit_exponent(ps, ys) -> float:
-    """Least-squares slope of log(y) against log(p)."""
-    x = np.log(np.asarray(ps, dtype=float))
-    y = np.log(np.asarray(ys, dtype=float))
-    return float(np.polyfit(x, y, 1)[0])
+    """Least-squares slope of log(y) against log(p). ValueError if any p or y
+    is not positive, since its log is not finite."""
+    x, y = np.asarray(ps, dtype=float), np.asarray(ys, dtype=float)
+    if not (x > 0).all() or not (y > 0).all():
+        raise ValueError(f"fit_exponent needs positive values, got ps={list(ps)}, ys={list(ys)}")
+    return float(np.polyfit(np.log(x), np.log(y), 1)[0])

@@ -30,11 +30,14 @@ projection of a fixed reference signal on its eigenspace, a sum over the
 torus orbit. One cached record per torus (_orbit) holds what every vector of
 that torus shares: the eigenvalues, read off tr rho in O(p), a head of the
 orbit (at most HEAD_CAP samples) and a doubling ladder that climbs the rest
-in O(log p) FFTs per vector. One builder (_vectors) projects any set of
-eigenvalue indices as one stack and checks the result; torus_vector (one
-vector) and torus_eigenbasis (all p, O(p^2) memory, for tests, demos and
-full-basis callers) both call it. Only numpy's FFT runs; nothing calls
-LAPACK. weil_operator is the dense matrix, for tests and demos.
+in O(log p) FFTs per vector. HEAD_CAP bounds the head only: each doubling
+step of the ladder keeps a _rho closure with two chirps and an index map,
+40p bytes, so one record holds about 70 MB at p = 100003. One builder
+(_vectors) projects any set of eigenvalue indices as one stack and checks
+the result; torus_vector (one vector) and torus_eigenbasis (all p, O(p^2)
+memory, for tests, demos and full-basis callers) both call it. Only numpy's
+FFT runs; nothing calls LAPACK. weil_operator is the dense matrix, for tests
+and demos.
 """
 
 from __future__ import annotations
@@ -247,7 +250,8 @@ class WeilVector:
 LATTICE_TOL = 1e-6  # largest accepted distance of an eigenvalue from its lattice
                     # point, and largest accepted residual ||rho v - lambda v||
 PHASE_FLOOR = 1e-6  # smallest accepted |<v, random_signal(p, 0)>| for the phase rule
-HEAD_CAP = 2**17    # largest cached orbit head, in samples (2 MB per torus)
+HEAD_CAP = 2**17    # largest cached orbit head, in samples (2 MB per torus);
+                    # the ladder's doubling steps come on top, 40p bytes each
 
 
 def _reference(p: int, *seeds: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Command-line interface, exercised in process through cli.main."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -366,6 +368,18 @@ def test_bench_csv(capsys):
     assert lines[0].startswith("p,t_line_s,dft_ops_line")
     assert lines[1].startswith("31,") and lines[2].startswith("61,")
     assert lines[-1].startswith("# fitted_ops_exponent=")
+
+
+def test_bench_small_primes_fit_a_finite_exponent(capsys):
+    # p = 3 was priced at 0 ops: numpy warned on log(0) and the fit read nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, "bench", "--p", "3,5,7", "--repeats", 1)
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:-1]]
+    assert [int(r[0]) for r in rows] == [3, 5, 7]
+    assert all(int(r[2]) > 0 for r in rows)
+    assert np.isfinite(float(out.strip().splitlines()[-1].split("=")[1]))
 
 
 def test_bench_rejects_bad_list(capsys):

@@ -1,9 +1,11 @@
-"""Prime-length transform and line-restricted matched filter."""
+"""Prime-length and padded transforms and the line-restricted matched filter."""
 
+import ast
 import dataclasses
 import gc
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +145,55 @@ def test_dft_stack_rejects_bad_shapes():
         dft(np.ones((7, 7), dtype=np.complex128))  # a p x p matrix, not a stack
 
 
+def test_modelled_ops_price_every_prime():
+    # p = 3 was priced at 0 ops, so `tfshift bench --p 3,5,7` fitted log(0)
+    for p in (2, 3, 5, 7):
+        assert fastmf._modelled_ops(p) > 0, p
+    # the Rader padding: two radix-2 passes at N >= 2(p-1), plus N products
+    assert fastmf._modelled_ops(3) == 2 * 4 + 4
+    assert fastmf._modelled_ops(101) == 256 * 8 + 256
+
+
+def test_smooth_length_is_least_5_smooth_at_or_above():
+    def smooth(k):
+        for f in (2, 3, 5):
+            while k % f == 0:
+                k //= f
+        return k == 1
+    for m in range(1, 2000):
+        n = fastmf._smooth_length(m)
+        assert n >= m and smooth(n), m
+        assert not any(smooth(k) for k in range(m, n)), m
+    assert fastmf._smooth_length(2 * 31 - 1) == 64
+    assert fastmf._smooth_length(2 * 10007 - 1) == 20250
+
+
+@pytest.mark.parametrize("n, rows", [(9, 1), (64, 64), (20, 3), (7, 7)])
+def test_dft_padded_length(n, rows):
+    # any length and any row count, square stacks too; rows are zero-padded
+    rng = np.random.default_rng(n + rows)
+    X = rng.standard_normal((rows, 5)) + 1j * rng.standard_normal((rows, 5))
+    padded = np.concatenate([X, np.zeros((rows, n - 5))], axis=1)
+    for direction in ("forward", "inverse"):
+        counters.reset()
+        F = dft(X, direction, n=n)
+        assert counters.snapshot() == (1, rows * fastmf._radix2_ops(n), 0)
+        assert F.shape == (rows, n)
+        for i in range(rows):
+            assert np.abs(F[i] - dft_oracle(padded[i], direction)).max() < 1e-12
+    counters.reset()
+    assert dft(X[0], n=n).shape == (n,)
+    assert counters.snapshot() == (1, fastmf._radix2_ops(n), 0)
+    with pytest.raises(ValueError, match="below the row length"):
+        dft(X, n=4)
+
+
+def test_radix2_ops_model():
+    # butterflies of one radix-2 pass at the power of two N >= n
+    assert [fastmf._radix2_ops(n) for n in (1, 2, 5, 8, 9, 1024, 1025)] == \
+        [0, 1, 12, 12, 32, 5120, 11264]
+
+
 def test_ops_growth_near_linear():
     # counter-based curve over a wide prime spread; pure p^2 growth would
     # push the fitted slope above 1.8
@@ -271,6 +322,103 @@ def test_mf_on_lines_counts_transforms_not_lines():
     counters.reset()
     fastmf.mf_on_lines(S, R, None, offsets)
     assert counters.snapshot() == (1, rows * fastmf._modelled_ops(p), 0)
+
+
+# ------------------------------------------------ padded correlation edge cases
+
+def assert_rows_match_entries(S, R, slope, offsets, got, tol=1e-10):
+    pp = S.p
+    for i, c in enumerate(offsets):
+        off = PlanePoint(int(c), 0, pp) if slope is None else PlanePoint(0, int(c), pp)
+        L = Line(slope, pp, offset=off)
+        want = np.array([mf_entry(S, Signal(pp, R[i]), v) for v in line_points(L)])
+        assert np.abs(got[i] - want).max() < tol, (slope, i, c)
+
+
+@pytest.mark.parametrize("p", [3, 5, 17, 257])
+def test_padded_scan_matches_entry_oracle(p):
+    # for p >= 5 these are the primes with 2p-2 a power of two, so the
+    # periodic extension of length 2p-1 just overruns that power of two
+    S = random_signal(p, seed=p)
+    R = np.stack([random_signal(p, seed=p + 1 + i).samples for i in range(3)])
+    offsets = np.array([0, 1, p - 1])
+    for m in (0, 1, p - 1):
+        assert_rows_match_entries(S, R, m, offsets, fastmf.mf_on_lines(S, R, m, offsets))
+
+
+@pytest.mark.parametrize("p, rows", [(31, 31), (31, 64), (17, 17), (17, 36)])
+def test_padded_scan_stack_of_p_or_n_rows(p, rows):
+    # 64 and 36 are the padded lengths n at p = 31 and 17: a (n, n) stack of
+    # spectra must not hit the square-array refusal of the prime-length dft
+    assert rows in (p, fastmf._smooth_length(2 * p - 1))
+    rng = np.random.default_rng(p * rows)
+    S = random_signal(p, seed=5)
+    R = rng.standard_normal((rows, p)) + 1j * rng.standard_normal((rows, p))
+    offsets = rng.integers(p, size=rows)
+    for slope in (0, 3, None):
+        got = fastmf.mf_on_lines(S, R, slope, offsets)
+        assert got.shape == (rows, p)
+        picked = [0, 1, rows // 2, rows - 1]
+        assert_rows_match_entries(S, R[picked], slope, offsets[picked], got[picked])
+
+
+def test_sloped_scan_runs_only_padded_transforms(monkeypatch):
+    # the sloped branch makes no prime-length transform; the vertical one
+    # makes exactly one. fastmf.dft is looked up by its module-global name
+    p = 101
+    S = random_signal(p, seed=91)
+    R = np.stack([random_signal(p, seed=92 + i).samples for i in range(4)])
+    lengths = []
+    real = fastmf.dft
+
+    def spy(x, direction="forward", *, n=None):
+        lengths.append(n)
+        return real(x, direction, n=n)
+
+    monkeypatch.setattr(fastmf, "dft", spy)
+    fastmf.mf_on_lines(S, R, 7, np.arange(4))
+    assert lengths == [fastmf._smooth_length(2 * p - 1)] * 3
+    lengths.clear()
+    fastmf.mf_on_lines(S, R, None, np.arange(4))
+    assert lengths == [None]
+
+
+def test_every_transform_outside_weil_is_a_counted_dft():
+    # perfbench checks fastmf.counters against traced fastmf.dft spans, so a
+    # transform that bypasses dft would break that count. weil's transforms
+    # are uncounted on purpose (see weil._rho).
+    src = Path(fastmf.__file__).parent
+    found, inside_dft = [], 0
+    for path in sorted(src.glob("*.py")):
+        if path.name == "weil.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "fastmf.py":
+            dft_def = next(node for node in tree.body
+                           if isinstance(node, ast.FunctionDef) and node.name == "dft")
+            allowed = {id(node) for node in ast.walk(dft_def)}
+        aliases = {"numpy"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name == "numpy":
+                        aliases.add(a.asname or "numpy")
+                    elif a.name.startswith("numpy.fft") and a.asname:
+                        found.append(f"{path.name}:{node.lineno} import {a.name} as {a.asname}")
+            elif isinstance(node, ast.ImportFrom) and node.module and (
+                    node.module.startswith("numpy.fft")
+                    or node.module == "numpy" and any(a.name == "fft" for a in node.names)):
+                found.append(f"{path.name}:{node.lineno} from {node.module} import ...")
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "fft"
+                    and isinstance(node.value, ast.Name) and node.value.id in aliases):
+                if id(node) in allowed:
+                    inside_dft += 1
+                else:
+                    found.append(f"{path.name}:{node.lineno} {node.value.id}.fft")
+    assert not found, found
+    assert inside_dft == 2  # dft's own forward and inverse calls
 
 
 # ------------------------------------------------ sender plans for sloped scans

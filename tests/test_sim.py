@@ -197,6 +197,14 @@ def test_fit_exponent_recovers_power_law():
     assert fit_exponent([2, 4, 8], [6, 12, 24]) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("ps, ys", [([3, 5, 7], [0, 64, 64]), ([3, 5, 7], [24, -1, 64]),
+                                    ([0, 5, 7], [24, 64, 64]), ([3, 5, 7], [24, np.nan, 64])])
+def test_fit_exponent_rejects_non_positive_values(ps, ys):
+    # log(0) made a numpy RuntimeWarning and a nan exponent
+    with pytest.raises(ValueError, match="positive"):
+        fit_exponent(ps, ys)
+
+
 def test_monte_carlo_confident_rates_follow_thresholds():
     # thresholds change only the confident rates; a noiseless single sender
     # is always found, confidently
