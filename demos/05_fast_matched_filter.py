@@ -9,16 +9,17 @@ modelled cost of a zero-padded radix-2 Rader transform at a prime length and
 of one radix-2 pass at a padded length, so the complexity shows without
 timing noise; wall clocks are printed as a sanity check. A sender's first
 scan on a slope costs three transforms and later scans two, since the
-sender's half is kept.
+sender's half is kept. A detection stage scans a whole family of senders as
+one stack, so r warm sloped scans cost those two transforms together.
 """
 
 import time
 
 import numpy as np
 
-from tfshift import (Line, PlanePoint, as_prime, counters, dft, fit_exponent,
-                     heisenberg_op, line_points, mf_full, mf_on_line,
-                     random_signal)
+from tfshift import (Line, PlanePoint, as_prime, counters, dft, fastmf,
+                     fit_exponent, heisenberg_op, line_points, mf_full,
+                     mf_on_line, random_signal)
 
 
 def main() -> None:
@@ -83,6 +84,24 @@ def main() -> None:
         print(f"p = {pp:6d}: {counters.dft_ops:10d} ops, {dt * 1e3:7.2f} ms")
     print(f"fitted ops exponent: {fit_exponent(ps, ops):.4f} "
           f"(near 1; log factors and pow2 padding nudge it up)")
+
+    # 5. a detection stage: r senders, each on its own slope, scanned against
+    # one receiver as one stack. Their rows share one buffer of length n, so
+    # warm scans cost 2 transform calls for any r, against 2r one by one
+    R = random_signal(P, seed=2).samples[None, :]
+    print("\n   r  stacked calls  one-by-one calls")
+    for r in (1, 3, 6):
+        jobs = [(random_signal(P, seed=10 + k), k + 1, np.zeros(1, dtype=np.int64))
+                for k in range(r)]
+        stacked = fastmf.mf_on_stage(R, jobs)  # builds the senders' plans
+        counters.reset()
+        fastmf.mf_on_stage(R, jobs)
+        calls = counters.dft_calls
+        counters.reset()
+        single = [fastmf.mf_on_lines(S, R, m, c)[0] for S, m, c in jobs]
+        same = all(np.array_equal(a[0], b) for a, b in zip(stacked, single))
+        print(f"  {r:2d}  {calls:13d}  {counters.dft_calls:16d}  "
+              f"(profiles equal bit for bit: {same})")
 
 
 if __name__ == "__main__":

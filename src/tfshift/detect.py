@@ -7,9 +7,10 @@ gfp.transverse_line, a cross's second line M). Stage 1's peak lands on the
 shifted carrier line; stage 2 (_stage2, shared by all detectors) scans that
 line, and its peak gives the shift, the bit and the confidence. Decisions are
 taken on magnitudes, so bits (pure phases) never disturb detection. Each stage
-is one stacked line scan (fastmf.mf_on_lines) over a (T, p) receiver stack:
-one receiver is the one-row case, sim.monte_carlo scans all its trials at
-once, and radar runs stage 2 on several stage-1 peaks at once.
+is one stacked line scan (fastmf.mf_on_stage) of the whole family over a
+(T, p) receiver stack, so r waveforms cost two transform pairs, not 2r: one
+receiver is the one-row case, sim.monte_carlo scans a chunk of trials at once,
+and radar runs stage 2 on several stage-1 peaks at once.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .fastmf import line_offset, mf_on_lines
+from .fastmf import line_offset, mf_on_stage
 from .gfp import Line, PlanePoint
 
 if TYPE_CHECKING:
@@ -76,39 +77,57 @@ def _points(slope: int | None, offsets: np.ndarray, k: np.ndarray, p: int) -> tu
     return (offsets, k) if slope is None else (k, (offsets + slope * k) % p)
 
 
-def _stage1(S: Signal, R: np.ndarray, line1: Line) -> np.ndarray:
-    """|M[S, R_i]| along the stage-1 line, one row per receiver row."""
-    return np.abs(mf_on_lines(S, R, line1.slope, np.full(R.shape[0], line_offset(line1))))
-
-
-def _stage2(S: Signal, R: np.ndarray, lines: tuple[Line, Line], k1: np.ndarray,
-            mag1: np.ndarray, theta1: float, theta2: float) -> Scan:
-    """Stage 2 over the rows of R: row i scans the carrier line through point
-    k1[i] of the stage-1 line, its stage-1 peak of magnitude mag1[i], and reads
-    the shift, the bit and the confidence rule off the stage-2 peak."""
-    (carrier, line1), m, p = lines, lines[0].slope, S.p.p
-    if not carrier.through_origin():
+def _scan_lines(family: list) -> list[tuple[Line, Line]]:
+    """Each waveform's (carrier line, stage-1 line), checked before any scan."""
+    lines = [w.scan_lines for w in family]
+    if not all(carrier.through_origin() for carrier, _ in lines):
         raise ValueError("carrier line must pass through the origin")
-    tau1, omega1 = _points(line1.slope, np.full(k1.shape, line_offset(line1)), k1, p)
-    # line_offset of line_through(m, stage-1 peak), per row
-    offsets = tau1 if m is None else (omega1 - m * tau1) % p
-    values = mf_on_lines(S, R, m, offsets)
-    mags = np.abs(values)
-    k = np.argmax(mags, axis=1)
-    rows = np.arange(k.shape[0])
-    mag2, peak = mags[rows, k], values[rows, k]
-    return Scan(*_points(m, offsets, k, p), mag1, mag2, peak,
-                np.where((peak / 2.0).real >= 0, 1, -1), (mag1 >= theta1) & (mag2 >= theta2))
+    return lines
 
 
-def _detect(R: np.ndarray, waveform: Flag | Cross, theta1: float, theta2: float) -> Scan:
-    """Both stages of one waveform's scan over the rows of R."""
-    lines = waveform.scan_lines
-    mags = _stage1(waveform.signal, R, lines[1])
-    k1 = np.argmax(mags, axis=1)
-    mag1 = mags[np.arange(k1.shape[0]), k1]
+def _stage1(R: np.ndarray, family: list, lines: list) -> list[np.ndarray]:
+    """|M[S, R_i]| along each waveform's stage-1 line, one row per receiver
+    row: one stacked scan for the whole family."""
+    T = R.shape[0]
+    jobs = [(w.signal, l1.slope, np.full(T, line_offset(l1)))
+            for w, (_, l1) in zip(family, lines)]
+    return [np.abs(v) for v in mf_on_stage(R, jobs)]
+
+
+def _stage2(R: np.ndarray, family: list, lines: list, k1s: list, mag1s: list,
+            theta1: float, theta2: float) -> list[Scan]:
+    """Stage 2 over the rows of R, one stacked scan for the whole family: for
+    waveform j, row i scans its carrier line through point k1s[j][i] of its
+    stage-1 line, its stage-1 peak of magnitude mag1s[j][i], and reads the
+    shift, the bit and the confidence rule off the stage-2 peak."""
+    p = R.shape[-1]
+    jobs = []
+    for w, (carrier, line1), k1 in zip(family, lines, k1s):
+        m = carrier.slope
+        tau1, omega1 = _points(line1.slope, np.full(k1.shape, line_offset(line1)), k1, p)
+        # line_offset of line_through(m, stage-1 peak), per row
+        jobs.append((w.signal, m, tau1 if m is None else (omega1 - m * tau1) % p))
+    scans = []
+    for (_, m, offsets), values, mag1 in zip(jobs, mf_on_stage(R, jobs), mag1s):
+        mags = np.abs(values)
+        k = np.argmax(mags, axis=1)
+        rows = np.arange(k.shape[0])
+        mag2, peak = mags[rows, k], values[rows, k]
+        scans.append(Scan(*_points(m, offsets, k, p), mag1, mag2, peak,
+                          np.where((peak / 2.0).real >= 0, 1, -1),
+                          (mag1 >= theta1) & (mag2 >= theta2)))
+    return scans
+
+
+def _detect(R: np.ndarray, family: list, theta1: float, theta2: float) -> list[Scan]:
+    """Both stages of every waveform's scan over the rows of R, one stacked
+    scan per stage."""
+    lines = _scan_lines(family)
+    mags = _stage1(R, family, lines)
+    k1s = [np.argmax(m, axis=1) for m in mags]
+    mag1s = [m[np.arange(k1.shape[0]), k1] for m, k1 in zip(mags, k1s)]
     del mags  # stage 2's arrays then reuse this memory, which keeps a stacked scan fast
-    return _stage2(waveform.signal, R, lines, k1, mag1, theta1, theta2)
+    return _stage2(R, family, lines, k1s, mag1s, theta1, theta2)
 
 
 def _detection(scan: Scan, i: int, p) -> Detection:
@@ -138,12 +157,8 @@ def extract_bits(R: Signal, family: list,
                  theta2: float = THETA2_DEFAULT) -> list[BitDecision]:
     """Detect each waveform's shift and read its bit off the stage-2 peak:
     soft = M[S_k, R](shift)/2, bit = sign(Re soft)."""
-    out = []
-    for w in family:
-        scan = _detect(R.samples[None, :], w, theta1, theta2)
-        out.append(BitDecision(int(scan.bit[0]), complex(scan.peak[0]) / 2.0,
-                               _detection(scan, 0, R.p)))
-    return out
+    return [BitDecision(int(scan.bit[0]), complex(scan.peak[0]) / 2.0, _detection(scan, 0, R.p))
+            for scan in _detect(R.samples[None, :], family, theta1, theta2)]
 
 
 def gps_solve(R: Signal, family: list,
@@ -184,15 +199,15 @@ def radar_detect(R: Signal, flag: Flag, r: int,
     """
     if r < 1:
         raise ValueError(f"radar needs r >= 1 targets, got {r}")
-    lines = flag.scan_lines
-    mags = _stage1(flag.signal, R.samples[None, :], lines[1])[0]
+    lines = _scan_lines([flag])
+    mags = _stage1(R.samples[None, :], [flag], lines)[0][0]
     cands = _local_maxima(mags, theta)
     cands.sort(key=lambda i: -mags[i])
     k = np.array(cands[:r], dtype=np.int64)
     if not k.size:
         return []
-    scan = _stage2(flag.signal, np.broadcast_to(R.samples, (k.size, R.p.p)), lines,
-                   k, mags[k], theta, theta2)
+    (scan,) = _stage2(np.broadcast_to(R.samples, (k.size, R.p.p)), [flag], lines,
+                      [k], [mags[k]], theta, theta2)
     out = []
     for i in range(k.size):
         det = _detection(scan, i, R.p)

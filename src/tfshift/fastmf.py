@@ -8,16 +8,19 @@ length of at least 2p-1, plus chirps. Every transform is a dft call, counted
 in an operation counter so complexity claims can be checked
 machine-independently.
 
-mf_on_lines is the one line-scan kernel: it scans one sender against a stack
-of receivers, each row on its own line of a shared slope, with one transform
-call per step for the whole stack. mf_on_line is its one-row case. A vertical
-scan costs one prime-length transform. A sloped scan is one zero-padded
-correlation at the 5-smooth length n >= 2p-1, so it runs two FFTs of length n
-where two prime-length transforms would run four. It costs three transforms
-the first time a sender is scanned on a slope and two afterwards: the
-sender's half of the correlation (its chirp and padded spectrum) is kept as a
-read-only plan per (sender Signal, slope), at most PLAN_SLOPES slopes per
-sender, and dropped when the Signal is garbage-collected.
+mf_on_stage is the one line-scan kernel: it scans a list of jobs (sender,
+slope, offsets) against one stack of receivers, each row of a job on its own
+line of the job's slope, as one detection stage. The transform count is per
+stage, not per scan: every vertical job together runs one prime-length
+transform, and every sloped job together runs one forward and one inverse
+FFT at the 5-smooth length n >= 2p-1, in place in a reused per-thread buffer
+(a sloped line is one zero-padded correlation, so two FFTs of length n where
+two prime-length transforms would run four). A stage also runs one transform
+per sloped job whose sender half is cold: that half (its chirp and padded
+spectrum) is kept as a read-only plan per (sender Signal, slope), at most
+PLAN_SLOPES slopes per sender, and dropped when the Signal is
+garbage-collected. mf_on_lines is the one-job case, and mf_on_line its
+one-row case.
 """
 
 from __future__ import annotations
@@ -47,11 +50,12 @@ class OpCounters:
     dft_ops is a modelled cost times the number of rows transformed, not a
     count of instructions executed: a prime length p is priced as a
     zero-padded radix-2 Rader transform (_modelled_ops), a padded length n as
-    one radix-2 pass at the power of two N >= n (_radix2_ops). A sloped scan
-    adds 3 dft calls on the first scan of a (sender, slope) pair and 2 on
-    each later one, all padded, for any number of receiver rows; a vertical
-    scan adds 1 prime-length call. line_calls counts mf_on_line calls only,
-    so stacked scans (mf_on_lines) leave it alone.
+    one radix-2 pass at the power of two N >= n (_radix2_ops). A stage of
+    stacked scans (mf_on_stage) adds 2 padded dft calls if any job is sloped,
+    plus 1 padded call per sloped job whose (sender, slope) plan is cold, and
+    1 prime-length call if any job is vertical (2 if the vertical rows number
+    exactly p), for any number of jobs and receiver rows. line_calls counts
+    mf_on_line calls only, so stacked scans leave it alone.
     """
 
     dft_calls: int = 0
@@ -96,7 +100,8 @@ def _smooth_length(m: int) -> int:
     return best
 
 
-def dft(x: np.ndarray, direction: str = "forward", *, n: int | None = None) -> np.ndarray:
+def dft(x: np.ndarray, direction: str = "forward", *, n: int | None = None,
+        out: np.ndarray | None = None) -> np.ndarray:
     """Length-p DFT, p prime, of a vector or of each row of a (rows, p) stack.
     Forward: X[k] = sum_t x[t] e^{+2 pi i kt/p}; inverse applies the opposite
     kernel and the 1/p factor. A square array is refused: p x p is the shape
@@ -104,7 +109,10 @@ def dft(x: np.ndarray, direction: str = "forward", *, n: int | None = None) -> n
 
     With n, the transform has length n instead: each row is zero-padded to n
     (n below the row length is refused), for any n and any number of rows.
-    Sloped scans use it for their padded correlation."""
+    Sloped scans use it for their padded correlation.
+
+    With out, the result is written there and out is returned; out may be x
+    itself, which transforms in place when x already has length n."""
     x = np.asarray(x, dtype=np.complex128)
     if x.ndim not in (1, 2):
         raise ValueError(f"dft expects a vector or a stack of rows, got shape {x.shape}")
@@ -121,9 +129,9 @@ def dft(x: np.ndarray, direction: str = "forward", *, n: int | None = None) -> n
     else:
         ops = _radix2_ops(n)
     if direction == "forward":
-        out = np.fft.ifft(x, n, norm="forward")
+        out = np.fft.ifft(x, n, norm="forward", out=out)
     elif direction == "inverse":
-        out = np.fft.fft(x, n, norm="forward")
+        out = np.fft.fft(x, n, norm="forward", out=out)
     else:
         raise ValueError(f"unknown direction {direction!r}")
     counters.dft_calls += 1
@@ -178,36 +186,54 @@ def _sender_plan(S: "Signal", m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def line_offset(line: Line) -> int:
-    """The canonical offset mf_on_lines takes for a line: the omega-intercept
+    """The canonical offset mf_on_stage takes for a line: the omega-intercept
     of a sloped line, the tau of a vertical one."""
     return line.offset.tau if line.is_vertical else line.offset.omega
 
 
-def _roll_rows(x: np.ndarray, shifts: np.ndarray) -> np.ndarray:
-    """Row i of the (T, p) array x rolled by shifts[i], as np.roll rolls a
-    vector: two slice copies per row, which for one row cost what np.roll
-    does and for a stack less than a modulo-indexed gather."""
+def _roll_rows(x: np.ndarray, shifts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row i of out set to the vector x rolled by shifts[i], as np.roll rolls
+    it: two slice copies per row, which for one row cost what np.roll does and
+    for a stack less than a modulo-indexed gather."""
     p = x.shape[-1]
-    out = np.empty(x.shape, dtype=x.dtype)
     for i, s in enumerate((shifts % p).tolist()):
-        out[i, s:] = x[i, :p - s]
-        out[i, :s] = x[i, p - s:]
+        out[i, s:] = x[:p - s]
+        out[i, :s] = x[p - s:]
     return out
 
 
-def mf_on_lines(S: "Signal", R: np.ndarray, slope: int | None,
-                offsets: np.ndarray) -> np.ndarray:
-    """M[S, R_i] on one line per row of the (T, p) receiver stack R, in
-    O(p log p) per row and a fixed number of transform calls per stack.
+BUFFER_CAP = 2**17  # samples (2 MB) of the per-thread padded-scan buffer kept between calls
 
-    Row i scans the line of `slope` (None = vertical) with canonical offset
-    offsets[i]: the omega-intercept c of {(tau, slope*tau + c)}, or tau0 of
-    the vertical line {(tau0, w)}. Row i of the result is indexed like
+_local = threading.local()
+
+
+def _work(rows: int, n: int) -> np.ndarray:
+    """A (rows, n) complex work array for padded scans: a view of this
+    thread's kept buffer, grown to the largest stack seen up to BUFFER_CAP
+    samples; a larger stack gets an array for this call only."""
+    size = rows * n
+    if size > BUFFER_CAP:
+        return np.empty((rows, n), dtype=np.complex128)
+    buf = getattr(_local, "buf", None)
+    if buf is None or buf.size < size:
+        buf = _local.buf = np.empty(size, dtype=np.complex128)
+    return buf[:size].reshape(rows, n)
+
+
+def mf_on_stage(R: np.ndarray, jobs: list) -> list[np.ndarray]:
+    """M[S, R_i] on one line per row of the (T, p) receiver stack R, for each
+    job (S, slope, offsets) of a detection stage, in O(p log p) per row and a
+    fixed number of transform calls per stage, whatever the number of jobs
+    and rows. Returns one fresh (T, p) array per job, in job order.
+
+    Row i of a job scans the line of `slope` (None = vertical) with canonical
+    offset offsets[i]: the omega-intercept c of {(tau, slope*tau + c)}, or
+    tau0 of the vertical line {(tau0, w)}. Row i of its result is indexed like
     line_points of that line.
 
     Vertical: row i is one forward DFT of u(t) = S(t+tau0) conj(R_i(t)), the
-    sender rolled per row. dft refuses square arrays, so a stack of exactly p
-    rows is scanned as two stacks.
+    sender rolled per row. All vertical jobs run as one prime-length stack;
+    dft refuses square arrays, so a stack of exactly p rows runs as two.
 
     Sloped: with the chirp q(t) = e^{(2 pi i/p) 2^{-1} m t^2} the kernel
     factorizes as e^{(2 pi i/p) m tau t} = q(t+tau) conj(q(t)) conj(q(tau)),
@@ -219,44 +245,74 @@ def mf_on_lines(S: "Signal", R: np.ndarray, slope: int | None,
     read off the p-th roots of unity.
     The cyclic correlation of length p is a linear one against the periodic
     extension [q*S, (q*S)[:p-1]], so it is read off lags [:p] of a correlation
-    zero-padded to the 5-smooth length n >= 2p-1: one forward transform of
-    the stack and one inverse, both of length n. q and the padded spectrum of
-    q*S come from the sender's plan, so the first scan of (S, m) costs three
-    transforms and each later one two. Rows of another length than S are
-    refused.
+    zero-padded to the 5-smooth length n >= 2p-1. Every sloped job writes its
+    rows b_i into columns [:p] of one (rows, n) work array (_work) with zero
+    columns [p:], so the whole stage runs one forward transform and one
+    inverse, both in place and of length n. q and the padded spectrum of q*S
+    come from the sender's plan, so a stage adds one transform per job whose
+    (S, m) plan is cold. Every job is checked before any transform: rows of
+    another length than a sender are refused.
     """
-    p = S.p.p
-    if R.shape[-1] != p:
-        raise ValueError("mismatched moduli")
-    if slope is None:
-        if R.shape[0] == p:
-            return np.concatenate([mf_on_lines(S, R[:-1], slope, offsets[:-1]),
-                                   mf_on_lines(S, R[-1:], slope, offsets[-1:])])
-        u = _roll_rows(np.broadcast_to(S.samples, R.shape), -offsets) * np.conj(R)
-        return dft(u, "forward")
-    q, fa = _sender_plan(S, slope)
-    if slope % p:
-        a = -offsets * inv(slope, S.p) % p
-        b = _roll_rows(np.broadcast_to(q, R.shape), -a)
-        b *= np.conj(q[a])[:, None]
-    else:  # q = 1
-        t = np.arange(p)
-        b = np.exp(-2j * np.pi * t / p)[np.multiply.outer(offsets % p, t) % p]
-    b *= R
-    # each (T, n) array is freed before the next is made, which bounds peak memory
-    n = fa.shape[-1]
-    fb = dft(b, "forward", n=n)
-    del b
-    np.conjugate(fb, out=fb)
-    fb *= fa
-    cc = dft(fb, "inverse", n=n)
-    del fb
-    return np.conj(q) * cc[:, :p]
+    p = R.shape[-1]
+    for S, _, _ in jobs:
+        if S.p.p != p:
+            raise ValueError("mismatched moduli")
+    T = R.shape[0]
+    out: list = [None] * len(jobs)
+    vertical = [i for i, job in enumerate(jobs) if job[1] is None]
+    sloped = [i for i, job in enumerate(jobs) if job[1] is not None]
+    if vertical:
+        u = np.empty((len(vertical), T, p), dtype=np.complex128)
+        Rc = np.conj(R)
+        for rows, i in zip(u, vertical):
+            S, _, offsets = jobs[i]
+            _roll_rows(S.samples, -offsets, rows)
+            rows *= Rc
+        stack = u.reshape(-1, p)
+        for part in ((stack,) if stack.shape[0] != p else (stack[:-1], stack[-1:])):
+            dft(part, "forward", out=part)
+        for rows, i in zip(u, vertical):
+            out[i] = rows
+    if sloped:
+        n = _smooth_length(2 * p - 1)
+        work = _work(len(sloped) * T, n)
+        work[:, p:] = 0
+        blocks = work.reshape(len(sloped), T, n)
+        plans = []
+        for rows, i in zip(blocks, sloped):
+            S, m, offsets = jobs[i]
+            q, fa = _sender_plan(S, m)
+            plans.append((q, fa))
+            b = rows[:, :p]
+            if m % p:
+                a = -offsets * inv(m, S.p) % p
+                _roll_rows(q, -a, b)
+                b *= np.conj(q[a])[:, None]
+            else:  # q = 1
+                t = np.arange(p)
+                b[:] = np.exp(-2j * np.pi * t / p)[np.multiply.outer(offsets % p, t) % p]
+            b *= R
+        dft(work, "forward", n=n, out=work)
+        for rows, (_, fa) in zip(blocks, plans):
+            np.conjugate(rows, out=rows)
+            rows *= fa
+        dft(work, "inverse", n=n, out=work)
+        for rows, (q, _), i in zip(blocks, plans, sloped):
+            out[i] = np.conj(q) * rows[:, :p]
+    return out
+
+
+def mf_on_lines(S: "Signal", R: np.ndarray, slope: int | None,
+                offsets: np.ndarray) -> np.ndarray:
+    """M[S, R_i] on the line of `slope` with canonical offset offsets[i], per
+    row of the (T, p) receiver stack R: the one-job case of mf_on_stage,
+    which documents the method."""
+    return mf_on_stage(R, [(S, slope, offsets)])[0]
 
 
 def mf_on_line(S: "Signal", R: "Signal", line: Line) -> LineProfile:
     """Restrict the matched-filter matrix M[S,R] to a line, in O(p log p):
-    the one-row case of mf_on_lines, which documents the method."""
+    the one-row case of mf_on_lines."""
     if line.p != S.p:
         raise ValueError("line modulus does not match signals")
     values = mf_on_lines(S, R.samples[None, :], line.slope, np.array([line_offset(line)]))

@@ -23,7 +23,7 @@ from .heisenberg import cross_family
 from .signals import Signal, _modulation, awgn_rows, mf_full, random_signal
 from .weil import flag_family
 
-TRIAL_CHUNK = 64  # Monte Carlo trials synthesized and scanned as one stack
+TRIAL_CHUNK = 64  # rows of a Monte Carlo stage stack: trials x waveforms scanned at once
 
 
 @dataclass(frozen=True)
@@ -136,10 +136,11 @@ def monte_carlo(template: ChannelSpec, trials: int, method: str = "flag",
     and every waveform detected. Rates are per sender-detection. Each trial
     has its own random stream, spawned from one seed sequence, and draws the
     shifts, the bits and the noise seed from it in that order. Trials go
-    TRIAL_CHUNK at a time: their receivers are built as one (trials, p)
-    stack and each waveform's two-stage scan runs once over the stack, so the
-    statistics equal those of synthesize_receiver and extract_bits run trial
-    by trial. theta1 and theta2 set the confident rates: a detection is
+    max(1, TRIAL_CHUNK // r) at a time, so a stage stack holds at most
+    TRIAL_CHUNK rows: their receivers are built as one (trials, p) stack and
+    the family's two-stage scan runs once over it, one stacked scan per stage,
+    so the statistics equal those of synthesize_receiver and extract_bits run
+    trial by trial. theta1 and theta2 set the confident rates: a detection is
     confident as Detection.confident is, and confident but wrong when its
     shift is also wrong.
     """
@@ -156,8 +157,9 @@ def monte_carlo(template: ChannelSpec, trials: int, method: str = "flag",
     hits = errs = confident = wrong = 0
     s1: list[float] = []
     pk: list[float] = []
-    for start in range(0, trials, TRIAL_CHUNK):
-        n = min(TRIAL_CHUNK, trials - start)
+    chunk = max(1, TRIAL_CHUNK // r)
+    for start in range(0, trials, chunk):
+        n = min(chunk, trials - start)
         draws = np.empty((n, r, 2), dtype=np.int64)
         bits = np.empty((n, r), dtype=np.int64)
         noise_seeds = []
@@ -170,8 +172,7 @@ def monte_carlo(template: ChannelSpec, trials: int, method: str = "flag",
                        awgn_rows(p.p, template.sigma, noise_seeds))
         s1_rows = np.zeros(n)
         pk_rows = np.zeros(n)
-        for k, w in enumerate(family):
-            scan = _detect(R, w, theta1, theta2)
+        for k, scan in enumerate(_detect(R, family, theta1, theta2)):
             hit = (scan.tau == draws[:, k, 0]) & (scan.omega == draws[:, k, 1])
             hits += int(np.count_nonzero(hit))
             errs += int(np.count_nonzero(scan.bit != bits[:, k]))

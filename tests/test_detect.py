@@ -5,6 +5,7 @@ import pytest
 
 from tfshift import (
     Line,
+    counters,
     PlanePoint,
     Signal,
     as_prime,
@@ -24,7 +25,9 @@ from tfshift import (
     random_signal,
     transverse_line,
 )
+from tfshift import detect
 from tfshift.detect import THETA2_DEFAULT
+from tfshift.sim import build_family
 
 P = as_prime(101)
 
@@ -276,3 +279,53 @@ def test_soft_bit_is_matched_filter_at_shift(flag101, cross101):
             (dec,) = extract_bits(R, [w])
             want = mf_entry(w.signal, R, dec.detection.shift) / 2
             assert abs(dec.soft - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("p, method, r", [
+    (11, "flag", 12),   # flag 11's carrier line is vertical
+    (11, "cross", 6),   # the last cross's stage-1 line is vertical
+    (101, "flag", 3),
+    (101, "cross", 3),
+    (503, "flag", 3),
+    (503, "cross", 3),
+])
+def test_stacked_stage_equals_one_waveform_at_a_time(p, method, r):
+    # each stage scans the whole family as one stack; every Scan field must
+    # equal that of the waveform scanned alone, bit for bit
+    family = build_family(p, r, method, 1)
+    rng = np.random.default_rng(p + r)
+    T = 4
+    R = np.zeros((T, p), dtype=np.complex128)
+    for w in family:
+        for i in range(T):
+            v = PlanePoint(int(rng.integers(p)), int(rng.integers(p)), as_prime(p))
+            R[i] += heisenberg_op(w.signal, v).samples
+    R += 0.3 * (rng.standard_normal((T, p)) + 1j * rng.standard_normal((T, p))) / np.sqrt(p)
+    stacked = detect._detect(R, family, 0.5, 1.5)
+    assert len(stacked) == r
+    for w, scan in zip(family, stacked):
+        (alone,) = detect._detect(R, [w], 0.5, 1.5)
+        for field, a, b in zip(scan._fields, scan, alone):
+            assert np.array_equal(a, b), field
+
+
+def test_empty_family_scans_nothing():
+    R = random_signal(101, seed=1)
+    counters.reset()
+    assert extract_bits(R, []) == []
+    assert gps_solve(R, []) == []
+    assert counters.snapshot() == (0, 0, 0)
+
+
+def test_refusals_come_before_any_transform(flag101, cross101):
+    # a bad last waveform stops the stacked scan before its first transform
+    R = received(flag101.signal, [PlanePoint(3, 4, P)])
+    bad = type(flag101)(Line(flag101.line.slope, P, offset=PlanePoint(1, 5, P)),
+                        flag101.torus, flag101.fL, flag101.phiT, flag101.signal)
+    other = flag_family(103, 1, seed=0)[0]
+    for family, message in (([flag101, cross101, bad], "carrier line must pass"),
+                            ([flag101, cross101, other], "mismatched moduli")):
+        counters.reset()
+        with pytest.raises(ValueError, match=message):
+            extract_bits(R, family)
+        assert counters.snapshot() == (0, 0, 0)

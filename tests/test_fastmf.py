@@ -4,6 +4,8 @@ import ast
 import dataclasses
 import gc
 import sys
+import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -371,9 +373,9 @@ def test_sloped_scan_runs_only_padded_transforms(monkeypatch):
     lengths = []
     real = fastmf.dft
 
-    def spy(x, direction="forward", *, n=None):
+    def spy(x, direction="forward", *, n=None, out=None):
         lengths.append(n)
-        return real(x, direction, n=n)
+        return real(x, direction, n=n, out=out)
 
     monkeypatch.setattr(fastmf, "dft", spy)
     fastmf.mf_on_lines(S, R, 7, np.arange(4))
@@ -381,6 +383,139 @@ def test_sloped_scan_runs_only_padded_transforms(monkeypatch):
     lengths.clear()
     fastmf.mf_on_lines(S, R, None, np.arange(4))
     assert lengths == [None]
+
+
+# ------------------------------------------------ stacked stages of many jobs
+
+def stage_jobs(p, T, slopes, seed):
+    rng = np.random.default_rng(seed)
+    return [(random_signal(p, seed=seed + k), m, rng.integers(p, size=T))
+            for k, m in enumerate(slopes)]
+
+
+@pytest.mark.parametrize("p, T", [(11, 1), (11, 11), (31, 5), (101, 3), (503, 2)])
+def test_stage_equals_jobs_one_at_a_time(p, T):
+    # sloped and vertical jobs in one stage, slope 0 included; T = p = 11 puts
+    # a square vertical stack of 11 rows next to the sloped ones
+    rng = np.random.default_rng(p + T)
+    R = rng.standard_normal((T, p)) + 1j * rng.standard_normal((T, p))
+    jobs = stage_jobs(p, T, [3, None, 0, p - 1, 3, None], seed=p)
+    got = fastmf.mf_on_stage(R, jobs)
+    assert len(got) == len(jobs)
+    for (S, m, offsets), values in zip(jobs, got):
+        assert values.shape == (T, p)
+        assert np.array_equal(values, fastmf.mf_on_lines(S, R, m, offsets)), m
+        assert_rows_match_entries(S, R[:1], m, offsets[:1], values[:1], tol=1e-9)
+
+
+@pytest.mark.parametrize("r, T", [(1, 1), (3, 1), (5, 7), (4, 64)])
+def test_stage_runs_two_transforms_for_any_jobs_and_rows(r, T):
+    p = 101
+    n = fastmf._smooth_length(2 * p - 1)
+    R = np.stack([random_signal(p, seed=300 + i).samples for i in range(T)])
+    jobs = stage_jobs(p, T, [(5 + 7 * k) % p for k in range(r)], seed=400)
+    fastmf.mf_on_stage(R, jobs)  # warm every sender's plan
+    counters.reset()
+    fastmf.mf_on_stage(R, jobs)
+    assert counters.snapshot() == (2, 2 * r * T * fastmf._radix2_ops(n), 0)
+    counters.reset()
+    fastmf.mf_on_stage(R, jobs + stage_jobs(p, T, [None, None], seed=500))
+    assert counters.snapshot() == (3, 2 * r * T * fastmf._radix2_ops(n)
+                                   + 2 * T * fastmf._modelled_ops(p), 0)
+    counters.reset()
+    assert fastmf.mf_on_stage(R, []) == []
+    assert counters.snapshot() == (0, 0, 0)
+
+
+def test_stage_returns_fresh_arrays():
+    # results must outlive the per-thread buffer that the next stage rewrites
+    p = 31
+    R = random_signal(p, seed=1).samples[None, :]
+    jobs = stage_jobs(p, 1, [1, 2, None], seed=600)
+    first = fastmf.mf_on_stage(R, jobs)
+    kept = [v.copy() for v in first]
+    fastmf.mf_on_stage(random_signal(p, seed=2).samples[None, :], jobs)
+    buf = fastmf._local.buf
+    for v, w in zip(first, kept):
+        assert np.array_equal(v, w)
+        assert not np.shares_memory(v, buf)
+
+
+def test_stage_refuses_before_any_transform_or_buffer_write():
+    p = 31
+    R = random_signal(p, seed=3).samples[None, :]
+    fastmf.mf_on_stage(R, stage_jobs(p, 1, [1], seed=700))  # this thread now has a buffer
+    before = fastmf._local.buf.copy()
+    jobs = stage_jobs(p, 1, [1, None], seed=710) + [(random_signal(37, seed=0), 2, np.zeros(1))]
+    counters.reset()
+    with pytest.raises(ValueError, match="mismatched moduli"):
+        fastmf.mf_on_stage(R, jobs)
+    assert counters.snapshot() == (0, 0, 0)
+    assert np.array_equal(fastmf._local.buf, before)
+
+
+def test_stage_buffer_kept_only_up_to_cap():
+    # a 64-row sloped scan at p = 10007 needs 64 x 20250 samples, far above
+    # the cap: its work array lives for that call only
+    p, T = 10007, 64
+    n = fastmf._smooth_length(2 * p - 1)
+    assert T * n > fastmf.BUFFER_CAP
+    S = random_signal(p, seed=5)
+    rng = np.random.default_rng(5)
+    R = rng.standard_normal((T, p)) + 1j * rng.standard_normal((T, p))
+    offsets = rng.integers(p, size=T)
+    fastmf.mf_on_lines(S, R[:1], 3, offsets[:1])  # build the plan outside the trace
+    tracemalloc.start()
+    try:
+        got = fastmf.mf_on_lines(S, R, 3, offsets)
+        nbytes = got.nbytes
+        del got
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak >= T * n * 16  # the stack did run in a full-size array
+    assert retained < fastmf.BUFFER_CAP * 16 < nbytes
+    assert fastmf._local.buf.size <= fastmf.BUFFER_CAP
+
+
+def test_stage_buffers_are_per_thread():
+    # threads scan at p = 101 and p = 503 at once, more threads than cores;
+    # each keeps its own buffer, so each matches the direct sum
+    cases = {}
+    for p in (101, 503):
+        rng = np.random.default_rng(p)
+        R = rng.standard_normal((3, p)) + 1j * rng.standard_normal((3, p))
+        jobs = stage_jobs(p, 3, [1, 2, 0, None], seed=p)
+        cases[p] = (R, jobs, fastmf.mf_on_stage(R, jobs))
+    ps = [101, 503] * 2
+    barrier = threading.Barrier(len(ps))
+
+    def scan(p):
+        R, jobs, want = cases[p]
+        barrier.wait(timeout=30)
+        for _ in range(100):
+            got = fastmf.mf_on_stage(R, jobs)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), p
+        return got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=len(ps)) as ex:
+            results = list(ex.map(scan, ps, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for p, got in zip(ps, results):
+        R, jobs, _ = cases[p]
+        pp = as_prime(p)
+        for (S, m, offsets), values in zip(jobs, got):
+            c = int(offsets[0])
+            L = Line(m, pp, offset=PlanePoint(c, 0, pp) if m is None else PlanePoint(0, c, pp))
+            for k in (0, 1, p - 1):
+                v = line_point(L, k)
+                want = mf_oracle(S, Signal(pp, R[0]), v.tau, v.omega)
+                assert abs(values[0, k] - want) < 1e-8, (p, m, k)
 
 
 def test_every_transform_outside_weil_is_a_counted_dft():
