@@ -1,16 +1,16 @@
 #!/usr/bin/env python3
 """Restricting the matched filter to a line costs O(p log p), not O(p^2).
 
-The entries of M[S, R] along any line reduce to one cyclic correlation. A
-vertical line is one prime-length DFT (numpy's pocketfft); a sloped line is
-one correlation zero-padded to the 5-smooth length n >= 2p-1, a forward and
-an inverse FFT of length n. Operation counters charge each call per row the
-modelled cost of a zero-padded radix-2 Rader transform at a prime length and
-of one radix-2 pass at a padded length, so the complexity shows without
-timing noise; wall clocks are printed as a sanity check. A sender's first
-scan on a slope costs three transforms and later scans two, since the
-sender's half is kept. A detection stage scans a whole family of senders as
-one stack, so r warm sloped scans cost those two transforms together.
+The entries of M[S, R] along any line, vertical or sloped, reduce to one
+cyclic correlation against a chirp, zero-padded to the 5-smooth length
+n >= 2p-1: a forward and an inverse FFT of length n (numpy's pocketfft).
+Operation counters charge each call per row the modelled cost of a
+zero-padded radix-2 Rader transform at a prime length and of one radix-2
+pass at a padded length, so the complexity shows without timing noise; wall
+clocks are printed as a sanity check. A sender's first scan on a slope costs
+three transforms and later scans two, since the sender's half is kept. A
+detection stage scans a whole family of senders as one stack, so r warm
+scans cost those two transforms together, whatever their lines.
 """
 
 import time
@@ -85,14 +85,15 @@ def main() -> None:
     print(f"fitted ops exponent: {fit_exponent(ps, ops):.4f} "
           f"(near 1; log factors and pow2 padding nudge it up)")
 
-    # 5. a detection stage: r senders, each on its own slope, scanned against
-    # one receiver as one stack. Their rows share one buffer of length n, so
-    # warm scans cost 2 transform calls for any r, against 2r one by one
+    # 5. a detection stage: r senders, each on its own line (the last one
+    # vertical), scanned against one receiver as one stack. Their rows share
+    # one buffer of length n, so warm scans cost 2 transform calls for any r,
+    # against 2r one by one
     R = random_signal(P, seed=2).samples[None, :]
     print("\n   r  stacked calls  one-by-one calls")
     for r in (1, 3, 6):
-        jobs = [(random_signal(P, seed=10 + k), k + 1, np.zeros(1, dtype=np.int64))
-                for k in range(r)]
+        jobs = [(random_signal(P, seed=10 + k), k + 1 if k < r - 1 else None,
+                 np.zeros(1, dtype=np.int64)) for k in range(r)]
         stacked = fastmf.mf_on_stage(R, jobs)  # builds the senders' plans
         counters.reset()
         fastmf.mf_on_stage(R, jobs)
@@ -102,6 +103,7 @@ def main() -> None:
         same = all(np.array_equal(a[0], b) for a, b in zip(stacked, single))
         print(f"  {r:2d}  {calls:13d}  {counters.dft_calls:16d}  "
               f"(profiles equal bit for bit: {same})")
+        assert calls == 2 and same
 
 
 if __name__ == "__main__":

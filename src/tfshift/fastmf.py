@@ -11,14 +11,13 @@ machine-independently.
 mf_on_stage is the one line-scan kernel: it scans a list of jobs (sender,
 slope, offsets) against one stack of receivers, each row of a job on its own
 line of the job's slope, as one detection stage. The transform count is per
-stage, not per scan: every vertical job together runs one prime-length
-transform, and every sloped job together runs one forward and one inverse
-FFT at the 5-smooth length n >= 2p-1, in place in a reused per-thread buffer
-(a sloped line is one zero-padded correlation, so two FFTs of length n where
-two prime-length transforms would run four). A stage also runs one transform
-per sloped job whose sender half is cold: that half (its chirp and padded
-spectrum) is kept as a read-only plan per (sender Signal, slope), at most
-PLAN_SLOPES slopes per sender, and dropped when the Signal is
+stage, not per scan: every line, vertical or sloped, is one zero-padded chirp
+correlation, so the whole stage runs one forward and one inverse FFT at the
+5-smooth length n >= 2p-1, in place in a reused per-thread buffer (two FFTs
+of length n where two prime-length transforms would run four). A stage also
+runs one transform per job whose sender half is cold: that half (its chirp
+and padded spectrum) is kept as a read-only plan per (sender Signal, slope),
+at most PLAN_SLOPES slopes per sender, and dropped when the Signal is
 garbage-collected. mf_on_lines is the one-job case, and mf_on_line its
 one-row case.
 """
@@ -33,7 +32,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import numpy.fft  # numpy loads it lazily; load it with the package
 
-from .gfp import Line, inv, is_prime
+from .gfp import Line, _chirp, inv, is_prime
 
 if TYPE_CHECKING:
     from .signals import Signal
@@ -50,12 +49,11 @@ class OpCounters:
     dft_ops is a modelled cost times the number of rows transformed, not a
     count of instructions executed: a prime length p is priced as a
     zero-padded radix-2 Rader transform (_modelled_ops), a padded length n as
-    one radix-2 pass at the power of two N >= n (_radix2_ops). A stage of
-    stacked scans (mf_on_stage) adds 2 padded dft calls if any job is sloped,
-    plus 1 padded call per sloped job whose (sender, slope) plan is cold, and
-    1 prime-length call if any job is vertical (2 if the vertical rows number
-    exactly p), for any number of jobs and receiver rows. line_calls counts
-    mf_on_line calls only, so stacked scans leave it alone.
+    one radix-2 pass at the power of two N >= n (_radix2_ops). A non-empty
+    stage of stacked scans (mf_on_stage) adds 2 padded dft calls, plus 1 per
+    job whose (sender, slope) plan is cold, for any mix of vertical and sloped
+    jobs and any number of receiver rows. line_calls counts mf_on_line calls
+    only, so stacked scans leave it alone.
     """
 
     dft_calls: int = 0
@@ -152,17 +150,19 @@ class LineProfile:
         return int(np.argmax(np.abs(self.values)))
 
 
-PLAN_SLOPES = 4  # sloped-scan plans kept per sender Signal
+PLAN_SLOPES = 4  # line-scan plans kept per sender Signal
 
-# sender Signal -> {slope: (chirp q_m, padded spectrum of q_m * S)}, oldest slope first
+# sender Signal -> {slope: (chirp q, padded spectrum)}, oldest slope first
 _plans: "weakref.WeakKeyDictionary[Signal, dict]" = weakref.WeakKeyDictionary()
 _plans_lock = threading.Lock()
 
 
-def _sender_plan(S: "Signal", m: int) -> tuple[np.ndarray, np.ndarray]:
+def _sender_plan(S: "Signal", m: int | None) -> tuple[np.ndarray, np.ndarray]:
     """The chirp q_m(t) = e^{(2 pi i/p) 2^{-1} m t^2} and the length-n
-    spectrum of the periodic extension [q_m*S, (q_m*S)[:p-1]], n the 5-smooth
-    length >= 2p-1, built on first use and kept for later scans of S on slope m."""
+    spectrum of the periodic extension [a, a[:p-1]] of a = q_m*S, n the
+    5-smooth length >= 2p-1, built on first use and kept for later scans of S
+    on slope m. Vertical (m = None): q = q_1 and a = q, since the vertical
+    line's sender samples ride in the receiver rows."""
     with _plans_lock:
         per = _plans.get(S)
         plan = per.pop(m, None) if per is not None else None
@@ -170,9 +170,8 @@ def _sender_plan(S: "Signal", m: int) -> tuple[np.ndarray, np.ndarray]:
             per[m] = plan  # most recently used last
             return plan
     p = S.p.p
-    t = np.arange(p)
-    q = np.exp(2j * np.pi * ((inv(2, S.p) * m % p) * (t * t % p) % p) / p)
-    a = q * S.samples
+    q = _chirp(p, inv(2, S.p) * (1 if m is None else m))
+    a = q if m is None else q * S.samples
     fa = dft(np.concatenate([a, a[:p - 1]]), "forward", n=_smooth_length(2 * p - 1))
     q.setflags(write=False)
     fa.setflags(write=False)
@@ -231,75 +230,65 @@ def mf_on_stage(R: np.ndarray, jobs: list) -> list[np.ndarray]:
     tau0 of the vertical line {(tau0, w)}. Row i of its result is indexed like
     line_points of that line.
 
-    Vertical: row i is one forward DFT of u(t) = S(t+tau0) conj(R_i(t)), the
-    sender rolled per row. All vertical jobs run as one prime-length stack;
-    dft refuses square arrays, so a stack of exactly p rows runs as two.
+    With the chirp q(t) = e^{(2 pi i/p) 2^{-1} m t^2} the kernel factorizes
+    as e^{(2 pi i/p) m tau t} = q(t+tau) conj(q(t)) conj(q(tau)), Bluestein's
+    chirp-z step, so every line is one cyclic correlation against a chirp:
 
-    Sloped: with the chirp q(t) = e^{(2 pi i/p) 2^{-1} m t^2} the kernel
-    factorizes as e^{(2 pi i/p) m tau t} = q(t+tau) conj(q(t)) conj(q(tau)),
-    so M(tau, m*tau+c) = conj(q(tau)) * crosscorr(q*S, b_i)[tau], with
-    b_i(t) = q(t) R_i(t) e^{-2 pi i c t/p}, the offset a modulation per row.
+    Sloped (slope m): M(tau, m*tau+c) = conj(q(tau)) * crosscorr(q*S, b_i)[tau],
+    with b_i(t) = q(t) R_i(t) e^{-2 pi i c t/p}, the offset a modulation per row.
     For m != 0 the same identity makes the modulated chirp a shifted one,
     q(t) e^{-2 pi i c t/p} = q(t+a) conj(q(a)) with a = -c/m, so b_i is a roll
     of q and takes no exponential; on slope 0, q = 1 and the modulation is
     read off the p-th roots of unity.
+
+    Vertical: M(tau0, w) = conj(q(w)) * crosscorr(q, b_i)[w] with q = q_1 and
+    b_i(t) = q(t) R_i(t) conj(S(t+tau0)), the sender rolled per row.
+
     The cyclic correlation of length p is a linear one against the periodic
-    extension [q*S, (q*S)[:p-1]], so it is read off lags [:p] of a correlation
-    zero-padded to the 5-smooth length n >= 2p-1. Every sloped job writes its
-    rows b_i into columns [:p] of one (rows, n) work array (_work) with zero
-    columns [p:], so the whole stage runs one forward transform and one
-    inverse, both in place and of length n. q and the padded spectrum of q*S
-    come from the sender's plan, so a stage adds one transform per job whose
-    (S, m) plan is cold. Every job is checked before any transform: rows of
-    another length than a sender are refused.
+    extension of its first argument, so it is read off lags [:p] of a
+    correlation zero-padded to the 5-smooth length n >= 2p-1. Every job writes
+    its rows b_i into columns [:p] of one (rows, n) work array (_work) with
+    zero columns [p:], so the whole stage runs one forward transform and one
+    inverse, both in place and of length n. q and the padded spectrum of the
+    first argument come from the sender's plan, so a stage adds one transform
+    per job whose (S, slope) plan is cold. Every job is checked before any
+    transform: rows of another length than a sender, and offsets other than
+    one per receiver row, are refused.
     """
     p = R.shape[-1]
-    for S, _, _ in jobs:
+    T = R.shape[0]
+    for S, _, offsets in jobs:
         if S.p.p != p:
             raise ValueError("mismatched moduli")
-    T = R.shape[0]
-    out: list = [None] * len(jobs)
-    vertical = [i for i, job in enumerate(jobs) if job[1] is None]
-    sloped = [i for i, job in enumerate(jobs) if job[1] is not None]
-    if vertical:
-        u = np.empty((len(vertical), T, p), dtype=np.complex128)
-        Rc = np.conj(R)
-        for rows, i in zip(u, vertical):
-            S, _, offsets = jobs[i]
-            _roll_rows(S.samples, -offsets, rows)
-            rows *= Rc
-        stack = u.reshape(-1, p)
-        for part in ((stack,) if stack.shape[0] != p else (stack[:-1], stack[-1:])):
-            dft(part, "forward", out=part)
-        for rows, i in zip(u, vertical):
-            out[i] = rows
-    if sloped:
-        n = _smooth_length(2 * p - 1)
-        work = _work(len(sloped) * T, n)
-        work[:, p:] = 0
-        blocks = work.reshape(len(sloped), T, n)
-        plans = []
-        for rows, i in zip(blocks, sloped):
-            S, m, offsets = jobs[i]
-            q, fa = _sender_plan(S, m)
-            plans.append((q, fa))
-            b = rows[:, :p]
-            if m % p:
-                a = -offsets * inv(m, S.p) % p
-                _roll_rows(q, -a, b)
-                b *= np.conj(q[a])[:, None]
-            else:  # q = 1
-                t = np.arange(p)
-                b[:] = np.exp(-2j * np.pi * t / p)[np.multiply.outer(offsets % p, t) % p]
-            b *= R
-        dft(work, "forward", n=n, out=work)
-        for rows, (_, fa) in zip(blocks, plans):
-            np.conjugate(rows, out=rows)
-            rows *= fa
-        dft(work, "inverse", n=n, out=work)
-        for rows, (q, _), i in zip(blocks, plans, sloped):
-            out[i] = np.conj(q) * rows[:, :p]
-    return out
+        if np.shape(offsets) != (T,):
+            raise ValueError(f"expected one offset per receiver row, shape ({T},), "
+                             f"got shape {np.shape(offsets)}")
+    if not jobs:
+        return []
+    n = _smooth_length(2 * p - 1)
+    work = _work(len(jobs) * T, n)
+    work[:, p:] = 0
+    blocks = work.reshape(len(jobs), T, n)
+    plans = [_sender_plan(S, m) for S, m, _ in jobs]
+    for rows, (q, _), (S, m, offsets) in zip(blocks, plans, jobs):
+        b = rows[:, :p]
+        if m is None:
+            _roll_rows(np.conj(S.samples), -offsets, b)
+            b *= q
+        elif m % p:
+            a = -offsets * inv(m, S.p) % p
+            _roll_rows(q, -a, b)
+            b *= np.conj(q[a])[:, None]
+        else:  # q = 1
+            t = np.arange(p)
+            b[:] = np.exp(-2j * np.pi * t / p)[np.multiply.outer(offsets % p, t) % p]
+        b *= R
+    dft(work, "forward", n=n, out=work)
+    for rows, (_, fa) in zip(blocks, plans):
+        np.conjugate(rows, out=rows)
+        rows *= fa
+    dft(work, "inverse", n=n, out=work)
+    return [np.conj(q) * rows[:, :p] for rows, (q, _) in zip(blocks, plans)]
 
 
 def mf_on_lines(S: "Signal", R: np.ndarray, slope: int | None,

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test."""
@@ -64,6 +66,13 @@ def legendre(a: int, p) -> int:
         return 0
     s = pow(a, (p - 1) // 2, p)
     return 1 if s == 1 else -1
+
+
+def _chirp(p: int, a: int, b: int = 0) -> np.ndarray:
+    """e(a t^2 + b t) for t in F_p, with e(z) = e^{(2 pi i/p) z}: a chirp, or
+    with a = 0 the modulation by b."""
+    t = np.arange(p)
+    return np.exp(2j * np.pi * ((a % p * (t * t % p) + b % p * t) % p) / p)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gfp import Line, as_prime, inv, lines_through_origin
+from .gfp import Line, _chirp, as_prime, inv, lines_through_origin
 from .signals import Signal, add, delta
 
 
@@ -53,10 +53,7 @@ def line_vector(L: Line, b: int) -> HeisenbergVector:
     b = b % p
     if L.is_vertical:
         return HeisenbergVector(L, b, delta(L.p, b))
-    t = np.arange(p)
-    alpha = (-inv(2, L.p) * L.slope) % p
-    expo = (alpha * (t * t % p) + b * t) % p
-    s = np.exp(2j * np.pi * expo / p) / np.sqrt(p)
+    s = _chirp(p, -inv(2, L.p) * L.slope, b) / np.sqrt(p)
     return HeisenbergVector(L, b, Signal(L.p, s, normalized=True))
 
 

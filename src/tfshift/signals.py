@@ -14,7 +14,7 @@ import numpy as np
 import numpy.random  # numpy loads it lazily; load it with the package
 
 from . import fastmf
-from .gfp import PlanePoint, Prime, as_prime
+from .gfp import PlanePoint, Prime, _chirp, as_prime
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,15 +97,9 @@ def time_shift(f: Signal, tau: int) -> Signal:
     return Signal(f.p, np.roll(f.samples, -(tau % f.p.p)), normalized=f.normalized)
 
 
-def _modulation(omega: int, p: int) -> np.ndarray:
-    """e^{(2 pi i/p) omega t} for t in F_p."""
-    t = np.arange(p)
-    return np.exp(2j * np.pi * ((omega % p) * t % p) / p)
-
-
 def modulate(f: Signal, omega: int) -> Signal:
     """M_omega[f](t) = e^{(2 pi i/p) omega t} f(t)."""
-    return Signal(f.p, _modulation(omega, f.p.p) * f.samples, normalized=f.normalized)
+    return Signal(f.p, _chirp(f.p.p, 0, omega) * f.samples, normalized=f.normalized)
 
 
 def heisenberg_op(f: Signal, v: PlanePoint) -> Signal:
@@ -113,7 +107,7 @@ def heisenberg_op(f: Signal, v: PlanePoint) -> Signal:
     if v.p != f.p:
         raise ValueError("mismatched moduli")
     shifted = np.roll(f.samples, -v.tau)
-    return Signal(f.p, _modulation(v.omega, f.p.p) * shifted, normalized=f.normalized)
+    return Signal(f.p, _chirp(f.p.p, 0, v.omega) * shifted, normalized=f.normalized)
 
 
 def add(f1: Signal, f2: Signal) -> Signal:

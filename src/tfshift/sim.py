@@ -18,9 +18,9 @@ import numpy as np
 from . import fastmf
 from .detect import THETA1_DEFAULT, THETA2_DEFAULT, _detect
 from .fastmf import mf_on_line
-from .gfp import Line, PlanePoint, Prime, as_prime
+from .gfp import Line, PlanePoint, Prime, _chirp, as_prime
 from .heisenberg import cross_family
-from .signals import Signal, _modulation, awgn_rows, mf_full, random_signal
+from .signals import Signal, awgn_rows, mf_full, random_signal
 from .weil import flag_family
 
 TRIAL_CHUNK = 64  # rows of a Monte Carlo stage stack: trials x waveforms scanned at once
@@ -79,7 +79,7 @@ def _receivers(senders: list, shifts: np.ndarray, coef: np.ndarray,
     modulation), so every row equals the receiver synthesized alone."""
     p = noise.shape[1]
     t = np.arange(p)
-    psi = _modulation(1, p)
+    psi = _chirp(p, 0, 1)
     acc = np.zeros(noise.shape, dtype=np.complex128)
     for j, S in enumerate(senders):
         tau, omega = shifts[:, j, 0, None], shifts[:, j, 1, None]
@@ -120,8 +120,8 @@ def build_family(p, r: int, method: str, seed: int) -> list:
         return flag_family(p, r, seed)
     if method == "cross":
         fam = cross_family(p, seed)
-        if r > len(fam):
-            raise ValueError(f"cross family holds only {len(fam)} waveforms")
+        if not 0 <= r <= len(fam):
+            raise ValueError(f"a cross family holds 0 to {len(fam)} waveforms")
         return fam[:r]
     raise ValueError(f"unknown method {method!r}")
 

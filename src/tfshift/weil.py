@@ -48,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gfp import Line, PlanePoint, Prime, as_prime, inv, legendre, transverse_line
+from .gfp import Line, PlanePoint, Prime, _chirp, as_prime, inv, legendre, transverse_line
 from .heisenberg import HeisenbergVector, line_vector
 from .signals import Signal, add, heisenberg_op, random_signal
 
@@ -135,12 +135,6 @@ class WeilOperator:
 
     g: GroupElement
     matrix: np.ndarray
-
-
-def _chirp(p: int, c: int) -> np.ndarray:
-    """e(c x^2) for x in F_p, with e(z) = e^{(2 pi i/p) z}."""
-    x = np.arange(p)
-    return np.exp(2j * np.pi * (c % p * (x * x % p) % p) / p)
 
 
 def _rho(g: GroupElement):
@@ -489,8 +483,8 @@ def flag_family(p, r: int, seed: int) -> list[Flag]:
     non-degenerate Weil vectors, drawn from a fixed torus roster (cycled).
     Line i gets slope i (vertical last when r = p+1)."""
     pp = as_prime(p)
-    if r > pp.p + 1:
-        raise ValueError("at most p+1 flags (one per origin line)")
+    if not 0 <= r <= pp.p + 1:
+        raise ValueError("a flag family holds 0 to p+1 flags (one per origin line)")
     roster = default_torus_roster(pp, min(max(r, 1), 8))
     rng = np.random.default_rng(seed)
     used: dict[int, set] = {i: set() for i in range(len(roster))}

@@ -292,7 +292,7 @@ def test_line_profile_argmax_and_counter():
 @pytest.mark.parametrize("p, rows", [(31, 5), (31, 31), (101, 1)])
 def test_mf_on_lines_rows_match_mf_on_line(p, rows):
     # one stacked scan per line kind, each row on its own line of the slope;
-    # rows == p is scanned as two stacks, since dft refuses square arrays
+    # rows == p is a square receiver stack
     pp = as_prime(p)
     rng = np.random.default_rng(p * rows)
     S = random_signal(p, seed=51)
@@ -322,8 +322,9 @@ def test_mf_on_lines_counts_transforms_not_lines():
     fastmf.mf_on_lines(S, R, 5, offsets)
     assert counters.snapshot()[0::2] == (2, 0)
     counters.reset()
-    fastmf.mf_on_lines(S, R, None, offsets)
-    assert counters.snapshot() == (1, rows * fastmf._modelled_ops(p), 0)
+    fastmf.mf_on_lines(S, R, None, offsets)  # cold: builds the vertical plan
+    n = fastmf._smooth_length(2 * p - 1)
+    assert counters.snapshot() == (3, (2 * rows + 1) * fastmf._radix2_ops(n), 0)
 
 
 # ------------------------------------------------ padded correlation edge cases
@@ -344,7 +345,7 @@ def test_padded_scan_matches_entry_oracle(p):
     S = random_signal(p, seed=p)
     R = np.stack([random_signal(p, seed=p + 1 + i).samples for i in range(3)])
     offsets = np.array([0, 1, p - 1])
-    for m in (0, 1, p - 1):
+    for m in (0, 1, p - 1, None):
         assert_rows_match_entries(S, R, m, offsets, fastmf.mf_on_lines(S, R, m, offsets))
 
 
@@ -365,8 +366,9 @@ def test_padded_scan_stack_of_p_or_n_rows(p, rows):
 
 
 def test_sloped_scan_runs_only_padded_transforms(monkeypatch):
-    # the sloped branch makes no prime-length transform; the vertical one
-    # makes exactly one. fastmf.dft is looked up by its module-global name
+    # no line kind makes a prime-length transform: a cold scan runs the plan's
+    # transform and the stage's pair, all of length n. fastmf.dft is looked up
+    # by its module-global name
     p = 101
     S = random_signal(p, seed=91)
     R = np.stack([random_signal(p, seed=92 + i).samples for i in range(4)])
@@ -382,7 +384,7 @@ def test_sloped_scan_runs_only_padded_transforms(monkeypatch):
     assert lengths == [fastmf._smooth_length(2 * p - 1)] * 3
     lengths.clear()
     fastmf.mf_on_lines(S, R, None, np.arange(4))
-    assert lengths == [None]
+    assert lengths == [fastmf._smooth_length(2 * p - 1)] * 3
 
 
 # ------------------------------------------------ stacked stages of many jobs
@@ -396,7 +398,7 @@ def stage_jobs(p, T, slopes, seed):
 @pytest.mark.parametrize("p, T", [(11, 1), (11, 11), (31, 5), (101, 3), (503, 2)])
 def test_stage_equals_jobs_one_at_a_time(p, T):
     # sloped and vertical jobs in one stage, slope 0 included; T = p = 11 puts
-    # a square vertical stack of 11 rows next to the sloped ones
+    # a square stack of 11 vertical rows next to the sloped ones
     rng = np.random.default_rng(p + T)
     R = rng.standard_normal((T, p)) + 1j * rng.standard_normal((T, p))
     jobs = stage_jobs(p, T, [3, None, 0, p - 1, 3, None], seed=p)
@@ -418,10 +420,11 @@ def test_stage_runs_two_transforms_for_any_jobs_and_rows(r, T):
     counters.reset()
     fastmf.mf_on_stage(R, jobs)
     assert counters.snapshot() == (2, 2 * r * T * fastmf._radix2_ops(n), 0)
+    mixed = jobs + stage_jobs(p, T, [None, None], seed=500)
+    fastmf.mf_on_stage(R, mixed)  # warm the vertical senders' plans
     counters.reset()
-    fastmf.mf_on_stage(R, jobs + stage_jobs(p, T, [None, None], seed=500))
-    assert counters.snapshot() == (3, 2 * r * T * fastmf._radix2_ops(n)
-                                   + 2 * T * fastmf._modelled_ops(p), 0)
+    fastmf.mf_on_stage(R, mixed)
+    assert counters.snapshot() == (2, 2 * (r + 2) * T * fastmf._radix2_ops(n), 0)
     counters.reset()
     assert fastmf.mf_on_stage(R, []) == []
     assert counters.snapshot() == (0, 0, 0)
@@ -442,16 +445,23 @@ def test_stage_returns_fresh_arrays():
 
 
 def test_stage_refuses_before_any_transform_or_buffer_write():
+    # a sender of another modulus, or offsets that are not one per receiver
+    # row: one offset for 3 rows would leave rows 1-2 unwritten
     p = 31
-    R = random_signal(p, seed=3).samples[None, :]
-    fastmf.mf_on_stage(R, stage_jobs(p, 1, [1], seed=700))  # this thread now has a buffer
+    R = np.stack([random_signal(p, seed=3 + i).samples for i in range(3)])
+    fastmf.mf_on_stage(R, stage_jobs(p, 3, [1], seed=700))  # this thread now has a buffer
     before = fastmf._local.buf.copy()
-    jobs = stage_jobs(p, 1, [1, None], seed=710) + [(random_signal(37, seed=0), 2, np.zeros(1))]
-    counters.reset()
-    with pytest.raises(ValueError, match="mismatched moduli"):
-        fastmf.mf_on_stage(R, jobs)
-    assert counters.snapshot() == (0, 0, 0)
-    assert np.array_equal(fastmf._local.buf, before)
+    S = random_signal(p, seed=1)
+    for bad, match in (((random_signal(37, seed=0), 2, np.zeros(3)), "mismatched moduli"),
+                       ((S, 5, np.array([7])), "one offset per receiver row"),
+                       ((S, None, np.array([7])), "one offset per receiver row"),
+                       ((S, 5, np.arange(5)), "one offset per receiver row")):
+        jobs = stage_jobs(p, 3, [1, None], seed=710) + [bad]
+        counters.reset()
+        with pytest.raises(ValueError, match=match):
+            fastmf.mf_on_stage(R, jobs)
+        assert counters.snapshot() == (0, 0, 0)
+        assert np.array_equal(fastmf._local.buf, before)
 
 
 def test_stage_buffer_kept_only_up_to_cap():
@@ -575,7 +585,10 @@ def test_sender_plan_saves_one_transform():
     assert counters.snapshot()[0] == 2  # warm, another offset on the slope
     counters.reset()
     mf_on_line(S, R, Line(None, as_prime(p)))
-    assert counters.snapshot()[0] == 1  # vertical scans keep no plan
+    assert counters.snapshot()[0] == 3  # cold: a vertical scan keeps a plan too
+    counters.reset()
+    mf_on_line(S, R, Line(None, as_prime(p), PlanePoint(5, 0, as_prime(p))))
+    assert counters.snapshot()[0] == 2
     counters.reset()
     mf_on_line(S, random_signal(p, seed=13), sloped(3, 0, p))
     assert counters.snapshot()[0] == 2  # the plan depends on S only

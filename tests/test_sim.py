@@ -73,6 +73,17 @@ def test_synthesize_receiver_rejects_bad_input():
             {"w0": other})
 
 
+def test_family_sizes_below_zero_are_refused():
+    # r = -1 would otherwise slice the cross family to fam[:-1]
+    for method in ("flag", "cross"):
+        for r in (-1, -2):
+            with pytest.raises(ValueError, match="holds 0 to"):
+                sim.build_family(101, r, method, 0)
+        assert sim.build_family(101, 0, method, 0) == []
+    with pytest.raises(ValueError, match="holds 0 to"):
+        flag_family(101, -2, 0)
+
+
 def test_monte_carlo_single_user_noiseless_exact():
     stats = monte_carlo(unit_monte_carlo_template(101, 1, 0.0, 0), 50)
     assert stats.trials == 50
