@@ -27,17 +27,16 @@ unaffected by any of this phase bookkeeping.
 
 A flag needs one torus eigenvector, built matrix-free: the vector is the
 projection of a fixed reference signal on its eigenspace, a sum over the
-torus orbit. One cached record per torus (_orbit) holds what every vector of
-that torus shares: the eigenvalues, read off tr rho in O(p), a head of the
-orbit (at most HEAD_CAP samples) and a doubling ladder that climbs the rest
-in O(log p) FFTs per vector. HEAD_CAP bounds the head only: each doubling
-step of the ladder keeps a _rho closure with two chirps and an index map,
-40p bytes, so one record holds about 70 MB at p = 100003. One builder
-(_vectors) projects any set of eigenvalue indices as one stack and checks
-the result; torus_vector (one vector) and torus_eigenbasis (all p, O(p^2)
-memory, for tests, demos and full-basis callers) both call it. Only numpy's
-FFT runs; nothing calls LAPACK. weil_operator is the dense matrix, for tests
-and demos.
+n = T.order powers of rho(T.generator). One doubling ladder (_project) sums
+them in O(log p) FFTs per vector. Each step applies rho^h = c(h) rho(g^h):
+rho(g^h) is the closed-form kernel, built at its step and dropped after, and
+c(h) is a fourth root of unity in closed form (_power_scalar). The one cached
+record per torus (_orbit) is the spectrum, read off tr rho in O(p): eigenvalue
+keys, eigenvalues and degenerate marks. One builder (_vectors) projects any
+set of eigenvalue indices as one stack and checks the result; torus_vector
+(one vector) and torus_eigenbasis (all p, O(p^2) memory, for tests, demos and
+full-basis callers) both call it. Only numpy's FFT runs; nothing calls
+LAPACK. weil_operator is the dense matrix, for tests and demos.
 """
 
 from __future__ import annotations
@@ -244,8 +243,6 @@ class WeilVector:
 LATTICE_TOL = 1e-6  # largest accepted distance of an eigenvalue from its lattice
                     # point, and largest accepted residual ||rho v - lambda v||
 PHASE_FLOOR = 1e-6  # smallest accepted |<v, random_signal(p, 0)>| for the phase rule
-HEAD_CAP = 2**17    # largest cached orbit head, in samples (2 MB per torus);
-                    # the ladder's doubling steps come on top, 40p bytes each
 
 
 def _reference(p: int, *seeds: int) -> np.ndarray:
@@ -253,31 +250,36 @@ def _reference(p: int, *seeds: int) -> np.ndarray:
     return np.stack([random_signal(p, s).samples for s in seeds])
 
 
-def _climb(rho, X: np.ndarray, s: int) -> np.ndarray:
-    """The (s, rows, p) stack rho^i X, i < s."""
-    out = np.empty((s,) + X.shape, dtype=np.complex128)
-    out[0] = X
-    for i in range(1, s):
-        out[i] = rho(out[i - 1])
-    return out
+def _eps(u: GroupElement) -> int:
+    """The exponent m of the unit eps(u) = i^m that takes _rho(u), whose kernel
+    has rho[0, 0] > 0, to the Weil representation proper, a true
+    representation of SL2(F_p) (Gurevich, Hadani and Sochen): eps(u) is
+    legendre(-2b) times i if p = 3 mod 4 (else 1) when b != 0, and
+    legendre(a) when b = 0, which on a torus happens only at +-I."""
+    p = u.p.p
+    if u.b:
+        return 2 * (legendre(-2 * u.b, p) < 0) + (p % 4 == 3)
+    return 2 * (legendre(u.a, p) < 0)
+
+
+def _power_scalar(g: GroupElement, u: GroupElement, h: int) -> complex:
+    """The unit c(h) = eps(g)^h / eps(u) with rho(g)^h = c(h) rho(u), u = g^h,
+    exactly one of 1, i, -1, -i (a float power of i would drift)."""
+    return (1, 1j, -1, -1j)[(h * _eps(g) - _eps(u)) % 4]
 
 
 class _Orbit(NamedTuple):
-    """Everything the Weil vectors of one torus share: the eigenvalues of
-    rho = rho(T.generator) in eig_index order, rho itself, the orbit head
-    rho^i x (i < s, x = random_signal(p, 0)) and the ladder steps."""
+    """What the Weil vectors of one torus share: the spectrum of
+    rho = rho(T.generator) in eig_index order."""
 
     keys: np.ndarray        # lattice key k of eigenvalue e^{i pi k/n}, increasing
     eigenvalues: np.ndarray
     degenerate: np.ndarray  # the one key a split torus gives two eigenvectors
-    rho: object
-    head: np.ndarray
-    steps: tuple
 
 
 @lru_cache(maxsize=8)
 def _orbit(T: Torus) -> _Orbit:
-    """The one cached record of T, n = T.order.
+    """The one cached record of T, n = T.order: the spectrum of rho(T.generator).
 
     Eigenvalues, read off the trace in O(p): rho^n is a scalar, and the
     eigenvalues are the n lattice points e^{i pi k/n} of one parity of k,
@@ -287,16 +289,6 @@ def _orbit(T: Torus) -> _Orbit:
     missing one of a nonsplit torus; on the diagonal of the kernel, tr rho =
     p^{-1/2} sum_x e((2-a-d) x^2/(2b)). RuntimeError if that eigenvalue is
     more than LATTICE_TOL off the lattice.
-
-    Orbit: s transforms for the head and at most two for each ladder step,
-    with s = min(n/4, HEAD_CAP/p) to keep the head within HEAD_CAP samples
-    and a quarter of the orbit. The ladder sums Z^q over the Q = ceil(n/s)
-    blocks, Z = z^s, by the binary method: its exponent e runs 1 -> Q,
-    doubling for each bit of Q after the leading one and then adding one if
-    that bit is set. Step (h, c, R, double) takes G_e = sum_{q<e} Z^q W to
-    G_{2e} = G_e + Z^e G_e when doubling (h = e s) and to G_{e+1} = W + Z G_e
-    otherwise (h = s), where rho^h = c R and R = rho(g^h) in closed form. c,
-    a unit scalar, is read off rho^h x, which the ladder climbs alongside.
     """
     g, n = T.generator, T.order
     p = g.p.p
@@ -311,28 +303,7 @@ def _orbit(T: Torus) -> _Orbit:
     spectrum = (keys, np.exp(1j * np.pi * keys / n), keys == k0)
     for a in spectrum:
         a.setflags(write=False)
-
-    s = max(1, min(n // 4, HEAD_CAP // p))
-    rho = _rho(g)
-    head = _climb(rho, _reference(p, 0), s)
-    x, v = head[0, 0], rho(head[-1, 0])  # v = rho^(e s) x, with e = 1
-
-    def scalar(h):  # (c, R) with rho^h = c R, R = rho(g^h), read off v = rho^h x
-        R = _rho(g.power(h))
-        z = R(x)
-        return np.vdot(z, v) / np.vdot(z, z), R
-
-    one = scalar(s)  # the block step rho^s = c R
-    e, steps = 1, []
-    for bit in bin(-(-n // s))[3:]:
-        c, R = scalar(e * s) if e > 1 else one
-        steps.append((e * s, c, R, True))
-        v, e = c * R(v), 2 * e
-        if bit == "1":
-            c, R = one
-            steps.append((s, c, R, False))
-            v, e = c * R(v), e + 1
-    return _Orbit(*spectrum, rho, head, tuple(steps))
+    return _Orbit(*spectrum)
 
 
 def _project(T: Torus, keys: np.ndarray, X: np.ndarray | None = None) -> np.ndarray:
@@ -340,33 +311,30 @@ def _project(T: Torus, keys: np.ndarray, X: np.ndarray | None = None) -> np.ndar
     for each of K keys k and each row x of X (default random_signal(p, 0)),
     n = T.order.
 
-    P_k projects onto the e^{i pi k/n}-eigenspace of rho = rho(T.generator):
-    rho^n is a scalar and every eigenvalue has the parity of k, so the sum
-    cancels every other eigenvalue, and z^n = 1. In blocks of s (_orbit), the
-    head sum W = sum_{i<s} z^i x is one product with the head, the ladder
-    sums the Q blocks in at most 2 log2(Q) transforms of the (K, rows, p)
-    stack, and the Q s - n terms past n, which z^n = 1 folds back onto the
-    head, come off. O(K rows p) memory besides the head, which X other than
-    the default rebuilds.
+    P_k projects onto the e^{i pi k/n}-eigenspace of rho = rho(g),
+    g = T.generator: rho^n is a scalar and every eigenvalue has the parity of
+    k, so the sum cancels every other eigenvalue, and z^n = 1. A doubling
+    ladder sums it: G_e = sum_{j<e} z^j x climbs from G_1 = x over the bits
+    of n after the leading one, to G_{2e} = G_e + z^e G_e for each bit and
+    then to G_{e+1} = x + z G_e if the bit is set, and ends at G_n. Each step
+    is at most one transform of the stack (none at g^h = -I, the last), with
+    z^h = c(h) e^{-i pi k h/n} rho(g^h) (_power_scalar, _rho) built for that
+    step only, so the memory is O(K rows p); g^e climbs alongside, one
+    product a step.
     """
-    n = T.order
-    orbit = _orbit(T)
-    if X is None:
-        head, X = orbit.head, orbit.head[0]
-    else:
-        head = _climb(orbit.rho, X, len(orbit.head))
-    s = len(head)
-    w = np.exp(-1j * np.pi * (np.outer(keys, np.arange(s)) % (2 * n)) / n)
+    g, n = T.generator, T.order
+    X = _reference(g.p.p, 0) if X is None else X
 
-    def head_sum(m):  # sum_{i<m} z^i x
-        return (w[:, :m] @ head[:m].reshape(m, -1)).reshape((len(keys),) + X.shape)
+    def z(h, u, G):  # z^h G, u = g^h
+        c = _power_scalar(g, u, h) * np.exp(-1j * np.pi * (keys * h % (2 * n)) / n)
+        return c[:, None, None] * _rho(u)(G)
 
-    W = G = head_sum(s)
-    for h, c, R, double in orbit.steps:
-        z = c * np.exp(-1j * np.pi * (keys * h % (2 * n)) / n)[:, None, None]
-        G = (G if double else W) + z * R(G)
-    past = -n % s
-    return (G - head_sum(past) if past else G) / n
+    G, e, u = X, 1, g
+    for bit in bin(n)[3:]:
+        G, e, u = G + z(e, u, G), 2 * e, u.mul(u)
+        if bit == "1":
+            G, e, u = X + z(1, g, G), e + 1, u.mul(g)
+    return G / n
 
 
 def _unit(P: np.ndarray) -> np.ndarray:
@@ -398,7 +366,7 @@ def _vectors(T: Torus, index: np.ndarray) -> list[WeilVector]:
         pair = np.stack([u + w, u - w]) / np.sqrt(2)
         V[deg] = pair[index[deg] - np.searchsorted(orbit.keys, keys[deg[0]])]
     lam = orbit.eigenvalues[index]
-    if np.linalg.norm(orbit.rho(V) - lam[:, None] * V, axis=1).max() > LATTICE_TOL:
+    if np.linalg.norm(_rho(T.generator)(V) - lam[:, None] * V, axis=1).max() > LATTICE_TOL:
         raise RuntimeError("Weil vector fails its eigenvalue equation")
     return [WeilVector(T, complex(e), Signal(pp, v), bool(d))
             for e, v, d in zip(lam, V, orbit.degenerate[index])]
@@ -407,8 +375,7 @@ def _vectors(T: Torus, index: np.ndarray) -> list[WeilVector]:
 @lru_cache(maxsize=64)
 def torus_vector(T: Torus, index: int) -> WeilVector:
     """The eigenvector torus_eigenbasis(T)[index] names, built alone with no
-    p x p array by _vectors: O(log p) transforms of length p once the
-    torus's record (_orbit) is cached. ValueError for an index outside
+    p x p array by _vectors: O(log p) transforms of length p. ValueError for an index outside
     0..p-1, raised before any torus work."""
     p = T.generator.p.p
     if not 0 <= index < p:

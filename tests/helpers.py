@@ -9,7 +9,7 @@ import numpy as np
 
 from tfshift import (GroupElement, HeisenbergVector, Line, PlanePoint, Signal,
                      delta, dft, extract_bits, gfp, heisenberg_op, random_signal, sim)
-from tfshift.weil import LATTICE_TOL, PHASE_FLOOR, Torus, WeilVector, weil_operator
+from tfshift.weil import LATTICE_TOL, PHASE_FLOOR, Torus, WeilVector, _rho, weil_operator
 
 
 def psi(k: int, p: int) -> complex:
@@ -193,6 +193,23 @@ def torus_eigenbasis_oracle(T: Torus) -> tuple[WeilVector, ...]:
     pp = gfp.as_prime(p)
     return tuple(WeilVector(T, complex(lam[i]), Signal(pp, Z[:, i]), bool(shared[key[i]]))
                  for i in order)
+
+
+def power_scalar_oracle(g: GroupElement, hs) -> dict[int, complex]:
+    """The unit c(h) with rho(g)^h = c(h) rho(g^h), for each h in hs, read off
+    transforms: v = rho(g)^h x is climbed one apply at a time from
+    x = random_signal(p, 0), and c(h) = <R x, v>/<R x, R x> with
+    R = rho(g^h), both through the kernel phase of weil._rho."""
+    p = g.p.p
+    rho = _rho(g)
+    x = v = random_signal(p, 0).samples
+    out = {}
+    for h in range(1, max(hs) + 1):
+        v = rho(v)
+        if h in hs:
+            z = _rho(g.power(h))(x)
+            out[h] = complex(np.vdot(z, v) / np.vdot(z, z))
+    return out
 
 
 def monte_carlo_oracle(template, trials: int, method: str = "flag") -> "sim.TrialStats":

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import torus_eigenbasis_oracle
+from helpers import power_scalar_oracle, torus_eigenbasis_oracle
 
 from tfshift import (
     PlanePoint,
@@ -51,27 +51,34 @@ def test_torus_vector_matches_schur_oracle(p):
                 assert abs(c.imag) < 1e-12 and c.real > 0
 
 
-@pytest.mark.parametrize("p", [31, 101])
-def test_ladder_with_small_heads_matches_schur_oracle(p, monkeypatch):
-    # heads of s = 1, 2 and 3 samples leave the ladder Q = ceil(n/s) blocks to
-    # sum, up to Q = n, and s = 3 leaves terms past n to take off
-    roster = default_torus_roster(p, 8)
-    want = {T: torus_eigenbasis_oracle(T) for T in roster}
-    assert any(-T.order % 3 for T in roster)
-    for s in (1, 2, 3):
-        monkeypatch.setattr(weil, "HEAD_CAP", s * p)
-        weil._orbit.cache_clear()
-        torus_vector.cache_clear()
-        try:
-            for T in roster:
-                assert len(weil._orbit(T).head) == s
-                for i, b in enumerate(want[T]):
-                    if not b.degenerate:
-                        err = np.abs(torus_vector(T, i).signal.samples - b.signal.samples).max()
-                        assert err < 1e-9, (p, s, T.generator, i, err)
-        finally:
-            weil._orbit.cache_clear()
-            torus_vector.cache_clear()
+def ladder_powers(n):
+    # the powers h whose rho(g^h) the ladder over n applies: 1 for the +1
+    # steps and each leading bit string e of n for the doublings, the last
+    # of them n/2, where g^h = -I
+    return {1} | {n >> j for j in range(1, n.bit_length())}
+
+
+@pytest.mark.parametrize("p", [31, 101, 103, 503])
+def test_power_scalar_matches_transform_read_scalar(p):
+    # h = 1..40 runs past n/2 and n at p = 31, where g^h = -I and +I
+    for T in default_torus_roster(p, 8):
+        g, n = T.generator, T.order
+        assert (g.power(n // 2).a, g.power(n // 2).b) == (p - 1, 0)
+        hs = set(range(1, 41)) | ladder_powers(n)
+        want = power_scalar_oracle(g, hs)
+        for h in sorted(hs):
+            assert abs(weil._power_scalar(g, g.power(h), h) - want[h]) < 1e-9, (p, g, h, want[h])
+
+
+def test_power_scalar_is_an_exact_unit_at_p1000003():
+    # no transforms: a float power of i is 6e-11 off at h = 500002
+    units = (1, -1, 1j, -1j)
+    for T in default_torus_roster(1000003, 3):
+        n = T.order
+        hs = set(range(1, 41)) | ladder_powers(n) | set(range(n // 2, 0, -997))
+        for h in hs:
+            c = weil._power_scalar(T.generator, T.generator.power(h), h)
+            assert any(c == u for u in units), (T.generator, h, c)
 
 
 def test_torus_vector_is_the_basis_vector_and_cached():
@@ -141,6 +148,23 @@ def test_flag_family_at_p10007_is_matrix_free(monkeypatch):
     assert [d.detection.shift for d in got] == shifts
     assert [d.bit for d in got] == bits
     assert all(d.detection.confident for d in got)
+
+
+def test_torus_vector_at_p100003_in_bounded_memory():
+    # one cold vector: the ladder keeps no rho apply past its step, and the
+    # cached record is the spectrum, O(p) keys and eigenvalues
+    T = make_torus(0, 100003)
+    weil._orbit.cache_clear()
+    torus_vector.cache_clear()
+    tracemalloc.start()
+    try:
+        v = torus_vector(T, 1)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6, peak
+    assert retained < 8e6, retained
+    assert not v.degenerate
 
 
 # (slope, roster trace, eig_index, b_index, <S, random_signal(p, 7)>, S[0], S[p//2]),
