@@ -95,6 +95,8 @@ def _waveform(kind: str, p, raw, label, where: str = ""):
     try:
         if kind == "random":
             seed = field("seed")
+            if seed < 0:
+                raise UsageError(f"{where}{label('seed')} must be >= 0, got {seed}")
             return random_signal(p, seed), {"seed": seed}
         if kind == "heisenberg":
             hv = line_vector(line("line"), field("index"))
@@ -272,6 +274,8 @@ def cmd_simulate(args) -> int:
     _check_thresholds(theta1, theta2)
     if trials < 1 or r < 1:
         raise UsageError("trials and r must be >= 1")
+    if seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {seed}")
     users = tuple(UserSpec(f"w{k}", PlanePoint(0, 0, p)) for k in range(r))
     stats = monte_carlo(ChannelSpec(p, users, sigma, seed), trials, method,
                         theta1, theta2)

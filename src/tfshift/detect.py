@@ -10,7 +10,9 @@ taken on magnitudes, so bits (pure phases) never disturb detection. Each stage
 is one stacked line scan (fastmf.mf_on_stage) of the whole family over a
 (T, p) receiver stack, so r waveforms cost two transform pairs, not 2r: one
 receiver is the one-row case, sim.monte_carlo scans a chunk of trials at once,
-and radar runs stage 2 on several stage-1 peaks at once.
+and radar runs stage 2 on several stage-1 peaks at once. Both stages read
+values and magnitudes in place in the scan's work buffer (fastmf._scan), so a
+warm stage allocates no (T, p) array.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .fastmf import line_offset, mf_on_stage
+from .fastmf import _scan, line_offset
 from .gfp import Line, PlanePoint
 
 if TYPE_CHECKING:
@@ -87,11 +89,13 @@ def _scan_lines(family: list) -> list[tuple[Line, Line]]:
 
 def _stage1(R: np.ndarray, family: list, lines: list) -> list[np.ndarray]:
     """|M[S, R_i]| along each waveform's stage-1 line, one row per receiver
-    row: one stacked scan for the whole family."""
+    row: one stacked scan for the whole family, in place: the arrays are views
+    of the scan's work buffer (fastmf._scan), valid until this thread's next
+    scan."""
     T = R.shape[0]
     jobs = [(w.signal, l1.slope, np.full(T, line_offset(l1)))
             for w, (_, l1) in zip(family, lines)]
-    return [np.abs(v) for v in mf_on_stage(R, jobs)]
+    return [np.abs(values, out=spare) for values, spare in _scan(R, jobs)]
 
 
 def _stage2(R: np.ndarray, family: list, lines: list, k1s: list, mag1s: list,
@@ -108,8 +112,8 @@ def _stage2(R: np.ndarray, family: list, lines: list, k1s: list, mag1s: list,
         # line_offset of line_through(m, stage-1 peak), per row
         jobs.append((w.signal, m, tau1 if m is None else (omega1 - m * tau1) % p))
     scans = []
-    for (_, m, offsets), values, mag1 in zip(jobs, mf_on_stage(R, jobs), mag1s):
-        mags = np.abs(values)
+    for (_, m, offsets), (values, spare), mag1 in zip(jobs, _scan(R, jobs), mag1s):
+        mags = np.abs(values, out=spare)
         k = np.argmax(mags, axis=1)
         rows = np.arange(k.shape[0])
         mag2, peak = mags[rows, k], values[rows, k]
@@ -126,7 +130,6 @@ def _detect(R: np.ndarray, family: list, theta1: float, theta2: float) -> list[S
     mags = _stage1(R, family, lines)
     k1s = [np.argmax(m, axis=1) for m in mags]
     mag1s = [m[np.arange(k1.shape[0]), k1] for m, k1 in zip(mags, k1s)]
-    del mags  # stage 2's arrays then reuse this memory, which keeps a stacked scan fast
     return _stage2(R, family, lines, k1s, mag1s, theta1, theta2)
 
 

@@ -18,8 +18,10 @@ of length n where two prime-length transforms would run four). A stage also
 runs one transform per job whose sender half is cold: that half (its chirp
 and padded spectrum) is kept as a read-only plan per (sender Signal, slope),
 at most PLAN_SLOPES slopes per sender, and dropped when the Signal is
-garbage-collected. mf_on_lines is the one-job case, and mf_on_line its
-one-row case.
+garbage-collected. The detectors read each job's result in place in that
+buffer (_scan), so a warm stage allocates no (rows, p) array; mf_on_stage
+returns copies. mf_on_lines is the one-job case, and mf_on_line its one-row
+case.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import numpy.fft  # numpy loads it lazily; load it with the package
 
-from .gfp import Line, _chirp, inv, is_prime
+from .gfp import Line, _chirp, _roots, inv, is_prime
 
 if TYPE_CHECKING:
     from .signals import Signal
@@ -223,7 +225,9 @@ def mf_on_stage(R: np.ndarray, jobs: list) -> list[np.ndarray]:
     """M[S, R_i] on one line per row of the (T, p) receiver stack R, for each
     job (S, slope, offsets) of a detection stage, in O(p log p) per row and a
     fixed number of transform calls per stage, whatever the number of jobs
-    and rows. Returns one fresh (T, p) array per job, in job order.
+    and rows. Returns one fresh (T, p) array per job, in job order: copies of
+    the views _scan leaves in the work buffer, which the detectors read in
+    place.
 
     Row i of a job scans the line of `slope` (None = vertical) with canonical
     offset offsets[i]: the omega-intercept c of {(tau, slope*tau + c)}, or
@@ -239,7 +243,7 @@ def mf_on_stage(R: np.ndarray, jobs: list) -> list[np.ndarray]:
     For m != 0 the same identity makes the modulated chirp a shifted one,
     q(t) e^{-2 pi i c t/p} = q(t+a) conj(q(a)) with a = -c/m, so b_i is a roll
     of q and takes no exponential; on slope 0, q = 1 and the modulation is
-    read off the p-th roots of unity.
+    gathered from the p-th roots of unity (gfp._roots).
 
     Vertical: M(tau0, w) = conj(q(w)) * crosscorr(q, b_i)[w] with q = q_1 and
     b_i(t) = q(t) R_i(t) conj(S(t+tau0)), the sender rolled per row.
@@ -252,11 +256,20 @@ def mf_on_stage(R: np.ndarray, jobs: list) -> list[np.ndarray]:
     inverse, both in place and of length n. q and the padded spectrum of the
     first argument come from the sender's plan, so a stage adds one transform
     per job whose (S, slope) plan is cold. Every job is checked before any
-    transform: rows of another length than a sender, and offsets other than
-    one per receiver row, are refused.
+    transform: an R that is not a (T, p) stack, rows of another length than a
+    sender, and offsets other than one per receiver row are refused.
     """
-    p = R.shape[-1]
-    T = R.shape[0]
+    return [values.copy() for values, _ in _scan(R, jobs)]
+
+
+def _scan(R: np.ndarray, jobs: list) -> list[tuple[np.ndarray, np.ndarray]]:
+    """mf_on_stage without the copies: per job, its (T, p) values as a view
+    of this thread's work buffer, and a spare (T, p) float64 view of the same
+    rows' padding columns, free for the caller (the detectors write |values|
+    there). Both stay valid until this thread's next scan."""
+    if np.ndim(R) != 2:
+        raise ValueError(f"expected a (T, p) stack of receiver rows, got shape {np.shape(R)}")
+    T, p = R.shape
     for S, _, offsets in jobs:
         if S.p.p != p:
             raise ValueError("mismatched moduli")
@@ -280,15 +293,23 @@ def mf_on_stage(R: np.ndarray, jobs: list) -> list[np.ndarray]:
             _roll_rows(q, -a, b)
             b *= np.conj(q[a])[:, None]
         else:  # q = 1
-            t = np.arange(p)
-            b[:] = np.exp(-2j * np.pi * t / p)[np.multiply.outer(offsets % p, t) % p]
+            roots, _, t = _roots(p)
+            for row, c in zip(b, (offsets % p).tolist()):
+                np.take(roots, c * t % p, out=row, mode="clip")  # in range; clip takes no copy
+            np.conjugate(b, out=b)
         b *= R
     dft(work, "forward", n=n, out=work)
     for rows, (_, fa) in zip(blocks, plans):
         np.conjugate(rows, out=rows)
         rows *= fa
     dft(work, "inverse", n=n, out=work)
-    return [np.conj(q) * rows[:, :p] for rows, (q, _) in zip(blocks, plans)]
+    out = []
+    for rows, (q, _) in zip(blocks, plans):
+        values = rows[:, :p]
+        # conj(q) first: numpy's complex product is not commutative bit for bit
+        np.multiply(np.conj(q), values, out=values)
+        out.append((values, rows[:, p:].view(np.float64)[:, :p]))  # n - p >= p - 1 >= p/2
+    return out
 
 
 def mf_on_lines(S: "Signal", R: np.ndarray, slope: int | None,

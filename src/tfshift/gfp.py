@@ -8,6 +8,7 @@ plus an offset point. All scalars are canonical residues in [0, p).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,11 +69,23 @@ def legendre(a: int, p) -> int:
     return 1 if s == 1 else -1
 
 
-def _chirp(p: int, a: int, b: int = 0) -> np.ndarray:
-    """e(a t^2 + b t) for t in F_p, with e(z) = e^{(2 pi i/p) z}: a chirp, or
-    with a = 0 the modulation by b."""
+@lru_cache(maxsize=2)
+def _roots(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only tables for F_p, about 32p bytes: the p-th roots of unity
+    e(k) for k = 0..p-1, with e(z) = e^{(2 pi i/p) z}, then t^2 mod p and t."""
     t = np.arange(p)
-    return np.exp(2j * np.pi * ((a % p * (t * t % p) + b % p * t) % p) / p)
+    tables = (np.exp(2j * np.pi * t / p), t * t % p, t)
+    for a in tables:
+        a.setflags(write=False)
+    return tables
+
+
+def _chirp(p: int, a: int, b: int = 0) -> np.ndarray:
+    """e(a t^2 + b t) for t in F_p: a chirp, or with a = 0 the modulation by
+    b. A gather from _roots(p), so every chirp takes its samples from one
+    exp call per p."""
+    roots, sq, t = _roots(p)
+    return roots[(a % p * sq + b % p * t) % p]
 
 
 @dataclass(frozen=True)

@@ -71,18 +71,26 @@ def awgn(p, sigma: float, seed: int) -> Signal:
     return Signal(pp, awgn_rows(pp.p, sigma, [seed])[0])
 
 
-def awgn_rows(p: int, sigma: float, seeds) -> np.ndarray:
+def awgn_rows(p: int, sigma: float, seeds, out: np.ndarray | None = None,
+              planes: np.ndarray | None = None) -> np.ndarray:
     """A (len(seeds), p) stack of noise: row i holds awgn(p, sigma, seeds[i]),
-    the real parts drawn before the imaginary parts from default_rng(seeds[i])."""
+    the real parts drawn before the imaginary parts from default_rng(seeds[i]).
+
+    The stack is written into out, a (len(seeds), p) complex array, and the
+    normal draws into planes, a (2, len(seeds), p) float array; either is
+    allocated when not given, so a caller that reuses both allocates nothing."""
     if not 0 <= sigma < np.inf:  # NaN fails too
         raise ValueError("sigma must be finite and nonnegative")
-    z = np.empty((2, len(seeds), p))
+    z = np.empty((2, len(seeds), p)) if planes is None else planes
     for i, seed in enumerate(seeds):
         rng = np.random.default_rng(seed)
-        z[0, i] = rng.standard_normal(p)
-        z[1, i] = rng.standard_normal(p)
+        rng.standard_normal(out=z[0, i])
+        rng.standard_normal(out=z[1, i])
     scale = sigma / np.sqrt(2.0)
-    return scale * (z[0] + 1j * z[1])
+    out = np.empty((len(seeds), p), dtype=np.complex128) if out is None else out
+    np.multiply(1j, z[1], out=out)  # scale * (z[0] + 1j * z[1]), in place
+    np.add(z[0], out, out=out)
+    return np.multiply(scale, out, out=out)
 
 
 def inner(f1: Signal, f2: Signal) -> complex:

@@ -18,7 +18,7 @@ import numpy as np
 from . import fastmf
 from .detect import THETA1_DEFAULT, THETA2_DEFAULT, _detect
 from .fastmf import mf_on_line
-from .gfp import Line, PlanePoint, Prime, _chirp, as_prime
+from .gfp import Line, PlanePoint, Prime, _roots, as_prime
 from .heisenberg import cross_family
 from .signals import Signal, awgn_rows, mf_full, random_signal
 from .weil import flag_family
@@ -56,6 +56,8 @@ class ChannelSpec:
             raise ValueError("at least one user required")
         if not 0 <= self.sigma < np.inf:  # NaN fails too
             raise ValueError("sigma must be finite and nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -70,21 +72,37 @@ class TrialStats:
     wall_time: float
 
 
+def _stack_arrays(T: int, p: int) -> tuple:
+    """Fresh arrays for _receivers to fill: the (T, p) stack, an int64 index
+    array and two complex terms."""
+    out, term, shifted = np.empty((3, T, p), dtype=np.complex128)
+    return out, np.empty((T, p), dtype=np.int64), term, shifted
+
+
 def _receivers(senders: list, shifts: np.ndarray, coef: np.ndarray,
-               noise: np.ndarray) -> np.ndarray:
+               noise: np.ndarray, arrays: tuple | None = None) -> np.ndarray:
     """The (T, p) stack R_i = sum_j coef[i,j] pi(shifts[i,j]) S_j + noise_i for
     sender sample vectors S_j, (T, r, 2) shifts (tau, omega) and (T, r)
     coefficients. The terms are added in sender order and the noise last, and
     pi(v) S_j is built as heisenberg_op builds it (a fancy-index roll, then the
-    modulation), so every row equals the receiver synthesized alone."""
-    p = noise.shape[1]
-    t = np.arange(p)
-    psi = _chirp(p, 0, 1)
-    acc = np.zeros(noise.shape, dtype=np.complex128)
+    modulation), so every row equals the receiver synthesized alone. It is
+    built in place in arrays (default _stack_arrays(T, p)), whose first is
+    returned, so a caller that reuses them allocates nothing."""
+    T, p = noise.shape
+    out, idx, term, shifted = arrays or _stack_arrays(T, p)
+    psi, _, t = _roots(p)
+    out.fill(0)
     for j, S in enumerate(senders):
         tau, omega = shifts[:, j, 0, None], shifts[:, j, 1, None]
-        acc = acc + coef[:, j, None] * (psi[omega * t % p] * S[(t + tau) % p])
-    return acc + noise
+        # out + coef * (psi[omega * t % p] * S[(t + tau) % p]); the indices are
+        # in range, so take's clip mode changes nothing but spares it a copy
+        np.take(psi, np.remainder(np.multiply(omega, t, out=idx), p, out=idx),
+                out=term, mode="clip")
+        np.take(S, np.remainder(np.add(t, tau, out=idx), p, out=idx), out=shifted, mode="clip")
+        np.multiply(term, shifted, out=term)
+        np.multiply(coef[:, j, None], term, out=term)
+        np.add(out, term, out=out)
+    return np.add(out, noise, out=out)
 
 
 def synthesize_receiver(spec: ChannelSpec, waveforms: dict) -> Signal:
@@ -137,12 +155,13 @@ def monte_carlo(template: ChannelSpec, trials: int, method: str = "flag",
     has its own random stream, spawned from one seed sequence, and draws the
     shifts, the bits and the noise seed from it in that order. Trials go
     max(1, TRIAL_CHUNK // r) at a time, so a stage stack holds at most
-    TRIAL_CHUNK rows: their receivers are built as one (trials, p) stack and
-    the family's two-stage scan runs once over it, one stacked scan per stage,
-    so the statistics equal those of synthesize_receiver and extract_bits run
-    trial by trial. theta1 and theta2 set the confident rates: a detection is
-    confident as Detection.confident is, and confident but wrong when its
-    shift is also wrong.
+    TRIAL_CHUNK rows: their receivers are built as one (trials, p) stack, in
+    arrays allocated once per call, and the family's two-stage scan runs once
+    over it, one stacked scan per stage, so the statistics equal those of
+    synthesize_receiver and extract_bits run trial by trial. theta1 and
+    theta2 set the confident rates: a detection is confident as
+    Detection.confident is, and confident but wrong when its shift is also
+    wrong.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -158,6 +177,9 @@ def monte_carlo(template: ChannelSpec, trials: int, method: str = "flag",
     s1: list[float] = []
     pk: list[float] = []
     chunk = max(1, TRIAL_CHUNK // r)
+    rows = min(chunk, trials)  # the chunk arrays, allocated once per call
+    arrays = _stack_arrays(rows, p.p)
+    noise, planes = np.empty((rows, p.p), dtype=np.complex128), np.empty((2, rows, p.p))
     for start in range(0, trials, chunk):
         n = min(chunk, trials - start)
         draws = np.empty((n, r, 2), dtype=np.int64)
@@ -166,10 +188,11 @@ def monte_carlo(template: ChannelSpec, trials: int, method: str = "flag",
         for i, child in enumerate(seeds.spawn(n)):
             rng = np.random.default_rng(child)
             draws[i] = rng.integers(0, p.p, size=(r, 2))
-            bits[i] = rng.choice(signs, size=r)
+            bits[i] = signs[rng.integers(0, 2, size=r)]  # the draw rng.choice(signs) makes
             noise_seeds.append(int(rng.integers(0, 2**63)))
         R = _receivers(senders, draws, intensity * bits,
-                       awgn_rows(p.p, template.sigma, noise_seeds))
+                       awgn_rows(p.p, template.sigma, noise_seeds, noise[:n], planes[:, :n]),
+                       [a[:n] for a in arrays])
         s1_rows = np.zeros(n)
         pk_rows = np.zeros(n)
         for k, scan in enumerate(_detect(R, family, theta1, theta2)):

@@ -454,19 +454,18 @@ def flag_family(p, r: int, seed: int) -> list[Flag]:
         raise ValueError("a flag family holds 0 to p+1 flags (one per origin line)")
     roster = default_torus_roster(pp, min(max(r, 1), 8))
     rng = np.random.default_rng(seed)
-    used: dict[int, set] = {i: set() for i in range(len(roster))}
+    free = [~_orbit(T).degenerate for T in roster]  # indices each torus can still give
     flags = []
     for i in range(r):
         slope = None if i == pp.p else i
         L = Line(slope, pp)
         ti = i % len(roster)
         T = roster[ti]
-        candidates = [k for k in np.flatnonzero(~_orbit(T).degenerate).tolist()
-                      if k not in used[ti]]
-        if not candidates:
+        candidates = np.flatnonzero(free[ti])
+        if not candidates.size:
             raise ValueError("insufficient non-degenerate eigenvectors in roster")
-        eig = int(rng.choice(np.array(candidates)))
-        used[ti].add(eig)
+        eig = int(rng.choice(candidates))
+        free[ti][eig] = False
         b = int(rng.integers(0, pp.p))
         flags.append(flag_waveform(L, T, b, eig))
     return flags

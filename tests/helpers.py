@@ -16,6 +16,12 @@ def psi(k: int, p: int) -> complex:
     return complex(np.exp(2j * np.pi * (k % p) / p))
 
 
+def chirp_oracle(p: int, a: int, b: int = 0) -> np.ndarray:
+    """e(a t^2 + b t) for t in F_p by one exp over the p exponents."""
+    t = np.arange(p)
+    return np.exp(2j * np.pi * ((a % p * (t * t % p) + b % p * t) % p) / p)
+
+
 def dft_oracle(x, direction: str = "forward") -> np.ndarray:
     """O(n^2) reference transform. Forward kernel e^{+2 pi i wt/n}, inverse
     is the conjugate kernel divided by n."""

@@ -361,6 +361,18 @@ def test_simulate_rejects_bad_method(capsys):
                "--trials", 1)[0] == 2
 
 
+def test_negative_seed_is_a_usage_error(tmp_path, capsys):
+    # numpy refuses it deep inside; the user should hear about --seed instead
+    code, out, err = run(capsys, "simulate", "--p", 31, "--trials", 1, "--seed", -1)
+    assert code == 2 and out == ""
+    assert "--seed must be >= 0, got -1" in err
+    code, _, err = run(capsys, "gen", "--p", 31, "--kind", "random", "--seed", -1,
+                       "--out", tmp_path / "r.sig")
+    assert code == 2
+    assert "--seed must be >= 0, got -1" in err
+    assert not (tmp_path / "r.sig").exists()
+
+
 def test_bench_csv(capsys):
     code, out, _ = run(capsys, "bench", "--p", "31,61", "--repeats", 1)
     assert code == 0

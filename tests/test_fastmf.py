@@ -20,8 +20,10 @@ from tfshift import (
     Signal,
     as_prime,
     counters,
+    detect,
     dft,
     fastmf,
+    flag_family,
     heisenberg_op,
     line_point,
     line_points,
@@ -462,6 +464,33 @@ def test_stage_refuses_before_any_transform_or_buffer_write():
             fastmf.mf_on_stage(R, jobs)
         assert counters.snapshot() == (0, 0, 0)
         assert np.array_equal(fastmf._local.buf, before)
+    # one receiver as a bare vector is not a stack of p rows of length 1
+    for flat in (R[0], R[None]):
+        counters.reset()
+        with pytest.raises(ValueError, match=r"expected a \(T, p\) stack"):
+            fastmf.mf_on_stage(flat, [(S, 5, np.zeros(p, dtype=np.int64))])
+        assert counters.snapshot() == (0, 0, 0)
+        assert np.array_equal(fastmf._local.buf, before)
+
+
+def test_warm_detection_reads_the_stage_buffer_in_place():
+    # a warm two-stage scan of 3 flags over 21 rows at p=503 (one Monte Carlo
+    # chunk) peaks below the 3 fresh (21, 503) complex results a stage would
+    # hold if it copied them out: about 0.39 MB in place against 0.78 MB
+    p, T = 503, 21
+    family = flag_family(p, 3, 4)
+    rng = np.random.default_rng(8)
+    R = rng.standard_normal((T, p)) + 1j * rng.standard_normal((T, p))
+    want = detect._detect(R, family, 0.5, 1.5)  # warm: plans and buffer
+    tracemalloc.start()
+    try:
+        got = detect._detect(R, family, 0.5, 1.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * T * p * 16
+    for a, b in zip(got, want):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_stage_buffer_kept_only_up_to_cap():

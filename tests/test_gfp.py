@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from helpers import chirp_oracle
+
 from tfshift import (
     Line,
     PlanePoint,
@@ -16,6 +18,7 @@ from tfshift import (
     line_through,
     lines_through_origin,
 )
+from tfshift.gfp import _chirp, _roots
 
 
 def test_is_prime_small_table():
@@ -127,3 +130,24 @@ def test_direction_spans_line():
         d = L.direction()
         assert line_contains(L, d)
         assert not d.is_origin()
+
+
+@pytest.mark.parametrize("p", [3, 5, 503, 10007, 100003])
+def test_chirp_gather_equals_exp_oracle_bit_for_bit(p):
+    # a gather from the roots table must keep every sample of the one-exp
+    # chirp, so that flags, scans and statistics keep their bits
+    pairs = [(0, 0), (0, 1), (1, 0), (-1, -1), (2, -3), (-7, 5), (p - 1, 1 - p),
+             (3 * p + 2, -5 * p - 4), (-(p // 2), p // 3)]
+    for a, b in pairs:
+        assert np.array_equal(_chirp(p, a, b), chirp_oracle(p, a, b)), (a, b)
+    # the slope-0 modulation of a line scan reads conj(e(k)) for e(-k)
+    t = np.arange(p)
+    assert np.array_equal(np.conj(_roots(p)[0]), np.exp(-2j * np.pi * t / p))
+
+
+def test_roots_table_is_read_only_and_small():
+    roots, sq, t = _roots(31)
+    assert not any(a.flags.writeable for a in (roots, sq, t))
+    assert np.array_equal(sq, t * t % 31) and np.array_equal(t, np.arange(31))
+    assert _roots.cache_info().maxsize == 2
+    assert _chirp(31, 3, 4).flags.writeable  # a chirp is the caller's own array

@@ -71,6 +71,16 @@ def test_awgn_seeded_and_scaled():
     assert tot / 200 == pytest.approx(p * 0.09, rel=0.05)
 
 
+def test_awgn_rows_into_given_arrays():
+    # the rows equal awgn one seed at a time, written into the caller's arrays
+    out, planes = np.empty((3, 31), dtype=np.complex128), np.empty((2, 3, 31))
+    got = awgn_rows(31, 0.4, [5, 0, 2**62], out, planes)
+    assert got is out
+    for row, seed in zip(got, [5, 0, 2**62]):
+        assert np.array_equal(row, awgn(31, 0.4, seed).samples)
+    assert np.array_equal(got, awgn_rows(31, 0.4, [5, 0, 2**62]))
+
+
 @pytest.mark.parametrize("sigma", [np.nan, np.inf, -np.inf, -0.1])
 def test_awgn_rejects_bad_sigma(sigma):
     with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):

@@ -7,6 +7,8 @@ import pytest
 
 from helpers import monte_carlo_oracle, unit_monte_carlo_template
 
+from tfshift.signals import awgn_rows
+
 from tfshift import (
     ChannelSpec,
     sim,
@@ -36,6 +38,28 @@ def test_channel_spec_validation():
     for sigma in (np.nan, np.inf):
         with pytest.raises(ValueError, match="sigma must be finite"):
             ChannelSpec(p, (u,), sigma, 0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        ChannelSpec(p, (u,), 0.0, -1)
+
+
+def test_receivers_into_reused_arrays_equal_fresh_ones():
+    # monte_carlo fills one set of chunk arrays per call; the rows must keep
+    # every bit of a fresh synthesis, dirty scratch and a shorter last chunk too
+    p, T, r = 101, 7, 3
+    rng = np.random.default_rng(12)
+    senders = [w.signal.samples for w in flag_family(p, r, seed=2)]
+    shifts = rng.integers(0, p, size=(T, r, 2))
+    coef = rng.uniform(0.1, 1, size=(T, r)) * rng.choice([-1, 1], size=(T, r))
+    seeds = rng.integers(0, 2**63, size=T).tolist()
+    want = sim._receivers(senders, shifts, coef, awgn_rows(p, 0.3, seeds))
+    out, noise, term, shifted = np.full((4, T + 2, p), np.nan + 1j)
+    planes, idx = np.full((2, T + 2, p), np.inf), np.full((T + 2, p), -5)
+    for n in (T, 4):
+        got = sim._receivers(senders, shifts[:n], coef[:n],
+                             awgn_rows(p, 0.3, seeds[:n], noise[:n], planes[:, :n]),
+                             (out[:n], idx[:n], term[:n], shifted[:n]))
+        assert np.shares_memory(got, out)
+        assert np.array_equal(got, want[:n])
 
 
 def test_synthesize_receiver_matches_oracle():
