@@ -2,8 +2,11 @@
 """Restricting the matched filter to a line costs O(p log p), not O(p^2).
 
 The entries of M[S, R] along any line, vertical or sloped, reduce to one
-cyclic correlation against a chirp, zero-padded to the 5-smooth length
-n >= 2p-1: a forward and an inverse FFT of length n (numpy's pocketfft).
+cyclic correlation against a chirp, zero-padded to a 5-smooth length
+n >= 2p-1: a forward and an inverse FFT of length n (numpy's pocketfft). n is
+the 5-smooth length up to the next power of two that a cost rule fitted to
+pocketfft timings ranks fastest, not always the least one: a length with
+fewer radix-3 and radix-5 passes can be faster though longer.
 Operation counters charge each call per row the modelled cost of a
 zero-padded radix-2 Rader transform at a prime length and of one radix-2
 pass at a padded length, so the complexity shows without timing noise; wall
@@ -85,7 +88,27 @@ def main() -> None:
     print(f"fitted ops exponent: {fit_exponent(ps, ops):.4f} "
           f"(near 1; log factors and pow2 padding nudge it up)")
 
-    # 5. a detection stage: r senders, each on its own line (the last one
+    # 5. the padded length: the cost rule's n next to the least 5-smooth
+    # length, both in [2p-1, next power of two]
+    def least_smooth(m):
+        k = m
+        while True:
+            r = k
+            for f in (2, 3, 5):
+                while r % f == 0:
+                    r //= f
+            if r == 1:
+                return k
+            k += 1
+
+    print("\n      p  2p-1  least 5-smooth  chosen n")
+    for pp in (101, 307, 503, 1009, 10007):
+        m = 2 * pp - 1
+        n = fastmf._smooth_length(m)
+        print(f"  {pp:5d}  {m:5d}  {least_smooth(m):14d}  {n:8d}")
+        assert m <= n <= 1 << (m - 1).bit_length()
+
+    # 6. a detection stage: r senders, each on its own line (the last one
     # vertical), scanned against one receiver as one stack. Their rows share
     # one buffer of length n, so warm scans cost 2 transform calls for any r,
     # against 2r one by one

@@ -11,8 +11,10 @@ is one stacked line scan (fastmf.mf_on_stage) of the whole family over a
 (T, p) receiver stack, so r waveforms cost two transform pairs, not 2r: one
 receiver is the one-row case, sim.monte_carlo scans a chunk of trials at once,
 and radar runs stage 2 on several stage-1 peaks at once. Both stages read
-values and magnitudes in place in the scan's work buffer (fastmf._scan), so a
-warm stage allocates no (T, p) array.
+values and magnitudes in place in the scan's work buffer (fastmf._scan),
+before the scan's output chirp, which has modulus one: argmax runs on the
+magnitudes there, and the chirp is applied only at each row's peak, so a warm
+stage allocates no (T, p) array and makes no pass for the chirp.
 """
 
 from __future__ import annotations
@@ -87,15 +89,24 @@ def _scan_lines(family: list) -> list[tuple[Line, Line]]:
     return lines
 
 
-def _stage1(R: np.ndarray, family: list, lines: list) -> list[np.ndarray]:
-    """|M[S, R_i]| along each waveform's stage-1 line, one row per receiver
-    row: one stacked scan for the whole family, in place: the arrays are views
-    of the scan's work buffer (fastmf._scan), valid until this thread's next
+def _peak(values: np.ndarray, cq: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """M at index k[i] of row i, from a scan's values before its output chirp
+    cq (fastmf._scan)."""
+    # cq first, as mf_on_stage multiplies: numpy's complex product is not
+    # commutative bit for bit
+    return np.multiply(cq[k], values[np.arange(k.shape[0]), k])
+
+
+def _stage1(R: np.ndarray, family: list, lines: list) -> list[tuple]:
+    """Per waveform, |M[S, R_i]| along its stage-1 line, one row per receiver
+    row, with the scan's values and output chirp (_peak reads M off them):
+    one stacked scan for the whole family, in place: the arrays are views of
+    the scan's work buffer (fastmf._scan), valid until this thread's next
     scan."""
     T = R.shape[0]
     jobs = [(w.signal, l1.slope, np.full(T, line_offset(l1)))
             for w, (_, l1) in zip(family, lines)]
-    return [np.abs(values, out=spare) for values, spare in _scan(R, jobs)]
+    return [(np.abs(values, out=spare), values, cq) for values, spare, cq in _scan(R, jobs)]
 
 
 def _stage2(R: np.ndarray, family: list, lines: list, k1s: list, mag1s: list,
@@ -112,11 +123,10 @@ def _stage2(R: np.ndarray, family: list, lines: list, k1s: list, mag1s: list,
         # line_offset of line_through(m, stage-1 peak), per row
         jobs.append((w.signal, m, tau1 if m is None else (omega1 - m * tau1) % p))
     scans = []
-    for (_, m, offsets), (values, spare), mag1 in zip(jobs, _scan(R, jobs), mag1s):
-        mags = np.abs(values, out=spare)
-        k = np.argmax(mags, axis=1)
-        rows = np.arange(k.shape[0])
-        mag2, peak = mags[rows, k], values[rows, k]
+    for (_, m, offsets), (values, spare, cq), mag1 in zip(jobs, _scan(R, jobs), mag1s):
+        k = np.argmax(np.abs(values, out=spare), axis=1)
+        peak = _peak(values, cq, k)
+        mag2 = np.abs(peak)
         scans.append(Scan(*_points(m, offsets, k, p), mag1, mag2, peak,
                           np.where((peak / 2.0).real >= 0, 1, -1),
                           (mag1 >= theta1) & (mag2 >= theta2)))
@@ -127,9 +137,9 @@ def _detect(R: np.ndarray, family: list, theta1: float, theta2: float) -> list[S
     """Both stages of every waveform's scan over the rows of R, one stacked
     scan per stage."""
     lines = _scan_lines(family)
-    mags = _stage1(R, family, lines)
-    k1s = [np.argmax(m, axis=1) for m in mags]
-    mag1s = [m[np.arange(k1.shape[0]), k1] for m, k1 in zip(mags, k1s)]
+    stage1 = _stage1(R, family, lines)
+    k1s = [np.argmax(mags, axis=1) for mags, _, _ in stage1]
+    mag1s = [np.abs(_peak(values, cq, k1)) for (_, values, cq), k1 in zip(stage1, k1s)]
     return _stage2(R, family, lines, k1s, mag1s, theta1, theta2)
 
 
@@ -203,16 +213,17 @@ def radar_detect(R: Signal, flag: Flag, r: int,
     if r < 1:
         raise ValueError(f"radar needs r >= 1 targets, got {r}")
     lines = _scan_lines([flag])
-    mags = _stage1(R.samples[None, :], [flag], lines)[0][0]
-    cands = _local_maxima(mags, theta)
-    cands.sort(key=lambda i: -mags[i])
-    k = np.array(cands[:r], dtype=np.int64)
-    if not k.size:
+    (mags, values, cq), = _stage1(R.samples[None, :], [flag], lines)
+    mags, values = mags[0], values[0]
+    k = np.array(_local_maxima(mags, theta), dtype=np.int64)
+    mag1 = np.abs(np.multiply(cq[k], values[k]))  # |M| at the candidates, as _peak reads it
+    top = np.argsort(-mag1, kind="stable")[:r]
+    if not top.size:
         return []
-    (scan,) = _stage2(np.broadcast_to(R.samples, (k.size, R.p.p)), [flag], lines,
-                      [k], [mags[k]], theta, theta2)
+    (scan,) = _stage2(np.broadcast_to(R.samples, (top.size, R.p.p)), [flag], lines,
+                      [k[top]], [mag1[top]], theta, theta2)
     out = []
-    for i in range(k.size):
+    for i in range(top.size):
         det = _detection(scan, i, R.p)
         if det.confident and det.shift not in {d.shift for d in out}:
             out.append(det)

@@ -12,16 +12,18 @@ mf_on_stage is the one line-scan kernel: it scans a list of jobs (sender,
 slope, offsets) against one stack of receivers, each row of a job on its own
 line of the job's slope, as one detection stage. The transform count is per
 stage, not per scan: every line, vertical or sloped, is one zero-padded chirp
-correlation, so the whole stage runs one forward and one inverse FFT at the
-5-smooth length n >= 2p-1, in place in a reused per-thread buffer (two FFTs
-of length n where two prime-length transforms would run four). A stage also
-runs one transform per job whose sender half is cold: that half (its chirp
+correlation, so the whole stage runs one adjoint and one inverse FFT at a
+padded length n >= 2p-1, in place in a reused per-thread buffer (two FFTs of
+length n where two prime-length transforms would run four). n is the 5-smooth
+length in [2p-1, next power of two] that pocketfft transforms fastest by a
+fitted cost rule (_smooth_length), not the least one. A stage also runs one
+transform per job whose sender half is cold: that half (its conjugate chirp
 and padded spectrum) is kept as a read-only plan per (sender Signal, slope),
 at most PLAN_SLOPES slopes per sender, and dropped when the Signal is
 garbage-collected. The detectors read each job's result in place in that
-buffer (_scan), so a warm stage allocates no (rows, p) array; mf_on_stage
-returns copies. mf_on_lines is the one-job case, and mf_on_line its one-row
-case.
+buffer, before its output chirp (_scan), so a warm stage allocates no
+(rows, p) array; mf_on_stage returns copies with the chirp applied.
+mf_on_lines is the one-job case, and mf_on_line its one-row case.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -87,25 +90,36 @@ def _modelled_ops(p: int) -> int:
     return 2 * _radix2_ops(n) + n
 
 
+@lru_cache(maxsize=64)
 def _smooth_length(m: int) -> int:
-    """The smallest 5-smooth integer (2^a 3^b 5^c) >= m, for m >= 1."""
-    best = 1 << (m - 1).bit_length()
-    f5 = 1
-    while f5 < best:
-        f35 = f5
-        while f35 < best:
-            best = min(best, f35 << (-(-m // f35) - 1).bit_length())
-            f35 *= 3
-        f5 *= 5
-    return best
+    """The padded length for m >= 1 samples: of the 5-smooth n = 2^a 3^b 5^c
+    with m <= n <= N, N the power of two >= m, the one of least modelled cost
+    n (1 + 0.03 (b + c)), the smaller n on a tie. pocketfft's radix-3 and
+    radix-5 passes cost more per sample than its radix-4 ones, so a length
+    a little above the least 5-smooth one is often faster: 20480 = 2^12 5
+    against 20250 = 2 3^4 5^3 at m = 2 * 10007 - 1. The weight is fitted to a
+    timing sweep of stacked transform pairs (CHANGES.md has the table)."""
+    top = 1 << (m - 1).bit_length()
+    best = (100 * top, top)
+    f5, c = 1, 0
+    while f5 < top:
+        f35, k = f5, c
+        while f35 < top:
+            n = f35 << (-(-m // f35) - 1).bit_length()  # least 2^a f35 >= m
+            best = min(best, (n * (100 + 3 * k), n))
+            f35, k = f35 * 3, k + 1
+        f5, c = f5 * 5, c + 1
+    return best[1]
 
 
 def dft(x: np.ndarray, direction: str = "forward", *, n: int | None = None,
         out: np.ndarray | None = None) -> np.ndarray:
     """Length-p DFT, p prime, of a vector or of each row of a (rows, p) stack.
     Forward: X[k] = sum_t x[t] e^{+2 pi i kt/p}; inverse applies the opposite
-    kernel and the 1/p factor. A square array is refused: p x p is the shape
-    of a matched-filter matrix, not of a stack of receivers.
+    kernel and the 1/p factor; adjoint applies the opposite kernel unscaled,
+    so dft(x, "adjoint") == conj(dft(conj(x), "forward")) bit for bit, and is
+    counted as a forward transform. A square array is refused: p x p is the
+    shape of a matched-filter matrix, not of a stack of receivers.
 
     With n, the transform has length n instead: each row is zero-padded to n
     (n below the row length is refused), for any n and any number of rows.
@@ -130,8 +144,9 @@ def dft(x: np.ndarray, direction: str = "forward", *, n: int | None = None,
         ops = _radix2_ops(n)
     if direction == "forward":
         out = np.fft.ifft(x, n, norm="forward", out=out)
-    elif direction == "inverse":
-        out = np.fft.fft(x, n, norm="forward", out=out)
+    elif direction in ("inverse", "adjoint"):  # one kernel; the adjoint is unscaled
+        out = np.fft.fft(x, n, norm="forward" if direction == "inverse" else "backward",
+                         out=out)
     else:
         raise ValueError(f"unknown direction {direction!r}")
     counters.dft_calls += 1
@@ -154,17 +169,17 @@ class LineProfile:
 
 PLAN_SLOPES = 4  # line-scan plans kept per sender Signal
 
-# sender Signal -> {slope: (chirp q, padded spectrum)}, oldest slope first
+# sender Signal -> {slope: (conjugate chirp conj(q), padded spectrum)}, oldest slope first
 _plans: "weakref.WeakKeyDictionary[Signal, dict]" = weakref.WeakKeyDictionary()
 _plans_lock = threading.Lock()
 
 
 def _sender_plan(S: "Signal", m: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """The chirp q_m(t) = e^{(2 pi i/p) 2^{-1} m t^2} and the length-n
-    spectrum of the periodic extension [a, a[:p-1]] of a = q_m*S, n the
-    5-smooth length >= 2p-1, built on first use and kept for later scans of S
-    on slope m. Vertical (m = None): q = q_1 and a = q, since the vertical
-    line's sender samples ride in the receiver rows."""
+    """conj(q_m), for the chirp q_m(t) = e^{(2 pi i/p) 2^{-1} m t^2}, and the
+    length-n spectrum of the periodic extension [a, a[:p-1]] of a = q_m*S, n
+    the padded length _smooth_length(2p-1), built on first use and kept for
+    later scans of S on slope m. Vertical (m = None): q = q_1 and a = q, since
+    the vertical line's sender samples ride in the receiver rows."""
     with _plans_lock:
         per = _plans.get(S)
         plan = per.pop(m, None) if per is not None else None
@@ -174,10 +189,11 @@ def _sender_plan(S: "Signal", m: int | None) -> tuple[np.ndarray, np.ndarray]:
     p = S.p.p
     q = _chirp(p, inv(2, S.p) * (1 if m is None else m))
     a = q if m is None else q * S.samples
+    cq = np.conj(q)
     fa = dft(np.concatenate([a, a[:p - 1]]), "forward", n=_smooth_length(2 * p - 1))
-    q.setflags(write=False)
+    cq.setflags(write=False)
     fa.setflags(write=False)
-    plan = (q, fa)
+    plan = (cq, fa)
     with _plans_lock:
         per = _plans.setdefault(S, {})
         per[m] = plan
@@ -203,31 +219,32 @@ def _roll_rows(x: np.ndarray, shifts: np.ndarray, out: np.ndarray) -> np.ndarray
     return out
 
 
-BUFFER_CAP = 2**17  # samples (2 MB) of the per-thread padded-scan buffer kept between calls
+BUFFER_CAP = 2**17  # samples (2 MB) of each per-thread buffer kept between calls (_work)
 
 _local = threading.local()
 
 
-def _work(rows: int, n: int) -> np.ndarray:
-    """A (rows, n) complex work array for padded scans: a view of this
-    thread's kept buffer, grown to the largest stack seen up to BUFFER_CAP
-    samples; a larger stack gets an array for this call only."""
-    size = rows * n
+def _work(size: int, name: str = "buf") -> np.ndarray:
+    """size complex samples of scratch: a view of this thread's kept buffer
+    `name`, grown to the largest size seen up to BUFFER_CAP samples; a larger
+    size gets an array for this call only. Each name is a separate buffer, so
+    arrays carved from one stay valid while another is used."""
     if size > BUFFER_CAP:
-        return np.empty((rows, n), dtype=np.complex128)
-    buf = getattr(_local, "buf", None)
+        return np.empty(size, dtype=np.complex128)
+    buf = getattr(_local, name, None)
     if buf is None or buf.size < size:
-        buf = _local.buf = np.empty(size, dtype=np.complex128)
-    return buf[:size].reshape(rows, n)
+        buf = np.empty(size, dtype=np.complex128)
+        setattr(_local, name, buf)
+    return buf[:size]
 
 
 def mf_on_stage(R: np.ndarray, jobs: list) -> list[np.ndarray]:
     """M[S, R_i] on one line per row of the (T, p) receiver stack R, for each
     job (S, slope, offsets) of a detection stage, in O(p log p) per row and a
     fixed number of transform calls per stage, whatever the number of jobs
-    and rows. Returns one fresh (T, p) array per job, in job order: copies of
-    the views _scan leaves in the work buffer, which the detectors read in
-    place.
+    and rows. Returns one fresh (T, p) array per job, in job order: the views
+    _scan leaves in the work buffer, which the detectors read in place, times
+    the output chirp conj(q).
 
     Row i of a job scans the line of `slope` (None = vertical) with canonical
     offset offsets[i]: the omega-intercept c of {(tau, slope*tau + c)}, or
@@ -250,23 +267,28 @@ def mf_on_stage(R: np.ndarray, jobs: list) -> list[np.ndarray]:
 
     The cyclic correlation of length p is a linear one against the periodic
     extension of its first argument, so it is read off lags [:p] of a
-    correlation zero-padded to the 5-smooth length n >= 2p-1. Every job writes
-    its rows b_i into columns [:p] of one (rows, n) work array (_work) with
-    zero columns [p:], so the whole stage runs one forward transform and one
-    inverse, both in place and of length n. q and the padded spectrum of the
-    first argument come from the sender's plan, so a stage adds one transform
-    per job whose (S, slope) plan is cold. Every job is checked before any
+    correlation zero-padded to the length n = _smooth_length(2p-1). Every job
+    writes conj(b_i) into columns [:p] of one (rows, n) work array (_work)
+    with zero columns [p:], so the whole stage runs one adjoint transform
+    (the conjugated forward spectrum of b_i, with no conjugation pass) and one
+    inverse, both in place and of length n. R is conjugated once per stage,
+    into the same kept buffer. conj(q) and the padded spectrum of the first
+    argument come from the sender's plan, so a stage adds one transform per
+    job whose (S, slope) plan is cold. Every job is checked before any
     transform: an R that is not a (T, p) stack, rows of another length than a
     sender, and offsets other than one per receiver row are refused.
     """
-    return [values.copy() for values, _ in _scan(R, jobs)]
+    # conj(q) first: numpy's complex product is not commutative bit for bit
+    return [np.multiply(cq, values) for values, _, cq in _scan(R, jobs)]
 
 
-def _scan(R: np.ndarray, jobs: list) -> list[tuple[np.ndarray, np.ndarray]]:
-    """mf_on_stage without the copies: per job, its (T, p) values as a view
-    of this thread's work buffer, and a spare (T, p) float64 view of the same
-    rows' padding columns, free for the caller (the detectors write |values|
-    there). Both stay valid until this thread's next scan."""
+def _scan(R: np.ndarray, jobs: list) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """mf_on_stage before its output chirp and without the copies: per job,
+    v = M / conj(q) along each row's line as a (T, p) view of this thread's
+    work buffer, a spare (T, p) float64 view of the same rows' padding
+    columns, free for the caller (the detectors write |v| = |M| there), and
+    the plan's read-only conj(q), so that M[i, k] = conj(q)[k] * v[i, k]. The
+    views stay valid until this thread's next scan."""
     if np.ndim(R) != 2:
         raise ValueError(f"expected a (T, p) stack of receiver rows, got shape {np.shape(R)}")
     T, p = R.shape
@@ -279,37 +301,34 @@ def _scan(R: np.ndarray, jobs: list) -> list[tuple[np.ndarray, np.ndarray]]:
     if not jobs:
         return []
     n = _smooth_length(2 * p - 1)
-    work = _work(len(jobs) * T, n)
+    size = len(jobs) * T * n
+    buf = _work(size + T * p)
+    work = buf[:size].reshape(len(jobs) * T, n)
     work[:, p:] = 0
+    cR = np.conjugate(R, out=buf[size:].reshape(T, p))
     blocks = work.reshape(len(jobs), T, n)
     plans = [_sender_plan(S, m) for S, m, _ in jobs]
-    for rows, (q, _), (S, m, offsets) in zip(blocks, plans, jobs):
-        b = rows[:, :p]
+    for rows, (cq, _), (S, m, offsets) in zip(blocks, plans, jobs):
+        b = rows[:, :p]  # conj(b_i), written directly
         if m is None:
-            _roll_rows(np.conj(S.samples), -offsets, b)
-            b *= q
+            _roll_rows(S.samples, -offsets, b)
+            b *= cq
         elif m % p:
             a = -offsets * inv(m, S.p) % p
-            _roll_rows(q, -a, b)
-            b *= np.conj(q[a])[:, None]
+            _roll_rows(cq, -a, b)
+            b *= np.conj(cq[a])[:, None]
         else:  # q = 1
             roots, _, t = _roots(p)
             for row, c in zip(b, (offsets % p).tolist()):
                 np.take(roots, c * t % p, out=row, mode="clip")  # in range; clip takes no copy
-            np.conjugate(b, out=b)
-        b *= R
-    dft(work, "forward", n=n, out=work)
+        b *= cR
+    dft(work, "adjoint", n=n, out=work)
     for rows, (_, fa) in zip(blocks, plans):
-        np.conjugate(rows, out=rows)
         rows *= fa
     dft(work, "inverse", n=n, out=work)
-    out = []
-    for rows, (q, _) in zip(blocks, plans):
-        values = rows[:, :p]
-        # conj(q) first: numpy's complex product is not commutative bit for bit
-        np.multiply(np.conj(q), values, out=values)
-        out.append((values, rows[:, p:].view(np.float64)[:, :p]))  # n - p >= p - 1 >= p/2
-    return out
+    # n - p >= p - 1 >= p/2, so the padding holds a (T, p) float64 view
+    return [(rows[:, :p], rows[:, p:].view(np.float64)[:, :p], cq)
+            for rows, (cq, _) in zip(blocks, plans)]
 
 
 def mf_on_lines(S: "Signal", R: np.ndarray, slope: int | None,

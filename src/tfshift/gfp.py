@@ -83,9 +83,12 @@ def _roots(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _chirp(p: int, a: int, b: int = 0) -> np.ndarray:
     """e(a t^2 + b t) for t in F_p: a chirp, or with a = 0 the modulation by
     b. A gather from _roots(p), so every chirp takes its samples from one
-    exp call per p."""
+    exp call per p; with b = 0 mod p the linear term is skipped."""
     roots, sq, t = _roots(p)
-    return roots[(a % p * sq + b % p * t) % p]
+    k = a % p * sq
+    if b % p:
+        k += b % p * t
+    return roots[k % p]
 
 
 @dataclass(frozen=True)

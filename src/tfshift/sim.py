@@ -79,6 +79,20 @@ def _stack_arrays(T: int, p: int) -> tuple:
     return out, np.empty((T, p), dtype=np.int64), term, shifted
 
 
+def _chunk_arrays(T: int, p: int) -> tuple:
+    """The Monte Carlo chunk arrays: _stack_arrays' four, the (T, p) noise and
+    its (2, T, p) normal planes, carved from this thread's kept "chunk"
+    buffer (fastmf._work), so a warm call allocates none of them up to
+    fastmf.BUFFER_CAP samples. They stay valid while the line scans use the
+    separate stage buffer."""
+    tp = T * p
+    buf = fastmf._work(5 * tp + (tp + 1) // 2, "chunk")
+    out, term, shifted, noise = buf[:4 * tp].reshape(4, T, p)
+    planes = buf[4 * tp:5 * tp].view(np.float64).reshape(2, T, p)
+    idx = buf[5 * tp:].view(np.int64)[:tp].reshape(T, p)
+    return (out, idx, term, shifted), noise, planes
+
+
 def _receivers(senders: list, shifts: np.ndarray, coef: np.ndarray,
                noise: np.ndarray, arrays: tuple | None = None) -> np.ndarray:
     """The (T, p) stack R_i = sum_j coef[i,j] pi(shifts[i,j]) S_j + noise_i for
@@ -156,12 +170,12 @@ def monte_carlo(template: ChannelSpec, trials: int, method: str = "flag",
     shifts, the bits and the noise seed from it in that order. Trials go
     max(1, TRIAL_CHUNK // r) at a time, so a stage stack holds at most
     TRIAL_CHUNK rows: their receivers are built as one (trials, p) stack, in
-    arrays allocated once per call, and the family's two-stage scan runs once
-    over it, one stacked scan per stage, so the statistics equal those of
-    synthesize_receiver and extract_bits run trial by trial. theta1 and
-    theta2 set the confident rates: a detection is confident as
-    Detection.confident is, and confident but wrong when its shift is also
-    wrong.
+    arrays this thread keeps between calls (_chunk_arrays), and the family's
+    two-stage scan runs once over it, one stacked scan per stage, so the
+    statistics equal those of synthesize_receiver and extract_bits run trial
+    by trial. theta1 and theta2 set the confident rates: a detection is
+    confident as Detection.confident is, and confident but wrong when its
+    shift is also wrong.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -177,9 +191,7 @@ def monte_carlo(template: ChannelSpec, trials: int, method: str = "flag",
     s1: list[float] = []
     pk: list[float] = []
     chunk = max(1, TRIAL_CHUNK // r)
-    rows = min(chunk, trials)  # the chunk arrays, allocated once per call
-    arrays = _stack_arrays(rows, p.p)
-    noise, planes = np.empty((rows, p.p), dtype=np.complex128), np.empty((2, rows, p.p))
+    arrays, noise, planes = _chunk_arrays(min(chunk, trials), p.p)
     for start in range(0, trials, chunk):
         n = min(chunk, trials - start)
         draws = np.empty((n, r, 2), dtype=np.int64)

@@ -3,6 +3,7 @@
 import ast
 import dataclasses
 import gc
+import hashlib
 import sys
 import threading
 import tracemalloc
@@ -158,18 +159,42 @@ def test_modelled_ops_price_every_prime():
     assert fastmf._modelled_ops(101) == 256 * 8 + 256
 
 
-def test_smooth_length_is_least_5_smooth_at_or_above():
-    def smooth(k):
+def test_smooth_length_is_cheapest_5_smooth_up_to_power_of_two():
+    # the rule: of the 5-smooth n in [m, next power of two], least
+    # n (1 + 0.03 (number of odd prime factors)), the smaller n on a tie
+    def odd_factors(k):
+        count = 0
         for f in (2, 3, 5):
             while k % f == 0:
                 k //= f
-        return k == 1
+                count += f > 2
+        return count if k == 1 else None
     for m in range(1, 2000):
+        top = 1 << (m - 1).bit_length()
+        costs = {k: k * (100 + 3 * c) for k in range(m, top + 1)
+                 if (c := odd_factors(k)) is not None}
         n = fastmf._smooth_length(m)
-        assert n >= m and smooth(n), m
-        assert not any(smooth(k) for k in range(m, n)), m
+        assert m <= n <= top and n in costs, m
+        assert (costs[n], n) == min((c, k) for k, c in costs.items()), m
     assert fastmf._smooth_length(2 * 31 - 1) == 64
-    assert fastmf._smooth_length(2 * 10007 - 1) == 20250
+    assert fastmf._smooth_length(2 * 503 - 1) == 1024
+    assert fastmf._smooth_length(2 * 10007 - 1) == 20480  # not the least, 20250
+
+
+@pytest.mark.parametrize("n", [64, 216, 640, 1024, 2048, 4096, 20250, 20480, 204800])
+@pytest.mark.parametrize("shape", ["vector", "stack", "padded stack"])
+def test_adjoint_is_the_conjugated_forward_transform_bit_for_bit(n, shape):
+    # line scans run the adjoint on conj(b) in place of conj(forward(b)), so
+    # the two must agree to the last bit, zero padding included
+    rng = np.random.default_rng(n)
+    rows, width = {"vector": (None, n), "stack": (3, n), "padded stack": (3, n // 2 + 1)}[shape]
+    size = (width,) if rows is None else (rows, width)
+    x = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    want = np.conj(dft(np.conj(x), "forward", n=n))
+    counters.reset()
+    got = dft(x, "adjoint", n=n)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    assert counters.snapshot() == (1, (rows or 1) * fastmf._radix2_ops(n), 0)
 
 
 @pytest.mark.parametrize("n, rows", [(9, 1), (64, 64), (20, 3), (7, 7)])
@@ -430,6 +455,18 @@ def test_stage_runs_two_transforms_for_any_jobs_and_rows(r, T):
     counters.reset()
     assert fastmf.mf_on_stage(R, []) == []
     assert counters.snapshot() == (0, 0, 0)
+
+
+def test_stage_golden_digest_on_every_slope():
+    # every slope and the vertical line at p=101 (n=216) in one stage, pinned
+    # to the last bit (sha256 of the result bytes, numpy 2.4 pocketfft on
+    # x86-64): a kernel change that moves one bit of a line scan shows here
+    p, T = 101, 3
+    rng = np.random.default_rng(101)
+    R = rng.standard_normal((T, p)) + 1j * rng.standard_normal((T, p))
+    jobs = [(random_signal(p, seed=7), m, rng.integers(p, size=T)) for m in [*range(p), None]]
+    digest = hashlib.sha256(b"".join(v.tobytes() for v in fastmf.mf_on_stage(R, jobs)))
+    assert digest.hexdigest() == "dade0fb5e7465908a35460643dcb384038d6f6304bfaf460a7ce227d351ff030"
 
 
 def test_stage_returns_fresh_arrays():

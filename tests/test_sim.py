@@ -1,6 +1,7 @@
 """Channel synthesis, Monte Carlo harness, benchmark table."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from tfshift.signals import awgn_rows
 
 from tfshift import (
     ChannelSpec,
+    fastmf,
     sim,
     PlanePoint,
     UserSpec,
@@ -174,6 +176,44 @@ def test_monte_carlo_equals_oracle_across_chunks(monkeypatch):
     monkeypatch.undo()
     assert sim.TRIAL_CHUNK < 70
     _same_as_oracle(unit_monte_carlo_template(31, 2, np.sqrt(1 / 31), 9), 70, "cross")
+
+
+@pytest.mark.parametrize("method, golden", [
+    ("flag", (100, 1.0, 0.0, 1.0992810412537302, 2.0837532396672844, 1.0, 0.0)),
+    ("cross", (100, 1.0, 0.0, 0.9962677535863317, 1.9865309115979963, 1.0, 0.0)),
+])
+def test_monte_carlo_golden_trial_stats(method, golden):
+    # the mc-flag benchmark's shape (p=503, r=3, NSR 1, 100 trials), every
+    # field but wall_time pinned to the last bit (numpy 2.4 on x86-64): a
+    # change that moves one bit of a line scan, a waveform or the channel
+    # shows here
+    stats = monte_carlo(unit_monte_carlo_template(503, 3, 1 / np.sqrt(503), 11), 100, method)
+    assert dataclasses.astuple(stats)[:-1] == golden
+
+
+def test_monte_carlo_keeps_its_chunk_arrays_per_thread():
+    # a warm call fills the arrays of the last one; above fastmf.BUFFER_CAP
+    # samples a call's arrays live for that call only
+    template = unit_monte_carlo_template(503, 3, 1 / np.sqrt(503), 5)
+    first = monte_carlo(template, 30)
+    kept = fastmf._local.chunk
+    assert kept.size <= fastmf.BUFFER_CAP
+    again = monte_carlo(template, 30)
+    assert fastmf._local.chunk is kept
+    assert dataclasses.replace(again, wall_time=0) == dataclasses.replace(first, wall_time=0)
+    big = unit_monte_carlo_template(10007, 3, 1 / np.sqrt(10007), 5)
+    assert 5 * 3 * 10007 > fastmf.BUFFER_CAP
+    monte_carlo(big, 3, "cross")
+    assert fastmf._local.chunk is kept
+    results = []
+    worker = threading.Thread(target=lambda: results.append(
+        (monte_carlo(template, 30), getattr(fastmf._local, "chunk", None))))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    (other, buf), = results
+    assert buf is not None and buf is not kept
+    assert dataclasses.replace(other, wall_time=0) == dataclasses.replace(first, wall_time=0)
 
 
 def test_monte_carlo_argument_errors():
