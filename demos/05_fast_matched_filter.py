@@ -13,7 +13,9 @@ pass at a padded length, so the complexity shows without timing noise; wall
 clocks are printed as a sanity check. A sender's first scan on a slope costs
 three transforms and later scans two, since the sender's half is kept. A
 detection stage scans a whole family of senders as one stack, so r warm
-scans cost those two transforms together, whatever their lines.
+scans cost those two transforms together, whatever their lines. Above
+fastmf.SPLIT_ABOVE samples each of the two runs as two short passes,
+n = n2 x n1, which the counters count call by call.
 """
 
 import time
@@ -72,7 +74,8 @@ def main() -> None:
               f"{grid_ops / line_ops:6.1f}x")
 
     # 4. fitted exponent of line-restricted ops over a wide prime range
-    # (first scans of fresh senders, 3 transforms each)
+    # (first scans of fresh senders: 3 transforms, the 2 stage ones in two
+    # passes each at p = 10007 and 100003)
     ps = [1009, 10007, 100003]
     ops = []
     for pp in ps:
@@ -89,7 +92,8 @@ def main() -> None:
           f"(near 1; log factors and pow2 padding nudge it up)")
 
     # 5. the padded length: the cost rule's n next to the least 5-smooth
-    # length, both in [2p-1, next power of two]
+    # length, both in [2p-1, next power of two], and the passes a stage
+    # transform of length n runs: one, or n2 x n1 above fastmf.SPLIT_ABOVE
     def least_smooth(m):
         k = m
         while True:
@@ -101,11 +105,16 @@ def main() -> None:
                 return k
             k += 1
 
-    print("\n      p  2p-1  least 5-smooth  chosen n")
-    for pp in (101, 307, 503, 1009, 10007):
+    print("\n       p    2p-1  least 5-smooth  chosen n  passes")
+    for pp in (101, 307, 503, 1009, 2003, 4001, 10007, 100003):
         m = 2 * pp - 1
         n = fastmf._smooth_length(m)
-        print(f"  {pp:5d}  {m:5d}  {least_smooth(m):14d}  {n:8d}")
+        if n > fastmf.SPLIT_ABOVE:
+            n2, n1, _ = fastmf._split(n)
+            passes = f"{n2} x {n1}"
+        else:
+            passes = "one"
+        print(f"  {pp:6d}  {m:6d}  {least_smooth(m):14d}  {n:8d}  {passes}")
         assert m <= n <= 1 << (m - 1).bit_length()
 
     # 6. a detection stage: r senders, each on its own line (the last one

@@ -16,7 +16,12 @@ correlation, so the whole stage runs one adjoint and one inverse FFT at a
 padded length n >= 2p-1, in place in a reused per-thread buffer (two FFTs of
 length n where two prime-length transforms would run four). n is the 5-smooth
 length in [2p-1, next power of two] that pocketfft transforms fastest by a
-fitted cost rule (_smooth_length), not the least one. A stage also runs one
+fitted cost rule (_smooth_length), not the least one. Above SPLIT_ABOVE
+samples each of the two transforms runs as two short passes, n = n2 n1, that
+leave the spectrum in their own order and take it back (_stage_transform):
+the same O(n log n) transform, with a few KB of pocketfft scratch where one
+pass over rows of length n takes scratch that glibc can map, and fault in,
+on every call. A stage also runs one
 transform per job whose sender half is cold: that half (its conjugate chirp
 and padded spectrum) is kept as a read-only plan per (sender Signal, slope),
 at most PLAN_SLOPES slopes per sender, and dropped when the Signal is
@@ -28,6 +33,7 @@ mf_on_lines is the one-job case, and mf_on_line its one-row case.
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from dataclasses import dataclass
@@ -55,10 +61,16 @@ class OpCounters:
     count of instructions executed: a prime length p is priced as a
     zero-padded radix-2 Rader transform (_modelled_ops), a padded length n as
     one radix-2 pass at the power of two N >= n (_radix2_ops). A non-empty
-    stage of stacked scans (mf_on_stage) adds 2 padded dft calls, plus 1 per
-    job whose (sender, slope) plan is cold, for any mix of vertical and sloped
-    jobs and any number of receiver rows. line_calls counts mf_on_line calls
-    only, so stacked scans leave it alone.
+    stage of stacked scans (mf_on_stage) of padded length n <= SPLIT_ABOVE
+    adds 2 padded dft calls, plus 1 per job whose (sender, slope) plan is
+    cold, for any mix of vertical and sloped jobs and any number of receiver
+    rows. Above SPLIT_ABOVE each of the 2 stage transforms is counted as its
+    passes (_stage_transform): per row of the stage's work array, one call of
+    n1 transforms of length n2, and for the whole array one call of n2 per row
+    of length n1, each priced by _radix2_ops at its own length. A stage of w
+    work rows (jobs times receiver rows) then adds 2 (w + 1) calls, and a cold
+    plan still 1, a one-pass transform of length n. line_calls counts
+    mf_on_line calls only, so stacked scans leave it alone.
     """
 
     dft_calls: int = 0
@@ -179,7 +191,9 @@ def _sender_plan(S: "Signal", m: int | None) -> tuple[np.ndarray, np.ndarray]:
     length-n spectrum of the periodic extension [a, a[:p-1]] of a = q_m*S, n
     the padded length _smooth_length(2p-1), built on first use and kept for
     later scans of S on slope m. Vertical (m = None): q = q_1 and a = q, since
-    the vertical line's sender samples ride in the receiver rows."""
+    the vertical line's sender samples ride in the receiver rows. Above
+    SPLIT_ABOVE the spectrum is stored in the order the split stage transform
+    leaves its own in (_stage_transform), reordered once here."""
     with _plans_lock:
         per = _plans.get(S)
         plan = per.pop(m, None) if per is not None else None
@@ -190,7 +204,11 @@ def _sender_plan(S: "Signal", m: int | None) -> tuple[np.ndarray, np.ndarray]:
     q = _chirp(p, inv(2, S.p) * (1 if m is None else m))
     a = q if m is None else q * S.samples
     cq = np.conj(q)
-    fa = dft(np.concatenate([a, a[:p - 1]]), "forward", n=_smooth_length(2 * p - 1))
+    n = _smooth_length(2 * p - 1)
+    fa = dft(np.concatenate([a, a[:p - 1]]), "forward", n=n)
+    if n > SPLIT_ABOVE:  # the split stage transform's (k2, k1) order
+        n2, n1, _ = _split(n)
+        fa = fa.reshape(n1, n2).T.ravel()
     cq.setflags(write=False)
     fa.setflags(write=False)
     plan = (cq, fa)
@@ -238,13 +256,60 @@ def _work(size: int, name: str = "buf") -> np.ndarray:
     return buf[:size]
 
 
+SPLIT_ABOVE = 4096  # longer padded lengths split each stage transform (sweep in CHANGES.md)
+
+
+@lru_cache(maxsize=4)
+def _split(n: int) -> tuple[int, int, np.ndarray]:
+    """(n2, n1, w) for a padded length n: n = n2 * n1 with n1 the least
+    divisor of n at or above sqrt(n), and the read-only (n2, n1) twiddle table
+    w[k2, t1] = e^{-2 pi i k2 t1 / n}."""
+    n1 = next(d for d in range(math.isqrt(n), n + 1) if n % d == 0 and d * d >= n)
+    n2 = n // n1
+    w = np.exp(-2j * np.pi * (np.arange(n2)[:, None] * np.arange(n1) % n) / n)
+    w.setflags(write=False)
+    return n2, n1, w
+
+
+def _stage_transform(work: np.ndarray, direction: str) -> None:
+    """The stage's adjoint or inverse transform of each row of the (rows, n)
+    array work, in place. Up to SPLIT_ABOVE it is one dft call of length n.
+
+    Above, it is Bailey's four-step FFT without its transposes, run as short
+    dft passes on the (rows, n2, n1) view (_split), with t = t2 n1 + t1 and
+    k = k1 n2 + k2. The adjoint runs a length-n2 pass over the strided axis
+    (t2 -> k2), one dft call per row, multiplies by w[k2, t1], and runs a
+    length-n1 pass over the contiguous axis (t1 -> k1), so the spectrum
+    X[k1 n2 + k2] lands at k2 n1 + k1. The inverse takes that order, runs
+    the passes the other way round with the same table (both directions use
+    the kernel e^{-2 pi i kt/n}) and returns natural order. Both are the same
+    O(n log n) transform as one pass, but one pass takes pocketfft scratch of
+    the row length, large enough that glibc can map or trim it and fault it
+    in again on every call, where the short passes need a few KB."""
+    n = work.shape[1]
+    if n <= SPLIT_ABOVE:
+        dft(work, direction, n=n, out=work)
+        return
+    n2, n1, w = _split(n)
+    grid = work.reshape(-1, n2, n1)
+    flat = work.reshape(-1, n1)
+    if direction == "inverse":
+        dft(flat, direction, n=n1, out=flat)
+        grid *= w
+    for block in grid:
+        dft(block.T, direction, n=n2, out=block.T)
+    if direction == "adjoint":
+        grid *= w
+        dft(flat, direction, n=n1, out=flat)
+
+
 def mf_on_stage(R: np.ndarray, jobs: list) -> list[np.ndarray]:
     """M[S, R_i] on one line per row of the (T, p) receiver stack R, for each
-    job (S, slope, offsets) of a detection stage, in O(p log p) per row and a
-    fixed number of transform calls per stage, whatever the number of jobs
-    and rows. Returns one fresh (T, p) array per job, in job order: the views
-    _scan leaves in the work buffer, which the detectors read in place, times
-    the output chirp conj(q).
+    job (S, slope, offsets) of a detection stage, in O(p log p) per row and,
+    up to SPLIT_ABOVE, a fixed number of transform calls per stage, whatever
+    the number of jobs and rows. Returns one fresh (T, p) array per job, in
+    job order: the views _scan leaves in the work buffer, which the detectors
+    read in place, times the output chirp conj(q).
 
     Row i of a job scans the line of `slope` (None = vertical) with canonical
     offset offsets[i]: the omega-intercept c of {(tau, slope*tau + c)}, or
@@ -271,7 +336,8 @@ def mf_on_stage(R: np.ndarray, jobs: list) -> list[np.ndarray]:
     writes conj(b_i) into columns [:p] of one (rows, n) work array (_work)
     with zero columns [p:], so the whole stage runs one adjoint transform
     (the conjugated forward spectrum of b_i, with no conjugation pass) and one
-    inverse, both in place and of length n. R is conjugated once per stage,
+    inverse, both in place and of length n, each as two short passes above
+    SPLIT_ABOVE (_stage_transform). R is conjugated once per stage,
     into the same kept buffer. conj(q) and the padded spectrum of the first
     argument come from the sender's plan, so a stage adds one transform per
     job whose (S, slope) plan is cold. Every job is checked before any
@@ -322,10 +388,10 @@ def _scan(R: np.ndarray, jobs: list) -> list[tuple[np.ndarray, np.ndarray, np.nd
             for row, c in zip(b, (offsets % p).tolist()):
                 np.take(roots, c * t % p, out=row, mode="clip")  # in range; clip takes no copy
         b *= cR
-    dft(work, "adjoint", n=n, out=work)
+    _stage_transform(work, "adjoint")
     for rows, (_, fa) in zip(blocks, plans):
         rows *= fa
-    dft(work, "inverse", n=n, out=work)
+    _stage_transform(work, "inverse")
     # n - p >= p - 1 >= p/2, so the padding holds a (T, p) float64 view
     return [(rows[:, :p], rows[:, p:].view(np.float64)[:, :p], cq)
             for rows, (cq, _) in zip(blocks, plans)]

@@ -233,7 +233,8 @@ def bench_complexity(p_list, repeats: int = 3, full_rows: int = 32) -> list[dict
     Per p: median wall time of one sloped mf_on_line call over `repeats` runs,
     the dft op count of one call, and the mf_full wall time. The line figures
     are the steady-state scan, with the sender's plan already built: 2
-    transforms, where the first scan of a sender on a slope costs 3. Beyond
+    transforms, where the first scan of a sender on a slope costs 3, and
+    above fastmf.SPLIT_ABOVE each stage transform runs as 2 passes. Beyond
     FULL_MF_LIMIT the full-matrix time is estimated from `full_rows` rows and
     flagged extrapolated; the row loop is exact per row, so the estimate is a
     straight per-row scale-up. ValueError if repeats or full_rows is below 1.

@@ -90,6 +90,30 @@ def cross_correlate(A: Signal, B: Signal) -> np.ndarray:
     return dft(fa * np.conj(fb), "inverse")
 
 
+def padded_stage_oracle(R: np.ndarray, jobs: list, n: int) -> list[np.ndarray]:
+    """mf_on_stage's zero-padded chirp correlation, row by row, with each
+    transform one numpy FFT of length n in natural order: per row, M = conj(q)
+    * crosscorr(a, b)[:p] with a the sender's chirped samples extended by
+    their first p-1 (q itself on a vertical line) and b = q R e(-c t) on a
+    sloped line, q R conj(S(t + tau0)) on a vertical one."""
+    T, p = R.shape
+    half = (p + 1) // 2  # 2^{-1} mod p
+    out = []
+    for S, m, offsets in jobs:
+        q = chirp_oracle(p, half * (1 if m is None else m))
+        a = q if m is None else q * S.samples
+        fa = np.fft.ifft(np.concatenate([a, a[:p - 1]]), n, norm="forward")
+        rows = np.empty((T, p), dtype=np.complex128)
+        for i, c in enumerate(offsets):
+            c = int(c)
+            b = q * R[i] * (np.conj(np.roll(S.samples, -c)) if m is None
+                            else chirp_oracle(p, 0, -c))
+            corr = np.fft.fft(fa * np.fft.fft(np.conj(b), n), norm="forward")
+            rows[i] = np.conj(q) * corr[:p]
+        out.append(rows)
+    return out
+
+
 def line_basis_oracle(L: Line) -> list[HeisenbergVector]:
     """Independent construction of B_L by numerically diagonalizing pi(l0) for
     one generator l0 of L. Eigenvalues are exact p-th roots of unity, so

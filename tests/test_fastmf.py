@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import cross_correlate, dft_oracle, mf_oracle, unit_monte_carlo_template
+from helpers import (cross_correlate, dft_oracle, mf_oracle, padded_stage_oracle,
+                     unit_monte_carlo_template)
 
 from tfshift import (
     Line,
@@ -33,6 +34,7 @@ from tfshift import (
     monte_carlo,
     random_signal,
 )
+from tfshift.gfp import _chirp, inv
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 31, 101, 257])
@@ -467,6 +469,73 @@ def test_stage_golden_digest_on_every_slope():
     jobs = [(random_signal(p, seed=7), m, rng.integers(p, size=T)) for m in [*range(p), None]]
     digest = hashlib.sha256(b"".join(v.tobytes() for v in fastmf.mf_on_stage(R, jobs)))
     assert digest.hexdigest() == "dade0fb5e7465908a35460643dcb384038d6f6304bfaf460a7ce227d351ff030"
+
+
+def split_stage(p, T=3):
+    # slopes 0, 1, 7 and p-1 and the vertical line, one sender, random offsets
+    rng = np.random.default_rng(p)
+    R = rng.standard_normal((T, p)) + 1j * rng.standard_normal((T, p))
+    return R, [(random_signal(p, seed=7), m, rng.integers(p, size=T))
+               for m in [0, 1, 7, p - 1, None]]
+
+
+def test_split_stage_matches_one_pass_oracle():
+    # at p = 10007 (n = 20480 > SPLIT_ABOVE) each stage transform runs as two
+    # passes; the oracle runs the same correlation with one FFT of length n.
+    # The passes round differently, so a tolerance from float64, and the
+    # result pinned to the last bit as the p = 101 golden test pins it
+    p = 10007
+    n = fastmf._smooth_length(2 * p - 1)
+    assert n > fastmf.SPLIT_ABOVE
+    R, jobs = split_stage(p)
+    got = fastmf.mf_on_stage(R, jobs)
+    for (_, m, _), values, want in zip(jobs, got, padded_stage_oracle(R, jobs, n)):
+        assert np.abs(values - want).max() <= 2e-15 * np.abs(want).max(), m
+    digest = hashlib.sha256(b"".join(v.tobytes() for v in got))
+    assert digest.hexdigest() == "37d1e07bc62cde299fdaa68714cd58da3ce770f7c71cea271e90d675cb63f3ab"
+
+
+def test_split_plans_tables_and_buffer():
+    # a plan stores its padded spectrum in the split passes' (k2, k1) order,
+    # bit for bit the natural-order spectrum reordered; plans and the twiddle
+    # table are read-only, and a one-receiver stage of 3 senders at p = 10007
+    # runs in the kept buffer
+    p = 10007
+    n = fastmf._smooth_length(2 * p - 1)
+    n2, n1, w = fastmf._split(n)
+    assert (n2, n1) == (128, 160)
+    R, jobs = split_stage(p, T=1)
+    fastmf.mf_on_stage(R, jobs)
+    P = as_prime(p)
+    for S, m, _ in jobs:
+        cq, fa = fastmf._sender_plan(S, m)
+        q = _chirp(p, inv(2, P) * (1 if m is None else m))
+        a = q if m is None else q * S.samples
+        natural = dft(np.concatenate([a, a[:p - 1]]), "forward", n=n)
+        assert np.array_equal(fa, natural.reshape(n1, n2).T.ravel()), m
+        assert not cq.flags.writeable and not fa.flags.writeable
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0, 0] = 0
+    k2, t1 = np.meshgrid(np.arange(n2), np.arange(n1), indexing="ij")
+    assert np.abs(w - np.exp(-2j * np.pi * k2 * t1 / n)).max() < 1e-12
+    views = fastmf._scan(R, jobs[:3])
+    assert fastmf._local.buf.size <= fastmf.BUFFER_CAP
+    assert all(np.shares_memory(v, fastmf._local.buf) for v, _, _ in views)
+
+
+def test_split_stage_counts_each_pass():
+    # a warm split stage of w work rows: per transform, one length-n2 call per
+    # row (n1 transforms each) and one length-n1 call (n2 per row)
+    p, T = 10007, 2
+    n2, n1, _ = fastmf._split(fastmf._smooth_length(2 * p - 1))
+    R, jobs = split_stage(p, T)
+    fastmf.mf_on_stage(R, jobs)
+    counters.reset()
+    fastmf.mf_on_stage(R, jobs)
+    rows = len(jobs) * T
+    ops = rows * (n1 * fastmf._radix2_ops(n2) + n2 * fastmf._radix2_ops(n1))
+    assert counters.snapshot() == (2 * (rows + 1), 2 * ops, 0)
 
 
 def test_stage_returns_fresh_arrays():
