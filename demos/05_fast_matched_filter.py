@@ -55,8 +55,11 @@ def main() -> None:
 
     # 3. counters: ops grow like p log p along a line, p^2 log p for the grid.
     # The first scan of a sender on a slope runs 3 transforms and keeps the
-    # sender's half; every later scan on that slope runs 2
-    print("\n      p  first scan  later scan    full-grid ops   ratio")
+    # sender's half; every later scan on that slope runs 2. mf_full scans the
+    # grid's p rows as vertical lines in stages of stacked rows, so its
+    # stage transforms count about p times a later scan's ops (plus one cold
+    # vertical plan), and the ratio reads about p
+    print("\n      p  first scan  later scan  p-line grid ops   ratio")
     for pp in (101, 401, 1009):
         Pq = as_prime(pp)
         Sq = random_signal(Pq, seed=1)

@@ -310,7 +310,7 @@ def cmd_bench(args) -> int:
         out.append(f"{row['p']},{row['t_line_s']:.9g},{row['dft_ops_line']},"
                    f"{row['t_full_s']:.9g},{int(row['full_extrapolated'])},"
                    f"{row['ratio']:.9g}")
-    if len(rows) >= 2:
+    if len({row["p"] for row in rows}) >= 2:  # one distinct p fits no slope
         expo = fit_exponent([r["p"] for r in rows], [r["dft_ops_line"] for r in rows])
         out.append(f"# fitted_ops_exponent={expo:.6g}")
     text = "\n".join(out) + "\n"

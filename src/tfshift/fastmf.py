@@ -28,7 +28,9 @@ at most PLAN_SLOPES slopes per sender, and dropped when the Signal is
 garbage-collected. The detectors read each job's result in place in that
 buffer, before its output chirp (_scan), so a warm stage allocates no
 (rows, p) array; mf_on_stage returns copies with the chirp applied.
-mf_on_lines is the one-job case, and mf_on_line its one-row case.
+mf_on_lines is the one-job case, and mf_on_line its one-row case. The full
+p x p matrix is the p vertical lines tau0 = 0..p-1, scanned in blocks of rows
+that fit the kept buffer (_mf_rows).
 """
 
 from __future__ import annotations
@@ -403,6 +405,25 @@ def mf_on_lines(S: "Signal", R: np.ndarray, slope: int | None,
     row of the (T, p) receiver stack R: the one-job case of mf_on_stage,
     which documents the method."""
     return mf_on_stage(R, [(S, slope, offsets)])[0]
+
+
+def _mf_rows(S: "Signal", R: "Signal", k: int) -> np.ndarray:
+    """Rows tau = 0..k-1 of the full matched-filter matrix M[S, R] as a fresh
+    (k, p) array, entry [tau, w] = M(tau, w). Row tau is the vertical line
+    tau0 = tau, so the rows are mf_on_lines scans of R broadcast to a block of
+    rows, one stage per block, with as many rows a block as let the stage's
+    work fit the kept buffer (BUFFER_CAP): no (k, n) work array is built."""
+    if S.p != R.p:
+        raise ValueError("mismatched moduli")
+    p = S.p.p
+    block = max(1, BUFFER_CAP // (_smooth_length(2 * p - 1) + p))  # _scan's buffer per row
+    out = np.empty((k, p), dtype=np.complex128)
+    for t0 in range(0, k, block):
+        taus = np.arange(t0, min(t0 + block, k))
+        ((values, _, cq),) = _scan(np.broadcast_to(R.samples, (taus.size, p)),
+                                   [(S, None, taus)])
+        np.multiply(cq, values, out=out[t0:t0 + taus.size])  # mf_on_lines, in place
+    return out
 
 
 def mf_on_line(S: "Signal", R: "Signal", line: Line) -> LineProfile:

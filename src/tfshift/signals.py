@@ -2,8 +2,9 @@
 exact matched-filter matrix.
 
 mf_entry is the literal defining sum and serves as the correctness oracle for
-every fast path in the package. mf_full computes the whole p x p matrix one
-row (fixed tau, all omega) per DFT.
+every fast path in the package. mf_full computes the whole p x p matrix as p
+vertical line scans (fixed tau, all omega) of fastmf's line kernel, in
+blocks of rows that fit its kept buffer.
 """
 
 from __future__ import annotations
@@ -167,13 +168,8 @@ class MFMatrix:
 
 
 def mf_full(S: Signal, R: Signal) -> MFMatrix:
-    """All p^2 entries, one forward DFT per row: row tau transforms
-    u(t) = S(t+tau) conj(R(t)) over t."""
-    if S.p != R.p:
-        raise ValueError("mismatched moduli")
-    p = S.p.p
-    Rc = np.conj(R.samples)
-    entries = np.empty((p, p), dtype=np.complex128)
-    for tau in range(p):
-        entries[tau, :] = fastmf.dft(np.roll(S.samples, -tau) * Rc, "forward")
-    return MFMatrix(S.p, entries)
+    """All p^2 entries as the p vertical lines tau0 = 0..p-1: row tau holds
+    M(tau, w) for w = 0..p-1, scanned by fastmf's line kernel in blocks of
+    rows (fastmf._mf_rows). ValueError on mismatched moduli, before any
+    transform."""
+    return MFMatrix(S.p, fastmf._mf_rows(S, R, S.p.p))

@@ -20,7 +20,7 @@ from .detect import THETA1_DEFAULT, THETA2_DEFAULT, _detect
 from .fastmf import mf_on_line
 from .gfp import Line, PlanePoint, Prime, _roots, as_prime
 from .heisenberg import cross_family
-from .signals import Signal, awgn_rows, mf_full, random_signal
+from .signals import Signal, awgn_rows, random_signal
 from .weil import flag_family
 
 TRIAL_CHUNK = 64  # rows of a Monte Carlo stage stack: trials x waveforms scanned at once
@@ -224,7 +224,7 @@ def monte_carlo(template: ChannelSpec, trials: int, method: str = "flag",
 
 # ----------------------------------------------------------------- benchmark
 
-FULL_MF_LIMIT = 2048  # above this, mf_full timing is extrapolated from sample rows
+FULL_MF_LIMIT = 2048  # above this, mf_full timing is extrapolated from full_rows rows
 
 
 def bench_complexity(p_list, repeats: int = 3, full_rows: int = 32) -> list[dict]:
@@ -234,10 +234,13 @@ def bench_complexity(p_list, repeats: int = 3, full_rows: int = 32) -> list[dict
     the dft op count of one call, and the mf_full wall time. The line figures
     are the steady-state scan, with the sender's plan already built: 2
     transforms, where the first scan of a sender on a slope costs 3, and
-    above fastmf.SPLIT_ABOVE each stage transform runs as 2 passes. Beyond
-    FULL_MF_LIMIT the full-matrix time is estimated from `full_rows` rows and
-    flagged extrapolated; the row loop is exact per row, so the estimate is a
-    straight per-row scale-up. ValueError if repeats or full_rows is below 1.
+    above fastmf.SPLIT_ABOVE each stage transform runs as 2 passes. The full
+    matrix is timed as mf_full computes it, rows as vertical line scans
+    (fastmf._mf_rows), on k = p rows up to FULL_MF_LIMIT and on
+    k = min(full_rows, p) rows above; t_full_s is that time scaled by p/k, and
+    flagged extrapolated when k < p. Row blocks cost the same per row, so the
+    estimate is a straight per-row scale-up. ValueError if repeats or
+    full_rows is below 1.
     """
     if repeats < 1 or full_rows < 1:
         raise ValueError(f"repeats and full_rows must be >= 1, got {repeats} and {full_rows}")
@@ -258,24 +261,16 @@ def bench_complexity(p_list, repeats: int = 3, full_rows: int = 32) -> list[dict
         mf_on_line(S, R, line)
         after = fastmf.counters.snapshot()
         ops_line = after[1] - before[1]
-        if pp.p <= FULL_MF_LIMIT:
-            t0 = time.perf_counter()
-            mf_full(S, R)
-            t_full = time.perf_counter() - t0
-            extrapolated = False
-        else:
-            Rc = np.conj(R.samples)
-            t0 = time.perf_counter()
-            for tau in range(full_rows):
-                fastmf.dft(np.roll(S.samples, -tau) * Rc, "forward")
-            t_full = (time.perf_counter() - t0) * (pp.p / full_rows)
-            extrapolated = True
+        k = pp.p if pp.p <= FULL_MF_LIMIT else min(full_rows, pp.p)
+        t0 = time.perf_counter()
+        fastmf._mf_rows(S, R, k)
+        t_full = (time.perf_counter() - t0) * (pp.p / k)
         rows.append({
             "p": pp.p,
             "t_line_s": t_line,
             "dft_ops_line": ops_line,
             "t_full_s": t_full,
-            "full_extrapolated": extrapolated,
+            "full_extrapolated": k < pp.p,
             "ratio": t_full / t_line if t_line > 0 else float("inf"),
         })
     return rows
@@ -283,8 +278,11 @@ def bench_complexity(p_list, repeats: int = 3, full_rows: int = 32) -> list[dict
 
 def fit_exponent(ps, ys) -> float:
     """Least-squares slope of log(y) against log(p). ValueError if any p or y
-    is not positive, since its log is not finite."""
+    is not positive, since its log is not finite, or if ps holds fewer than
+    two distinct values, which fit no slope."""
     x, y = np.asarray(ps, dtype=float), np.asarray(ys, dtype=float)
     if not (x > 0).all() or not (y > 0).all():
         raise ValueError(f"fit_exponent needs positive values, got ps={list(ps)}, ys={list(ys)}")
+    if np.unique(x).size < 2:
+        raise ValueError(f"fit_exponent needs two distinct p values, got ps={list(ps)}")
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])

@@ -52,6 +52,17 @@ def mf_oracle_grid(S: Signal, R: Signal) -> np.ndarray:
     return out
 
 
+def mf_full_oracle(S: Signal, R: Signal) -> np.ndarray:
+    """All p^2 entries, one prime-length forward dft per row: row tau
+    transforms u(t) = S(t+tau) conj(R(t)) over t."""
+    p = S.p.p
+    Rc = np.conj(R.samples)
+    out = np.empty((p, p), dtype=np.complex128)
+    for tau in range(p):
+        out[tau, :] = dft(np.roll(S.samples, -tau) * Rc, "forward")
+    return out
+
+
 def mf_line_oracle(S: Signal, R: Signal, L) -> np.ndarray:
     """Matched-filter values along a line by the direct sum, vectorized over
     the line's p cells. No transforms involved."""

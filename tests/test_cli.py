@@ -394,6 +394,15 @@ def test_bench_small_primes_fit_a_finite_exponent(capsys):
     assert np.isfinite(float(out.strip().splitlines()[-1].split("=")[1]))
 
 
+def test_bench_fits_no_exponent_to_one_distinct_prime(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, "bench", "--p", "101,101", "--repeats", 1)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert len(lines) == 3 and not any(line.startswith("#") for line in lines)
+
+
 def test_bench_rejects_bad_list(capsys):
     assert run(capsys, "bench", "--p", "31,abc")[0] == 2
     assert run(capsys, "bench", "--p", "32")[0] == 2

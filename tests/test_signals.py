@@ -1,9 +1,11 @@
 """Signal container, Heisenberg operators, matched-filter oracle paths."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from helpers import mf_oracle, mf_oracle_grid, pi_oracle, psi
+from helpers import mf_full_oracle, mf_oracle, mf_oracle_grid, pi_oracle, psi
 
 from tfshift import (
     PlanePoint,
@@ -11,7 +13,9 @@ from tfshift import (
     as_prime,
     awgn,
     const_signal,
+    counters,
     delta,
+    fastmf,
     heisenberg_op,
     inner,
     mf_entry,
@@ -162,6 +166,39 @@ def test_mf_full_exhaustive_small_p():
     R = random_signal(p, seed=5)
     M = mf_full(S, R)
     assert np.abs(M.entries - mf_oracle_grid(S, R)).max() < 1e-10
+
+
+@pytest.mark.parametrize("p", [31, 101, 1009])
+def test_mf_full_matches_row_transforms(p):
+    # vertical line scans against one prime-length dft per row
+    S = random_signal(p, seed=6)
+    R = random_signal(p, seed=7)
+    got = mf_full(S, R).entries
+    want = mf_full_oracle(S, R)
+    assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
+    assert np.argmax(np.abs(got)) == np.argmax(np.abs(want))
+
+
+def test_mf_full_memory_holds_one_buffer_of_rows():
+    # the result (16.3 MB at p = 1009), one kept buffer (2.1 MB) and a 1 MB
+    # margin; a single (p, n) work array of all rows would take about 33 MB
+    p = 1009
+    S = random_signal(p, seed=6)
+    R = random_signal(p, seed=7)
+    tracemalloc.start()
+    try:
+        mf_full(S, R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= p * p * 16 + fastmf.BUFFER_CAP * 16 + 2**20, peak
+
+
+def test_mf_full_rejects_mismatched_moduli_before_any_transform():
+    counters.reset()
+    with pytest.raises(ValueError, match="mismatched moduli"):
+        mf_full(random_signal(31, seed=0), random_signal(37, seed=0))
+    assert counters.dft_calls == 0
 
 
 def test_mf_matrix_helpers():

@@ -258,6 +258,15 @@ def test_bench_complexity_extrapolates_large_p():
     assert row["t_full_s"] > 0
 
 
+def test_bench_complexity_caps_sample_rows_at_p(monkeypatch):
+    # full_rows above p times the whole grid, which is measured, not estimated
+    monkeypatch.setattr(sim, "FULL_MF_LIMIT", 7)
+    (row,) = bench_complexity([31], repeats=1, full_rows=100)
+    assert not row["full_extrapolated"]
+    (row,) = bench_complexity([31], repeats=1, full_rows=5)
+    assert row["full_extrapolated"]
+
+
 @pytest.mark.parametrize("kwargs", [{"repeats": 0}, {"repeats": -1}, {"full_rows": 0}])
 def test_bench_complexity_rejects_counts_below_one(kwargs):
     # checked before any timing: repeats=0 ran once, full_rows=0 divided by zero
@@ -278,6 +287,13 @@ def test_fit_exponent_rejects_non_positive_values(ps, ys):
     # log(0) made a numpy RuntimeWarning and a nan exponent
     with pytest.raises(ValueError, match="positive"):
         fit_exponent(ps, ys)
+
+
+@pytest.mark.filterwarnings("error")
+def test_fit_exponent_rejects_one_distinct_p():
+    # numpy warned of a rank-deficient fit and returned a slope anyway
+    with pytest.raises(ValueError, match="two distinct"):
+        fit_exponent([101, 101], [4096, 4096])
 
 
 def test_monte_carlo_confident_rates_follow_thresholds():
