@@ -25,8 +25,9 @@ on every call. A stage also runs one
 transform per job whose sender half is cold: that half (its conjugate chirp
 and padded spectrum) is kept as a read-only plan per (sender Signal, slope),
 at most PLAN_SLOPES slopes per sender, and dropped when the Signal is
-garbage-collected. The detectors read each job's result in place in that
-buffer, before its output chirp (_scan), so a warm stage allocates no
+garbage-collected; the vertical plan depends on p only, and is kept once
+per p for every sender. The detectors read each job's result in place in
+that buffer, before its output chirp (_scan), so a warm stage allocates no
 (rows, p) array; mf_on_stage returns copies with the chirp applied.
 mf_on_lines is the one-job case, and mf_on_line its one-row case. The full
 p x p matrix is the p vertical lines tau0 = 0..p-1, scanned in blocks of rows
@@ -64,11 +65,12 @@ class OpCounters:
     zero-padded radix-2 Rader transform (_modelled_ops), a padded length n as
     one radix-2 pass at the power of two N >= n (_radix2_ops). A non-empty
     stage of stacked scans (mf_on_stage) of padded length n <= SPLIT_ABOVE
-    adds 2 padded dft calls, plus 1 per job whose (sender, slope) plan is
-    cold, for any mix of vertical and sloped jobs and any number of receiver
-    rows. Above SPLIT_ABOVE each of the 2 stage transforms is counted as its
-    passes (_stage_transform): per row of the stage's work array, one call of
-    n1 transforms of length n2, and for the whole array one call of n2 per row
+    adds 2 padded dft calls, plus 1 per cold plan (a sloped job's
+    (sender, slope) plan, or the vertical jobs' one plan per p), for any mix
+    of vertical and sloped jobs and any number of receiver rows. Above
+    SPLIT_ABOVE each of the 2 stage transforms is counted as its passes
+    (_stage_transform): per row of the stage's work array, one call of n1
+    transforms of length n2, and for the whole array one call of n2 per row
     of length n1, each priced by _radix2_ops at its own length. A stage of w
     work rows (jobs times receiver rows) then adds 2 (w + 1) calls, and a cold
     plan still 1, a one-pass transform of length n. line_calls counts
@@ -181,7 +183,7 @@ class LineProfile:
         return int(np.argmax(np.abs(self.values)))
 
 
-PLAN_SLOPES = 4  # line-scan plans kept per sender Signal
+PLAN_SLOPES = 4  # sloped line-scan plans kept per sender Signal
 
 # sender Signal -> {slope: (conjugate chirp conj(q), padded spectrum)}, oldest slope first
 _plans: "weakref.WeakKeyDictionary[Signal, dict]" = weakref.WeakKeyDictionary()
@@ -191,20 +193,40 @@ _plans_lock = threading.Lock()
 def _sender_plan(S: "Signal", m: int | None) -> tuple[np.ndarray, np.ndarray]:
     """conj(q_m), for the chirp q_m(t) = e^{(2 pi i/p) 2^{-1} m t^2}, and the
     length-n spectrum of the periodic extension [a, a[:p-1]] of a = q_m*S, n
-    the padded length _smooth_length(2p-1), built on first use and kept for
-    later scans of S on slope m. Vertical (m = None): q = q_1 and a = q, since
-    the vertical line's sender samples ride in the receiver rows. Above
-    SPLIT_ABOVE the spectrum is stored in the order the split stage transform
-    leaves its own in (_stage_transform), reordered once here."""
+    the padded length _smooth_length(2p-1) (_plan), built on first use and
+    kept for later scans of S on slope m. Vertical (m = None): q = q_1 and
+    a = q, since the vertical line's sender samples ride in the receiver
+    rows, so that plan depends on p only and every sender shares it
+    (_vertical_plan)."""
+    if m is None:
+        return _vertical_plan(S.p.p)
     with _plans_lock:
         per = _plans.get(S)
         plan = per.pop(m, None) if per is not None else None
         if plan is not None:
             per[m] = plan  # most recently used last
             return plan
-    p = S.p.p
-    q = _chirp(p, inv(2, S.p) * (1 if m is None else m))
-    a = q if m is None else q * S.samples
+    plan = _plan(S.p.p, m, S.samples)
+    with _plans_lock:
+        per = _plans.setdefault(S, {})
+        per[m] = plan
+        while len(per) > PLAN_SLOPES:
+            del per[next(iter(per))]
+    return plan
+
+
+@lru_cache(maxsize=2)
+def _vertical_plan(p: int) -> tuple[np.ndarray, np.ndarray]:
+    return _plan(p, None, None)
+
+
+def _plan(p: int, m: int | None, samples: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only (conj(q), padded spectrum) of _sender_plan for the
+    sender samples on slope m (None: vertical, samples unused), by one dft.
+    Above SPLIT_ABOVE the spectrum is stored in the order the split stage
+    transform leaves its own in (_stage_transform), reordered once here."""
+    q = _chirp(p, inv(2, p) * (1 if m is None else m))
+    a = q if m is None else q * samples
     cq = np.conj(q)
     n = _smooth_length(2 * p - 1)
     fa = dft(np.concatenate([a, a[:p - 1]]), "forward", n=n)
@@ -213,13 +235,7 @@ def _sender_plan(S: "Signal", m: int | None) -> tuple[np.ndarray, np.ndarray]:
         fa = fa.reshape(n1, n2).T.ravel()
     cq.setflags(write=False)
     fa.setflags(write=False)
-    plan = (cq, fa)
-    with _plans_lock:
-        per = _plans.setdefault(S, {})
-        per[m] = plan
-        while len(per) > PLAN_SLOPES:
-            del per[next(iter(per))]
-    return plan
+    return cq, fa
 
 
 def line_offset(line: Line) -> int:
@@ -342,9 +358,10 @@ def mf_on_stage(R: np.ndarray, jobs: list) -> list[np.ndarray]:
     SPLIT_ABOVE (_stage_transform). R is conjugated once per stage,
     into the same kept buffer. conj(q) and the padded spectrum of the first
     argument come from the sender's plan, so a stage adds one transform per
-    job whose (S, slope) plan is cold. Every job is checked before any
-    transform: an R that is not a (T, p) stack, rows of another length than a
-    sender, and offsets other than one per receiver row are refused.
+    cold plan: a sloped job's (S, slope) plan, or the vertical plan of p.
+    Every job is checked before any transform: an R that is not a (T, p)
+    stack, rows of another length than a sender, and offsets other than one
+    per receiver row are refused.
     """
     # conj(q) first: numpy's complex product is not commutative bit for bit
     return [np.multiply(cq, values) for values, _, cq in _scan(R, jobs)]

@@ -46,8 +46,15 @@ class Prime:
 
 
 def as_prime(p) -> Prime:
-    """Coerce an int (or pass through a Prime) to a validated Prime."""
-    return p if isinstance(p, Prime) else Prime(int(p))
+    """Coerce an int (or pass through a Prime) to a validated Prime. An int
+    is validated once: the Primes of the last 64 ints are shared, so the
+    modular helpers that take an int p run no trial division on each call."""
+    return p if isinstance(p, Prime) else _prime(int(p))
+
+
+@lru_cache(maxsize=64)
+def _prime(p: int) -> Prime:
+    return Prime(p)  # lru_cache keeps no exception: a non-prime fails every time
 
 
 def inv(a: int, p) -> int:
@@ -69,6 +76,33 @@ def legendre(a: int, p) -> int:
     return 1 if s == 1 else -1
 
 
+def sqrt_mod(a: int, p) -> int | None:
+    """A square root of a mod p, a residue r in [0, p) with r^2 = a, or None
+    when a is a nonsquare (Tonelli-Shanks, Shanks 1973): O(log^2 p) products.
+    The other root is p - r."""
+    p = int(as_prime(p).p)
+    a = a % p
+    if a == 0:
+        return 0
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None
+    q, s = p - 1, 0  # p - 1 = q 2^s, q odd
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:  # a nonsquare
+        z += 1
+    # invariant: r^2 = a t, with t of order 2^i dividing 2^(m-1), c of order 2^m
+    m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
 @lru_cache(maxsize=2)
 def _roots(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only tables for F_p, about 32p bytes: the p-th roots of unity
@@ -80,10 +114,11 @@ def _roots(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def _chirp(p: int, a: int, b: int = 0) -> np.ndarray:
+def _chirp(p: int, a, b: int = 0) -> np.ndarray:
     """e(a t^2 + b t) for t in F_p: a chirp, or with a = 0 the modulation by
     b. A gather from _roots(p), so every chirp takes its samples from one
-    exp call per p; with b = 0 mod p the linear term is skipped."""
+    exp call per p; with b = 0 mod p the linear term is skipped. An (M, 1)
+    integer column a gives the (M, p) stack of its M chirps."""
     roots, sq, t = _roots(p)
     k = a % p * sq
     if b % p:

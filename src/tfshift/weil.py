@@ -28,26 +28,35 @@ unaffected by any of this phase bookkeeping.
 A flag needs one torus eigenvector, built matrix-free: the vector is the
 projection of a fixed reference signal on its eigenspace, a sum over the
 n = T.order powers of rho(T.generator). One doubling ladder (_project) sums
-them in O(log p) FFTs per vector. Each step applies rho^h = c(h) rho(g^h):
-rho(g^h) is the closed-form kernel, built at its step and dropped after, and
-c(h) is a fourth root of unity in closed form (_power_scalar). The one cached
-record per torus (_orbit) is the spectrum, read off tr rho in O(p): eigenvalue
-keys, eigenvalues and degenerate marks. One builder (_vectors) projects any
-set of eigenvalue indices as one stack and checks the result; torus_vector
-(one vector) and torus_eigenbasis (all p, O(p^2) memory, for tests, demos and
-full-basis callers) both call it. Only numpy's FFT runs; nothing calls
-LAPACK. weil_operator is the dense matrix, for tests and demos.
+them in O(log p) FFTs. Each step applies rho^h = c(h) rho(g^h): rho(g^h) is
+the closed-form kernel, built at its step and dropped after, and c(h) is a
+fourth root of unity in closed form (_power_scalar). The ladder's steps
+depend on n only, so the vectors of every torus of one order climb one
+ladder as one stack, one transform call a step for all of them. The one
+cached record per torus (_orbit) is the spectrum, read off tr rho in O(p):
+eigenvalue keys, eigenvalues and degenerate marks. One builder (_vectors)
+projects any set of (torus, eigenvalue index) pairs in at most two ladders,
+one per torus order, and checks the result; torus_vector (one vector, the
+last 64 kept), flag_family (its r vectors at once) and torus_eigenbasis
+(all p, O(p^2) memory, for tests, demos and full-basis callers) all call it.
+A torus is found by make_torus in O(log^2 p) integer products per candidate
+row of its centralizer, from one modular square root (gfp.sqrt_mod). Only
+numpy's FFT runs; nothing calls LAPACK. weil_operator is the dense matrix,
+for tests and demos.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .gfp import Line, PlanePoint, Prime, _chirp, as_prime, inv, legendre, transverse_line
+from .gfp import (Line, PlanePoint, Prime, _chirp, _roots, as_prime, inv, legendre, sqrt_mod,
+                  transverse_line)
 from .heisenberg import HeisenbergVector, line_vector
 from .signals import Signal, add, heisenberg_op, random_signal
 
@@ -136,7 +145,7 @@ class WeilOperator:
     matrix: np.ndarray
 
 
-def _rho(g: GroupElement):
+def _rho(*gs: GroupElement):
     """rho(g) as a map on the rows of a (..., p) stack, from the closed-form
     kernel, with e(z) = e^{(2 pi i/p) z} and divisions taken in F_p:
 
@@ -147,15 +156,34 @@ def _rho(g: GroupElement):
     chirp, O(p log p) per row; the second a chirp on a dilation. The global
     phase makes rho[0, 0] real and positive (it is p^{-1/2} or 1). The
     transform is numpy's own, so fastmf.counters count only matched-filter
-    transforms."""
-    p = g.p.p
-    x = np.arange(p)
-    if g.b:
-        k = pow(2 * g.b, -1, p)
-        pre, post, at = _chirp(p, -g.a * k), _chirp(p, -g.d * k), x * pow(g.b, -1, p) % p
-        return lambda F: post * np.fft.ifft(pre * F, norm="ortho")[..., at]
-    post, at = _chirp(p, -g.c * g.d * pow(2, -1, p)), g.d * x % p
-    return lambda F: post * F[..., at]
+    transforms.
+
+    Given several elements, the map takes a (len(gs), p) stack and applies
+    rho(gs[i]) to row i, with one transform call for every row; the elements
+    must then all have b != 0 or all b = 0, as the powers g^h of one ladder
+    step do (g^h has b = 0 only at +-I)."""
+    p = gs[0].p.p
+    if all(g.b for g in gs):
+        coef = [(-g.a * k, -g.d * k, pow(g.b, -1, p)) for g in gs for k in [pow(2 * g.b, -1, p)]]
+    elif any(g.b for g in gs):
+        raise ValueError("elements with b = 0 and b != 0 in one stack")
+    else:
+        coef = [(0, -g.c * g.d * pow(2, -1, p), g.d) for g in gs]
+    a, d, s = coef[0] if len(gs) == 1 else (np.array(coef) % p).T[:, :, None]
+    post, at = _chirp(p, d), _roots(p)[2] * s % p
+    gather = (lambda Y: Y[..., at]) if len(gs) == 1 else (lambda Y: np.take_along_axis(Y, at, -1))
+    # np.multiply, not *: numpy's complex product is not commutative bit for
+    # bit, and * on a large temporary reuses it as the first operand
+    if gs[0].b:
+        pre = _chirp(p, a)
+        return lambda F: np.multiply(post, gather(np.fft.ifft(pre * F, norm="ortho")))
+    return lambda F: np.multiply(post, gather(F))
+
+
+def _rho_rows(gs: list[GroupElement], which: np.ndarray):
+    """_rho applying rho(gs[which[i]]) to row i of a stack; one element
+    applies to every row of a stack of any shape."""
+    return _rho(*(gs if len(gs) == 1 else [gs[j] for j in which]))
 
 
 @lru_cache(maxsize=8)
@@ -192,6 +220,23 @@ def _factor(n: int) -> list[int]:
     return out
 
 
+def _mat_mul(x: tuple, y: tuple, p: int) -> tuple:
+    """x y for 2x2 matrices x, y = (a, b, c, d) mod p, in ints."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
+
+
+def _mat_pow(m: tuple, e: int, p: int) -> tuple:
+    """m^e for a 2x2 matrix m = (a, b, c, d) mod p, by squaring."""
+    r = (1, 0, 0, 1)
+    while e:
+        if e & 1:
+            r = _mat_mul(r, m, p)
+        m, e = _mat_mul(m, m, p), e >> 1
+    return r
+
+
 @lru_cache(maxsize=64)
 def make_torus(trace_class: int, p) -> Torus:
     """The torus containing a regular element of the given trace.
@@ -200,8 +245,15 @@ def make_torus(trace_class: int, p) -> Torus:
     SL2, i.e. pairs (a, b) with a^2 + a b t + b^2 = 1. The torus is split of
     order p-1 when t^2-4 is a nonzero square, nonsplit of order p+1 when it is
     a nonsquare; t^2 = 4 is parabolic and rejected. The generator is the first
-    centralizer element of full order in lexicographic (a, b) scan. The scan
-    is O(p^2), so tori are cached (a Torus is immutable).
+    centralizer element of full order in lexicographic (a, b) order. For each
+    a in turn, the b on the centralizer are the roots of the quadratic
+    b^2 + a t b + (a^2 - 1) = 0, (-a t +- s)/2 with s a square root of its
+    discriminant a^2 (t^2 - 4) + 4 (gfp.sqrt_mod); they are tried in
+    ascending b, so the search meets the generator the full (a, b) scan
+    would, in O(log^2 p) products a value of a, not O(p). A full-order
+    element typically turns up within a few values of a (a = 2 or 3 for the
+    roster tori at p = 100003 and 1000003). Tori are cached (a Torus is
+    immutable).
     """
     pp = as_prime(p)
     pi = pp.p
@@ -212,18 +264,18 @@ def make_torus(trace_class: int, p) -> Torus:
     kind = "split" if legendre(disc, pp) == 1 else "nonsplit"
     order = pi - 1 if kind == "split" else pi + 1
     primes = _factor(order)
+    one, half = (1, 0, 0, 1), (pi + 1) // 2
     for a in range(pi):
-        for b in range(pi):
-            if (a * a + a * b * t + b * b) % pi != 1:
+        s = sqrt_mod(a * a * disc + 4, pp)
+        if s is None:
+            continue
+        for b in sorted({(-a * t + s) * half % pi, (-a * t - s) * half % pi}):
+            g = ((a + b * t) % pi, -b % pi, b, a)
+            if g == one or any(_mat_pow(g, order // q, pi) == one for q in primes):
                 continue
-            g = GroupElement(a + b * t, -b, b, a, pp)
-            if g.is_identity():
+            if _mat_pow(g, order, pi) != one:
                 continue
-            if any(g.power(order // q).is_identity() for q in primes):
-                continue
-            if not g.power(order).is_identity():
-                continue
-            return Torus(g, kind, order)
+            return Torus(GroupElement(*g, pp), kind, order)
     raise RuntimeError("no full-order centralizer element found")  # unreachable
 
 
@@ -306,34 +358,37 @@ def _orbit(T: Torus) -> _Orbit:
     return _Orbit(*spectrum)
 
 
-def _project(T: Torus, keys: np.ndarray, X: np.ndarray | None = None) -> np.ndarray:
-    """The (K, rows, p) stack P_k x = (1/n) sum_{j<n} z^j x, z = e^{-i pi k/n} rho,
-    for each of K keys k and each row x of X (default random_signal(p, 0)),
-    n = T.order.
+def _project(tori: list[Torus], which: np.ndarray, keys: np.ndarray,
+             X: np.ndarray) -> np.ndarray:
+    """The (N, p) stack of P_k x = (1/n) sum_{j<n} z^j x, z = e^{-i pi k/n} rho,
+    row i for the torus tori[which[i]], its key k = keys[i] and the reference
+    row x = X[i], where every torus has the same order n.
 
     P_k projects onto the e^{i pi k/n}-eigenspace of rho = rho(g),
-    g = T.generator: rho^n is a scalar and every eigenvalue has the parity of
-    k, so the sum cancels every other eigenvalue, and z^n = 1. A doubling
-    ladder sums it: G_e = sum_{j<e} z^j x climbs from G_1 = x over the bits
-    of n after the leading one, to G_{2e} = G_e + z^e G_e for each bit and
-    then to G_{e+1} = x + z G_e if the bit is set, and ends at G_n. Each step
-    is at most one transform of the stack (none at g^h = -I, the last), with
-    z^h = c(h) e^{-i pi k h/n} rho(g^h) (_power_scalar, _rho) built for that
-    step only, so the memory is O(K rows p); g^e climbs alongside, one
-    product a step.
+    g the torus generator: rho^n is a scalar and every eigenvalue has the
+    parity of k, so the sum cancels every other eigenvalue, and z^n = 1. A
+    doubling ladder sums it: G_e = sum_{j<e} z^j x climbs from G_1 = x over
+    the bits of n after the leading one, to G_{2e} = G_e + z^e G_e for each
+    bit and then to G_{e+1} = x + z G_e if the bit is set, and ends at G_n.
+    The steps depend on n only, so every row climbs in the same ladder: a
+    step applies to each row z^h = c(h) e^{-i pi k h/n} rho(g^h) of its own
+    torus (_power_scalar, _rho), built for that step only, as at most one
+    transform call for the whole stack (none at g^h = -I, the last), so the
+    memory is O(N p); each g^e climbs alongside, one product a step.
     """
-    g, n = T.generator, T.order
-    X = _reference(g.p.p, 0) if X is None else X
+    gs = [T.generator for T in tori]
+    n = tori[0].order
 
-    def z(h, u, G):  # z^h G, u = g^h
-        c = _power_scalar(g, u, h) * np.exp(-1j * np.pi * (keys * h % (2 * n)) / n)
-        return c[:, None, None] * _rho(u)(G)
+    def z(h, us, G):  # z^h G, us[j] = gs[j]^h
+        c = np.array([_power_scalar(g, u, h) for g, u in zip(gs, us)])[which]
+        c = c * np.exp(-1j * np.pi * (keys * h % (2 * n)) / n)
+        return np.multiply(c[:, None], _rho_rows(us, which)(G))
 
-    G, e, u = X, 1, g
+    G, e, us = X, 1, gs
     for bit in bin(n)[3:]:
-        G, e, u = G + z(e, u, G), 2 * e, u.mul(u)
+        G, e, us = G + z(e, us, G), 2 * e, [u.mul(u) for u in us]
         if bit == "1":
-            G, e, u = X + z(1, g, G), e + 1, u.mul(g)
+            G, e, us = X + z(1, gs, G), e + 1, [u.mul(g) for u, g in zip(us, gs)]
     return G / n
 
 
@@ -347,40 +402,91 @@ def _unit(P: np.ndarray) -> np.ndarray:
     return P / norms
 
 
-def _vectors(T: Torus, index: np.ndarray) -> list[WeilVector]:
-    """WeilVectors for the eig_indices `index`, built as one stack: each the
-    unit projection of random_signal(p, 0) on its eigenspace (_project),
+def _vectors(tori: list[Torus], index) -> list[WeilVector]:
+    """The WeilVector of eig_index index[i] of torus tori[i], for each i, each
+    the unit projection of random_signal(p, 0) on its eigenspace (_project),
     which meets the phase rule by itself, since <P x, x> = ||P x||^2 > 0.
+    The tori of one order n share one stacked ladder, so a request of any
+    size runs at most two: n = p-1 (split) and n = p+1 (nonsplit).
     The degenerate key of a split torus gets an orthonormal pair that meets
-    it too: u and w the unit projections of random_signal(p, 0) and
+    the rule too: u and w the unit projections of random_signal(p, 0) and
     random_signal(p, 1), w made orthogonal to u, then (u + w)/sqrt 2 and
-    (u - w)/sqrt 2, both with <v, random_signal(p, 0)> = ||P x||/sqrt 2.
-    RuntimeError unless every v meets ||rho v - lambda v|| <= LATTICE_TOL."""
-    orbit, pp = _orbit(T), T.generator.p
-    keys = orbit.keys[index]
-    V = _unit(_project(T, keys)[:, 0])
-    deg = np.flatnonzero(orbit.degenerate[index])
-    if deg.size:
-        u, w = _unit(_project(T, keys[deg[:1]], _reference(pp.p, 0, 1))[0])
-        w = _unit(w - np.vdot(u, w) * u)
-        pair = np.stack([u + w, u - w]) / np.sqrt(2)
-        V[deg] = pair[index[deg] - np.searchsorted(orbit.keys, keys[deg[0]])]
-    lam = orbit.eigenvalues[index]
-    if np.linalg.norm(_rho(T.generator)(V) - lam[:, None] * V, axis=1).max() > LATTICE_TOL:
-        raise RuntimeError("Weil vector fails its eigenvalue equation")
-    return [WeilVector(T, complex(e), Signal(pp, v), bool(d))
-            for e, v, d in zip(lam, V, orbit.degenerate[index])]
+    (u - w)/sqrt 2, both with <v, random_signal(p, 0)> = ||P x||/sqrt 2; the
+    projection of random_signal(p, 1) is one more row of the same ladder.
+    RuntimeError unless every v meets ||rho v - lambda v|| <= LATTICE_TOL,
+    checked by one stacked rho apply per ladder."""
+    pp = tori[0].generator.p
+    index = np.asarray(index)
+    out = [None] * len(tori)
+    for n in sorted({T.order for T in tori}):
+        rows = [i for i, T in enumerate(tori) if T.order == n]
+        group = list(dict.fromkeys(tori[i] for i in rows))
+        which = np.array([group.index(tori[i]) for i in rows])
+        orbits = [_orbit(T) for T in group]
+        idx = index[rows]
+        keys, lam, deg = (np.stack(a)[which, idx] for a in zip(*orbits))
+        paired = sorted(set(which[deg].tolist()))  # tori asked for a degenerate vector
+        k0 = np.array([keys[deg & (which == j)][0] for j in paired], dtype=int)
+        ref = np.repeat([0, 1], [len(rows), len(paired)])  # random_signal(p, 1) if paired
+        P = _project(group, np.r_[which, np.array(paired, dtype=int)], np.r_[keys, k0],
+                     _reference(pp.p, *range(ref.max() + 1))[ref])
+        V = _unit(P[:len(rows)])
+        for m, j in enumerate(paired):
+            d = np.flatnonzero(deg & (which == j))
+            u, w = _unit(P[[d[0], len(rows) + m]])
+            w = _unit(w - np.vdot(u, w) * u)
+            pair = np.stack([u + w, u - w]) / np.sqrt(2)
+            V[d] = pair[idx[d] - np.searchsorted(orbits[j].keys, k0[m])]
+        rho = _rho_rows([T.generator for T in group], which)
+        if np.linalg.norm(rho(V) - lam[:, None] * V, axis=1).max() > LATTICE_TOL:
+            raise RuntimeError("Weil vector fails its eigenvalue equation")
+        for i, j, e, v, dg in zip(rows, which, lam, V, deg):
+            out[i] = WeilVector(group[j], complex(e), Signal(pp, v), bool(dg))
+    return out
 
 
-@lru_cache(maxsize=64)
+VECTOR_CACHE = 64  # torus_vector results kept, least recently used dropped first
+
+_vector_cache: "OrderedDict[tuple[Torus, int], WeilVector]" = OrderedDict()
+_vector_lock = threading.Lock()
+
+
+def _cached_vectors(tori: list[Torus], index: list[int]) -> list[WeilVector]:
+    """torus_vector(tori[i], index[i]) for each i: the kept vectors as they
+    are, and the rest built by one _vectors call, then kept too."""
+    wanted = [(T, int(i)) for T, i in zip(tori, index)]
+    with _vector_lock:
+        got = {w: _vector_cache.get(w) for w in wanted}
+    cold = [w for w, v in got.items() if v is None]
+    if cold:
+        got.update(zip(cold, _vectors(*zip(*cold))))
+    with _vector_lock:
+        for w in got:
+            got[w] = _vector_cache.setdefault(w, got[w])  # a racing build loses
+            _vector_cache.move_to_end(w)
+        while len(_vector_cache) > VECTOR_CACHE:
+            _vector_cache.popitem(last=False)
+    return [got[w] for w in wanted]
+
+
 def torus_vector(T: Torus, index: int) -> WeilVector:
-    """The eigenvector torus_eigenbasis(T)[index] names, built alone with no
-    p x p array by _vectors: O(log p) transforms of length p. ValueError for an index outside
-    0..p-1, raised before any torus work."""
+    """The eigenvector torus_eigenbasis(T)[index] names, built with no p x p
+    array by _vectors: O(log p) transforms of length p. The last VECTOR_CACHE
+    vectors asked of torus_vector or flag_family are kept (cache_clear drops
+    them). ValueError for an index outside 0..p-1, raised before any torus
+    work."""
     p = T.generator.p.p
     if not 0 <= index < p:
         raise ValueError(f"eig_index {index} is not in 0..{p - 1}")
-    return _vectors(T, np.array([index]))[0]
+    return _cached_vectors([T], [index])[0]
+
+
+def _clear_vectors() -> None:
+    with _vector_lock:
+        _vector_cache.clear()
+
+
+torus_vector.cache_clear = _clear_vectors
 
 
 @lru_cache(maxsize=8)
@@ -397,7 +503,8 @@ def torus_eigenbasis(T: Torus) -> tuple[WeilVector, ...]:
     one. O(p^2) memory: for tests, demos and full-basis callers; a flag
     needs one vector (torus_vector).
     """
-    return tuple(_vectors(T, np.arange(T.generator.p.p)))
+    p = T.generator.p.p
+    return tuple(_vectors([T] * p, np.arange(p)))
 
 
 # ------------------------------------------------------------------ flags
@@ -423,11 +530,14 @@ def flag_waveform(L: Line, T: Torus, b_index: int, eig_index: int) -> Flag:
     eigenvector (0..p-1, in torus_eigenbasis order), built alone by
     torus_vector. Degenerate eigenvectors are refused: their peak behavior
     carries no guarantee."""
-    phi = torus_vector(T, eig_index)
+    return _flag(L, b_index, torus_vector(T, eig_index))
+
+
+def _flag(L: Line, b_index: int, phi: WeilVector) -> Flag:
     if phi.degenerate:
         raise ValueError("degenerate Weil eigenvector requested for a flag")
     fL = line_vector(L, b_index)
-    return Flag(L, T, fL, phi, add(fL.signal, phi.signal))
+    return Flag(L, phi.torus, fL, phi, add(fL.signal, phi.signal))
 
 
 def default_torus_roster(p, count: int) -> list[Torus]:
@@ -448,24 +558,24 @@ def default_torus_roster(p, count: int) -> list[Torus]:
 def flag_family(p, r: int, seed: int) -> list[Flag]:
     """r flags on pairwise-distinct origin lines with pairwise-distinct
     non-degenerate Weil vectors, drawn from a fixed torus roster (cycled).
-    Line i gets slope i (vertical last when r = p+1)."""
+    Line i gets slope i (vertical last when r = p+1). The vectors are
+    torus_vector's, and those not kept yet are built together, in one
+    stacked ladder per torus order (_vectors)."""
     pp = as_prime(p)
     if not 0 <= r <= pp.p + 1:
         raise ValueError("a flag family holds 0 to p+1 flags (one per origin line)")
     roster = default_torus_roster(pp, min(max(r, 1), 8))
     rng = np.random.default_rng(seed)
     free = [~_orbit(T).degenerate for T in roster]  # indices each torus can still give
-    flags = []
+    picks = []
     for i in range(r):
-        slope = None if i == pp.p else i
-        L = Line(slope, pp)
         ti = i % len(roster)
-        T = roster[ti]
         candidates = np.flatnonzero(free[ti])
         if not candidates.size:
             raise ValueError("insufficient non-degenerate eigenvectors in roster")
         eig = int(rng.choice(candidates))
         free[ti][eig] = False
-        b = int(rng.integers(0, pp.p))
-        flags.append(flag_waveform(L, T, b, eig))
-    return flags
+        picks.append((roster[ti], eig, int(rng.integers(0, pp.p))))
+    phis = _cached_vectors([T for T, _, _ in picks], [eig for _, eig, _ in picks])
+    return [_flag(Line(None if i == pp.p else i, pp), b, phi)
+            for i, ((_, _, b), phi) in enumerate(zip(picks, phis))]

@@ -7,9 +7,10 @@ independent route.
 
 import numpy as np
 
-from tfshift import (GroupElement, HeisenbergVector, Line, PlanePoint, Signal,
-                     delta, dft, extract_bits, gfp, heisenberg_op, random_signal, sim)
-from tfshift.weil import LATTICE_TOL, PHASE_FLOOR, Torus, WeilVector, _rho, weil_operator
+from tfshift import (GroupElement, HeisenbergVector, Line, PlanePoint, Signal, as_prime,
+                     delta, dft, extract_bits, gfp, heisenberg_op, legendre, random_signal, sim)
+from tfshift.weil import (LATTICE_TOL, PHASE_FLOOR, Torus, WeilVector, _factor, _rho,
+                          weil_operator)
 
 
 def psi(k: int, p: int) -> complex:
@@ -207,6 +208,34 @@ def weil_operator_oracle(g: GroupElement) -> np.ndarray:
     rho = averaged_intertwiner(g, x, y)
     rho /= np.linalg.norm(rho[:, 0])
     return rho * (np.conj(rho[0, 0]) / abs(rho[0, 0]))
+
+
+def make_torus_oracle(trace_class: int, p) -> Torus:
+    """weil.make_torus by the full lexicographic (a, b) scan, O(p^2): the
+    first centralizer element a*I + b*g0, a^2 + a b t + b^2 = 1, of full
+    order."""
+    pp = as_prime(p)
+    pi = pp.p
+    t = trace_class % pi
+    disc = (t * t - 4) % pi
+    if disc == 0:
+        raise ValueError(f"trace {t} is parabolic mod {pi}: not a torus")
+    kind = "split" if legendre(disc, pp) == 1 else "nonsplit"
+    order = pi - 1 if kind == "split" else pi + 1
+    primes = _factor(order)
+    for a in range(pi):
+        for b in range(pi):
+            if (a * a + a * b * t + b * b) % pi != 1:
+                continue
+            g = GroupElement(a + b * t, -b, b, a, pp)
+            if g.is_identity():
+                continue
+            if any(g.power(order // q).is_identity() for q in primes):
+                continue
+            if not g.power(order).is_identity():
+                continue
+            return Torus(g, kind, order)
+    raise RuntimeError("no full-order centralizer element found")  # unreachable
 
 
 def torus_eigenbasis_oracle(T: Torus) -> tuple[WeilVector, ...]:

@@ -350,6 +350,7 @@ def test_mf_on_lines_counts_transforms_not_lines():
     counters.reset()
     fastmf.mf_on_lines(S, R, 5, offsets)
     assert counters.snapshot()[0::2] == (2, 0)
+    fastmf._vertical_plan.cache_clear()  # one plan per p, shared by every sender
     counters.reset()
     fastmf.mf_on_lines(S, R, None, offsets)  # cold: builds the vertical plan
     n = fastmf._smooth_length(2 * p - 1)
@@ -718,6 +719,7 @@ def test_sender_plan_saves_one_transform():
     counters.reset()
     mf_on_line(S, R, sloped(3, 7, p))
     assert counters.snapshot()[0] == 2  # warm, another offset on the slope
+    fastmf._vertical_plan.cache_clear()  # one plan per p, shared by every sender
     counters.reset()
     mf_on_line(S, R, Line(None, as_prime(p)))
     assert counters.snapshot()[0] == 3  # cold: a vertical scan keeps a plan too
@@ -742,6 +744,28 @@ def test_warm_profiles_match_entries_across_eviction():
                 for k, v in enumerate(line_points(L)):
                     want = mf_entry(S, R, v)
                     assert abs(prof.values[k] - want) < 1e-10, (m, c, k)
+
+
+def test_vertical_plan_is_shared_per_p():
+    # the vertical plan depends on p only: two senders share its arrays, a
+    # vertical scan keeps nothing per sender and costs no transform for a
+    # second sender, and the profiles are those of a plan built afresh
+    p = 10007
+    S1, S2 = random_signal(p, seed=51), random_signal(p, seed=52)
+    R = np.stack([random_signal(p, seed=53).samples] * 2)
+    taus = np.array([0, 4321])
+    first = fastmf.mf_on_lines(S1, R, None, taus)
+    counters.reset()
+    second = fastmf.mf_on_lines(S2, R, None, taus)
+    assert counters.snapshot()[0] == 2 * (2 + 1)  # the split stage only, no plan
+    plan1, plan2 = fastmf._sender_plan(S1, None), fastmf._sender_plan(S2, None)
+    assert all(a is b for a, b in zip(plan1, plan2))
+    assert None not in fastmf._plans.get(S1, {}) and None not in fastmf._plans.get(S2, {})
+    fastmf._vertical_plan.cache_clear()
+    assert np.array_equal(fastmf.mf_on_lines(S1, R, None, taus), first)
+    assert np.array_equal(fastmf.mf_on_lines(S2, R, None, taus), second)
+    for w in (0, 1, 5000):
+        assert abs(first[1, w] - mf_oracle(S1, Signal(as_prime(p), R[1]), 4321, w)) < 1e-9
 
 
 def test_plan_store_is_bounded_read_only_and_weak():

@@ -18,7 +18,7 @@ from tfshift import (
     line_through,
     lines_through_origin,
 )
-from tfshift.gfp import _chirp, _roots
+from tfshift.gfp import _chirp, _roots, sqrt_mod
 
 
 def test_is_prime_small_table():
@@ -54,6 +54,27 @@ def test_legendre_matches_square_set():
     for a in range(p):
         want = 0 if a == 0 else (1 if a in squares else -1)
         assert legendre(a, p) == want
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 17, 257])
+def test_sqrt_mod_on_every_residue(p):
+    # None exactly for the nonsquares, else a root in [0, p); p = 17 and 257
+    # (1 mod 8, and 257 = 2^8 + 1) run Tonelli-Shanks's loop several times
+    squares = {x * x % p for x in range(p)}
+    for a in range(-p, 2 * p):
+        r = sqrt_mod(a, p)
+        if a % p in squares:
+            assert r is not None and 0 <= r < p and r * r % p == a % p, (p, a, r)
+        else:
+            assert r is None, (p, a, r)
+
+
+def test_as_prime_shares_validated_primes():
+    assert as_prime(10007) is as_prime(10007)
+    assert as_prime(np.int64(10007)) is as_prime(10007)
+    for _ in range(2):  # a refusal is not kept
+        with pytest.raises(ValueError, match="not prime"):
+            as_prime(10001)
 
 
 def test_legendre_multiplicative():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import psi, torus_eigenbasis_oracle, weil_operator_oracle
+from helpers import make_torus_oracle, psi, torus_eigenbasis_oracle, weil_operator_oracle
 
 import tfshift
 from tfshift import (
@@ -223,6 +223,27 @@ def test_make_torus_cached_with_pinned_generator(p, trace, abcd):
     assert (g.a, g.b, g.c, g.d) == abcd
     assert make_torus(trace, p) is T
     assert make_torus.cache_info().hits == 1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 41, 97, 101, 257, 1009])
+def test_make_torus_matches_lexicographic_scan(p):
+    # every non-parabolic trace: the square-root search finds the generator
+    # the full (a, b) scan finds; p = 17, 41, 97, 257 and 1009 are 1 mod 8
+    for t in range(p):
+        if (t * t - 4) % p:
+            assert make_torus(t, p) == make_torus_oracle(t, p), (p, t)
+
+
+@pytest.mark.parametrize("p, abcd", [
+    (100003, [(3, 89948, 10055, 3), (44975, 55030, 44973, 2), (3, 100002, 1, 0)]),
+    (1000003, [(3, 821176, 178827, 3), (410589, 589416, 410587, 2), (3, 1000002, 1, 0)]),
+])
+def test_roster_generators_pinned_at_large_p(p, abcd):
+    # pinned from the lexicographic scan, which takes about 1 s at p = 1000003
+    make_torus.cache_clear()
+    got = [(T.generator.a, T.generator.b, T.generator.c, T.generator.d)
+           for T in default_torus_roster(p, 3)]
+    assert got == abcd
 
 
 def test_generator_has_full_order():

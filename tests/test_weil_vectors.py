@@ -122,6 +122,56 @@ def test_trace_names_double_and_missing_eigenvalue(p):
     assert kinds == {"split", "nonsplit"}
 
 
+def eig_index(fl):
+    # the eig_index of a flag's non-degenerate vector, read off its eigenvalue
+    (i,) = np.flatnonzero(weil._orbit(fl.torus).eigenvalues == fl.phiT.eigenvalue)
+    return int(i)
+
+
+@pytest.mark.parametrize("p", [31, 101, 503])
+def test_flag_family_vectors_equal_single_builds(p):
+    # a family's vectors, built in one stacked ladder per torus order, equal
+    # bit for bit the vectors built alone; some families mix split and
+    # nonsplit tori (at p = 503 those of four or more flags)
+    kinds = set()
+    for r in range(1, 9):
+        torus_vector.cache_clear()
+        for fl in flag_family(p, r, seed=r):
+            alone = weil._vectors([fl.torus], [eig_index(fl)])[0]
+            assert np.array_equal(fl.phiT.signal.samples, alone.signal.samples), (p, r)
+            assert fl.phiT.eigenvalue == alone.eigenvalue
+        kinds.add(frozenset(fl.torus.kind for fl in flag_family(p, r, seed=r)))
+    assert frozenset({"split", "nonsplit"}) in kinds
+
+
+def test_stacked_eigen_residual_failure_raises(monkeypatch):
+    # the residual check still refuses, for a stack of tori of both orders
+    p = 101
+    roster = default_torus_roster(p, 4)
+    for T in roster:
+        weil._orbit(T)  # the spectra, at the real tolerance
+    torus_vector.cache_clear()
+    monkeypatch.setattr(weil, "LATTICE_TOL", -1.0)
+    with pytest.raises(RuntimeError, match="eigenvalue equation"):
+        weil._vectors(roster, [1, 2, 3, 4])
+    with pytest.raises(RuntimeError, match="eigenvalue equation"):
+        flag_family(p, 4, seed=0)
+    assert not weil._vector_cache
+
+
+def test_vector_cache_keeps_the_most_recent():
+    # a family larger than the cache: its vectors are built and returned
+    # all the same, and the cache keeps the last VECTOR_CACHE of them
+    p = 101
+    torus_vector.cache_clear()
+    fam = flag_family(p, 70, seed=3)
+    assert len(weil._vector_cache) == weil.VECTOR_CACHE == 64
+    for fl in fam[-64:]:
+        assert torus_vector(fl.torus, eig_index(fl)) is fl.phiT
+    torus_vector.cache_clear()
+    assert not weil._vector_cache
+
+
 def test_flag_family_at_p10007_is_matrix_free(monkeypatch):
     # no dense operator, no eigensolver, no full basis and no p x p array:
     # one such array at p = 10007 is 1.6 GB
