@@ -1,5 +1,7 @@
 """Two-stage detectors: flag, cross, bits, gps, radar."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,7 @@ from tfshift import (
     transverse_line,
 )
 from tfshift import detect
-from tfshift.detect import THETA2_DEFAULT
+from tfshift.detect import THETA1_DEFAULT, THETA2_DEFAULT
 from tfshift.sim import build_family
 
 P = as_prime(101)
@@ -329,3 +331,54 @@ def test_refusals_come_before_any_transform(flag101, cross101):
         with pytest.raises(ValueError, match=message):
             extract_bits(R, family)
         assert counters.snapshot() == (0, 0, 0)
+
+
+def radar_scenario(flag, s):
+    # scenario s for a flag at p: 1-4 echoes of random shift, bit and
+    # intensity, every fourth with a bare carrier-line ridge as clutter, at
+    # NSR 0, 1 or 3 in turn
+    p = flag.signal.p
+    rng = np.random.default_rng([p.p, s])
+    acc = np.zeros(p.p, dtype=np.complex128)
+    for _ in range(int(rng.integers(1, 5))):
+        v = PlanePoint(int(rng.integers(p.p)), int(rng.integers(p.p)), p)
+        acc += rng.choice([-1, 1]) * rng.uniform(0.3, 1.0) * heisenberg_op(flag.signal, v).samples
+    if s % 4 == 3:
+        u = PlanePoint(int(rng.integers(p.p)), int(rng.integers(p.p)), p)
+        acc += heisenberg_op(flag.fL.signal, u).samples
+    acc += awgn(p, np.sqrt((0, 1, 3)[s % 3] / p.p), seed=s).samples
+    return Signal(p, acc)
+
+
+@pytest.mark.parametrize("p, r, golden", [
+    (31, 1, "c2572225940d389822b8e8bfc8890a406b28f6e4a5564d35600cf602bfdde52d"),
+    (31, 2, "98fd89a975aee578df74c8762a35dec6bfd1bd5a3441f3c86f5dcc6ba5e2d392"),
+    (31, 3, "375336b134dfa39849ca92ebe18331cd0c9000346d396f22ff9601ef59beb652"),
+    (31, 5, "924d21a6418857f0936b13d9e5a5ac647b15a37653ff6313c51bb25230e67b55"),
+    (31, 31, "c4bbe755f412f582048a07c75048a6d5207d5eed188bc7ab557d1aeb91917e71"),
+    (101, 1, "de028846b692f9274116d190aaed85eb4270258a6fdfb061f3fd5e73fb775609"),
+    (101, 2, "44d6f30fdd73f00840ab849eee0b75677479b9d7e3473232e9dcad4b1c944686"),
+    (101, 3, "d9bb7b0ad71c0b55c17079cf82f2678adb69e651e8d147eb6b8f64acd19c2a2f"),
+    (101, 5, "78875dfcc20226968d7c497b7493689308ec1f4e2bc67a2a6728f7814f10e684"),
+    (101, 101, "ab4fc9736cdba822371c0e187817ce171967920f2d6c7fcdade6d459da055d92"),
+    (251, 1, "4fac35103e9f600bc6204e9f0afc68434f4042eda14c170c2c5f09fb53c2ba60"),
+    (251, 2, "144fbab7c4d81047bd4cce0ed6ab5e51673702d7e710962f38109cdd7e8107bd"),
+    (251, 3, "bb33addbb5393cf8bd82808ec241c830180695215685cf7e82416a3318028715"),
+    (251, 5, "35df5b94c69ac872e05fa4096a1723f6282e2d4e0a5b70861b72fdb6d520004f"),
+    (251, 251, "35df5b94c69ac872e05fa4096a1723f6282e2d4e0a5b70861b72fdb6d520004f"),
+])
+def test_radar_golden_digest(p, r, golden):
+    # radar_detect on 12 seeded scenarios at two threshold pairs, pinned to
+    # the last bit (numpy 2.4 on x86-64): one sha256 per call of its
+    # (tau, omega, magnitude, stage-1 magnitude, confident) list, and one of
+    # those digests per (p, r)
+    flag = flag_family(p, 1, seed=0)[0]
+    calls = hashlib.sha256()
+    for s in range(12):
+        R = radar_scenario(flag, s)
+        for theta, theta2 in ((THETA1_DEFAULT, THETA2_DEFAULT), (0.2, 0.8)):
+            dets = radar_detect(R, flag, r, theta, theta2)
+            rows = [(d.shift.tau, d.shift.omega, d.magnitude.hex(), d.stage1_magnitude.hex(),
+                     d.confident) for d in dets]
+            calls.update(hashlib.sha256(repr(rows).encode()).digest())
+    assert calls.hexdigest() == golden
