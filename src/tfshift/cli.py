@@ -403,6 +403,9 @@ def main(argv=None) -> int:
     except (ValueError, RuntimeError) as e:
         print(f"construction error: {e}", file=sys.stderr)
         return EXIT_CONSTRUCTION
+    except MemoryError as e:
+        print(f"construction error: out of memory: {e}", file=sys.stderr)
+        return EXIT_CONSTRUCTION
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,20 +1,20 @@
 """Two-stage detection in O(p log p) per waveform: flag and cross algorithms,
 multi-user bit extraction, GPS fixes, and multi-target radar.
 
-Every detector is one two-stage scan. Each waveform names its scan_lines:
-the carrier line and a stage-1 line transverse to it (a flag's
-gfp.transverse_line, a cross's second line M). Stage 1's peak lands on the
-shifted carrier line; stage 2 (_stage2, shared by all detectors) scans that
-line, and its peak gives the shift, the bit and the confidence. Decisions are
-taken on magnitudes, so bits (pure phases) never disturb detection. Each stage
-is one stacked line scan (fastmf.mf_on_stage) of the whole family over a
-(T, p) receiver stack, so r waveforms cost two transform pairs, not 2r: one
-receiver is the one-row case, sim.monte_carlo scans a chunk of trials at once,
-and radar runs stage 2 on several stage-1 peaks at once. Both stages read
-values and magnitudes in place in the scan's work buffer (fastmf._scan),
-before the scan's output chirp, which has modulus one: argmax runs on the
-magnitudes there, and the chirp is applied only at each row's peak, so a warm
-stage allocates no (T, p) array and makes no pass for the chirp.
+Every detector is one two-stage scan (_detect). Each waveform names its
+scan_lines: the carrier line and a stage-1 line transverse to it (a flag's
+gfp.transverse_line, a cross's second line M). Stage 1's peaks land on
+shifted carrier lines, and one picker (_pick) takes every row's candidates:
+its argmax, or for radar its r best local maxima. Stage 2 scans each picked
+shifted line, and its peak gives the shift, the bit and the confidence.
+Decisions are taken on magnitudes, so bits (pure phases) never disturb
+detection. Each stage is one stacked line scan (fastmf.mf_on_stage) of the
+whole family over a (T, p) receiver stack, so r waveforms cost two transform
+pairs, not 2r: sim.monte_carlo scans a chunk of trials at once, radar its
+candidates. Both stages read values and magnitudes in place in the scan's
+work buffer (fastmf._scan), before the output chirp, which has modulus one,
+and apply the chirp only at the picked indices, so a warm stage allocates
+no (T, p) array and makes no pass for the chirp.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class GpsFix:
 
 
 class Scan(NamedTuple):
-    """The two-stage scan of one waveform over a (T, p) receiver stack, per row."""
+    """The two-stage scan of one waveform, per stage-1 candidate of a receiver stack."""
 
     tau: np.ndarray       # detected shift
     omega: np.ndarray
@@ -89,43 +89,41 @@ def _scan_lines(family: list) -> list[tuple[Line, Line]]:
     return lines
 
 
-def _peak(values: np.ndarray, cq: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """M at index k[i] of row i, from a scan's values before its output chirp
-    cq (fastmf._scan)."""
+def _peak(values: np.ndarray, cq: np.ndarray, rows: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """M at index k[i] of row rows[i], from a scan's values before its output
+    chirp cq (fastmf._scan)."""
     # cq first, as mf_on_stage multiplies: numpy's complex product is not
     # commutative bit for bit
-    return np.multiply(cq[k], values[np.arange(k.shape[0]), k])
+    return np.multiply(cq[k], values[rows, k])
 
 
-def _stage1(R: np.ndarray, family: list, lines: list) -> list[tuple]:
-    """Per waveform, |M[S, R_i]| along its stage-1 line, one row per receiver
-    row, with the scan's values and output chirp (_peak reads M off them):
-    one stacked scan for the whole family, in place: the arrays are views of
-    the scan's work buffer (fastmf._scan), valid until this thread's next
-    scan."""
+def _stage1(R: np.ndarray, family: list, lines: list, k: int) -> list[tuple]:
+    """Per waveform, each receiver row's k best candidates (_pick) on its
+    stage-1 line: one stacked scan for the whole family, read in place in the
+    scan's work buffer (fastmf._scan)."""
     T = R.shape[0]
     jobs = [(w.signal, l1.slope, np.full(T, line_offset(l1)))
             for w, (_, l1) in zip(family, lines)]
-    return [(np.abs(values, out=spare), values, cq) for values, spare, cq in _scan(R, jobs)]
+    return [_pick(np.abs(values, out=spare), values, cq, k) for values, spare, cq in _scan(R, jobs)]
 
 
-def _stage2(R: np.ndarray, family: list, lines: list, k1s: list, mag1s: list,
+def _stage2(R: np.ndarray, family: list, lines: list, picks: list,
             theta1: float, theta2: float) -> list[Scan]:
     """Stage 2 over the rows of R, one stacked scan for the whole family: for
-    waveform j, row i scans its carrier line through point k1s[j][i] of its
-    stage-1 line, its stage-1 peak of magnitude mag1s[j][i], and reads the
-    shift, the bit and the confidence rule off the stage-2 peak."""
+    waveform j, with picks[j] = (_, k1, mag1) from _pick, row i scans its
+    carrier line through point k1[i] of its stage-1 line, a peak of magnitude
+    mag1[i], and reads the shift, the bit and the confidence off its peak."""
     p = R.shape[-1]
     jobs = []
-    for w, (carrier, line1), k1 in zip(family, lines, k1s):
+    for w, (carrier, line1), (_, k1, _) in zip(family, lines, picks):
         m = carrier.slope
         tau1, omega1 = _points(line1.slope, np.full(k1.shape, line_offset(line1)), k1, p)
         # line_offset of line_through(m, stage-1 peak), per row
         jobs.append((w.signal, m, tau1 if m is None else (omega1 - m * tau1) % p))
     scans = []
-    for (_, m, offsets), (values, spare, cq), mag1 in zip(jobs, _scan(R, jobs), mag1s):
+    for (_, m, offsets), (values, spare, cq), (_, _, mag1) in zip(jobs, _scan(R, jobs), picks):
         k = np.argmax(np.abs(values, out=spare), axis=1)
-        peak = _peak(values, cq, k)
+        peak = _peak(values, cq, np.arange(k.size), k)
         mag2 = np.abs(peak)
         scans.append(Scan(*_points(m, offsets, k, p), mag1, mag2, peak,
                           np.where((peak / 2.0).real >= 0, 1, -1),
@@ -133,14 +131,43 @@ def _stage2(R: np.ndarray, family: list, lines: list, k1s: list, mag1s: list,
     return scans
 
 
-def _detect(R: np.ndarray, family: list, theta1: float, theta2: float) -> list[Scan]:
+def _pick(mags: np.ndarray, values: np.ndarray, cq: np.ndarray, k: int) -> tuple:
+    """Each row's k best candidates in a stage-1 scan, from its values before
+    the output chirp cq (fastmf._scan) and mags = |values|, as flat (rows,
+    indices, |M| there), row by row, best first. A candidate is a cyclic
+    local maximum of mags, at least as large as both neighbours; a run of
+    equal maxima gives one, its lowest index (0 for a run round the row's
+    end). Candidates rank on |M|, largest first, ties to the lowest index; a
+    row with fewer than k gives only those. For k = 1 the pick is np.argmax
+    of mags, whose last bits can differ from |M|'s."""
+    if k == 1:
+        rows, cols = np.arange(mags.shape[0]), np.argmax(mags, axis=1)
+        return rows, cols, np.abs(_peak(values, cq, rows, cols))
+    peak = (mags >= np.roll(mags, 1, axis=1)) & (mags >= np.roll(mags, -1, axis=1))
+    first = peak.copy()
+    first[:, 1:] &= ~peak[:, :-1]  # the lowest index of each run
+    tail = mags.shape[1] - 1 - np.argmax(first[:, ::-1], axis=1)  # start of a row's last run
+    wraps = peak[:, 0] & peak[:, -1] & (tail > 0)  # which goes on at index 0
+    first[wraps, tail[wraps]] = False
+    rows, cols = np.nonzero(first)
+    mag1 = np.abs(_peak(values, cq, rows, cols))
+    order = np.lexsort((cols, -mag1, rows))  # rows stay sorted
+    best = order[np.arange(rows.size) - np.searchsorted(rows, rows) < k]
+    return rows[best], cols[best], mag1[best]
+
+
+def _detect(R: np.ndarray, family: list, theta1: float, theta2: float, k: int = 1) -> list[Scan]:
     """Both stages of every waveform's scan over the rows of R, one stacked
-    scan per stage."""
+    scan per stage, stage 2 on each row's k best stage-1 candidates. For
+    k > 1 the family holds one waveform, and each candidate that can be
+    confident (stage-1 |M| >= theta1) is a row of its Scan."""
     lines = _scan_lines(family)
-    stage1 = _stage1(R, family, lines)
-    k1s = [np.argmax(mags, axis=1) for mags, _, _ in stage1]
-    mag1s = [np.abs(_peak(values, cq, k1)) for (_, values, cq), k1 in zip(stage1, k1s)]
-    return _stage2(R, family, lines, k1s, mag1s, theta1, theta2)
+    picks = _stage1(R, family, lines, k)
+    if k > 1:
+        ((rows, cols, mag1),) = picks
+        keep = mag1 >= theta1
+        picks, R = [(rows[keep], cols[keep], mag1[keep])], R[rows[keep]]
+    return _stage2(R, family, lines, picks, theta1, theta2)
 
 
 def _detection(scan: Scan, i: int, p) -> Detection:
@@ -182,49 +209,21 @@ def gps_solve(R: Signal, family: list,
             for b in extract_bits(R, family, theta1, theta2)]
 
 
-def _local_maxima(mags: np.ndarray, theta: float) -> list[int]:
-    """Cyclic local maxima with value >= theta, suppression radius 1."""
-    left = np.roll(mags, 1)
-    right = np.roll(mags, -1)
-    idx = np.where((mags >= left) & (mags >= right) & (mags >= theta))[0]
-    # adjacent equal-valued picks would double-report one hit; keep the first
-    keep = []
-    for i in idx:
-        if keep and (i - keep[-1]) % mags.shape[0] == 1:
-            continue
-        keep.append(int(i))
-    if len(keep) > 1 and (keep[0] - keep[-1]) % mags.shape[0] == 1:
-        keep.pop()
-    return keep
-
-
 def radar_detect(R: Signal, flag: Flag, r: int,
                  theta: float = THETA1_DEFAULT,
                  theta2: float = THETA2_DEFAULT) -> list[Detection]:
-    """Multi-target detection with a single flag waveform.
-
-    Stage 1 scans the transverse line once and keeps the r largest local
-    maxima with magnitude >= theta, one per echoed (distinct) shifted line.
-    The shared stage 2 scans all their shifted lines as one stack. Only
-    confident candidates (stage-2 peak >= theta2) are returned, one per
-    shift, so a bump from a bare ridge or from noise is dropped. If fewer
-    than r echoes are confirmed, the returned list is shorter.
+    """Multi-target detection with a single flag waveform: the shared
+    two-stage scan on the r best stage-1 candidates (_pick), the cyclic local
+    maxima of the transverse line's |M|, where a run of equal maxima is one
+    candidate at its lowest index. Only confident detections (stage-1 |M| >=
+    theta, stage-2 peak >= theta2) are returned, one per shift, largest
+    stage-1 |M| first, so a bump from a bare ridge or from noise is dropped.
+    If fewer than r echoes are confirmed, the returned list is shorter.
     """
     if r < 1:
         raise ValueError(f"radar needs r >= 1 targets, got {r}")
-    lines = _scan_lines([flag])
-    (mags, values, cq), = _stage1(R.samples[None, :], [flag], lines)
-    mags, values = mags[0], values[0]
-    k = np.array(_local_maxima(mags, theta), dtype=np.int64)
-    mag1 = np.abs(np.multiply(cq[k], values[k]))  # |M| at the candidates, as _peak reads it
-    top = np.argsort(-mag1, kind="stable")[:r]
-    if not top.size:
-        return []
-    (scan,) = _stage2(np.broadcast_to(R.samples, (top.size, R.p.p)), [flag], lines,
-                      [k[top]], [mag1[top]], theta, theta2)
-    out = []
-    for i in range(top.size):
-        det = _detection(scan, i, R.p)
-        if det.confident and det.shift not in {d.shift for d in out}:
-            out.append(det)
-    return out
+    (scan,) = _detect(R.samples[None, :], [flag], theta, theta2, r)
+    out = {}
+    for det in (_detection(scan, i, R.p) for i in np.flatnonzero(scan.confident)):
+        out.setdefault(det.shift, det)
+    return list(out.values())

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gfp import Line, _chirp, as_prime, inv, lines_through_origin
+from .gfp import Line, _chirp, as_prime, inv
 from .signals import Signal, add, delta
 
 
@@ -73,19 +73,25 @@ def cross_waveform(L: Line, M: Line, bL: int, bM: int) -> Cross:
     return Cross(L, M, fL, fM, add(fL.signal, fM.signal))
 
 
-def cross_family(p, seed: int) -> list[Cross]:
-    """(p+1)/2 crosses on disjoint line pairs.
+def cross_family(p, seed: int, count: int | None = None) -> list[Cross]:
+    """The first `count` (default all (p+1)/2) crosses on disjoint line pairs.
 
     The p+1 origin lines in canonical order (slopes 0..p-1, vertical last) are
     paired consecutively (2i with 2i+1), so any two family members involve four
-    distinct lines. Basis indices are drawn deterministically from the seed.
+    distinct lines. Basis indices are drawn deterministically from the seed,
+    cross by cross, so a count takes a prefix of the whole family and builds
+    only its own lines. ValueError if count lies outside 0..(p+1)/2.
     """
     pp = as_prime(p)
-    lines = lines_through_origin(pp)
+    size = (pp.p + 1) // 2
+    count = size if count is None else count
+    if not 0 <= count <= size:
+        raise ValueError(f"a cross family holds 0 to {size} waveforms")
     rng = np.random.default_rng(seed)
     out = []
-    for i in range(0, len(lines), 2):
+    for i in range(count):
+        L, M = (Line(m if m < pp.p else None, pp) for m in (2 * i, 2 * i + 1))
         bL = int(rng.integers(0, pp.p))
         bM = int(rng.integers(0, pp.p))
-        out.append(cross_waveform(lines[i], lines[i + 1], bL, bM))
+        out.append(cross_waveform(L, M, bL, bM))
     return out

@@ -151,10 +151,7 @@ def build_family(p, r: int, method: str, seed: int) -> list:
     if method == "flag":
         return flag_family(p, r, seed)
     if method == "cross":
-        fam = cross_family(p, seed)
-        if not 0 <= r <= len(fam):
-            raise ValueError(f"a cross family holds 0 to {len(fam)} waveforms")
-        return fam[:r]
+        return cross_family(p, seed, r)
     raise ValueError(f"unknown method {method!r}")
 
 

@@ -84,27 +84,14 @@ class GroupElement:
     def mul(self, o: "GroupElement") -> "GroupElement":
         if self.p != o.p:
             raise ValueError("mismatched moduli")
-        return GroupElement(
-            self.a * o.a + self.b * o.c,
-            self.a * o.b + self.b * o.d,
-            self.c * o.a + self.d * o.c,
-            self.c * o.b + self.d * o.d,
-            self.p,
-        )
+        x, y = (self.a, self.b, self.c, self.d), (o.a, o.b, o.c, o.d)
+        return GroupElement(*_mat_mul(x, y, self.p.p), self.p)
 
     def power(self, n: int) -> "GroupElement":
-        r = identity(self.p)
-        base = self
         n = int(n)
         if n < 0:
-            base = base.inverse()
-            n = -n
-        while n:
-            if n & 1:
-                r = r.mul(base)
-            base = base.mul(base)
-            n >>= 1
-        return r
+            return self.inverse().power(-n)
+        return GroupElement(*_mat_pow((self.a, self.b, self.c, self.d), n, self.p.p), self.p)
 
     def inverse(self) -> "GroupElement":
         return GroupElement(self.d, -self.b, -self.c, self.a, self.p)

@@ -20,6 +20,7 @@ from tfshift import (
     read_signal,
     write_signal,
 )
+from tfshift import cli
 from tfshift.cli import main
 
 
@@ -540,3 +541,17 @@ def test_ambiguity_offset_needs_line(tmp_path, capsys):
                          "--offset", "5,2", "--out", tmp_path / "g.csv")
     assert code == 2 and out == "" and "--offset" in err
     assert not (tmp_path / "g.csv").exists()
+
+
+def test_memory_error_is_a_construction_error(monkeypatch, capsys):
+    # numpy's allocation failure (4 PiB, above any address space, so nothing
+    # is allocated) is a MemoryError subclass; it must not exit with 1, the
+    # low-confidence code, through a traceback
+    def exhausted(args):
+        np.empty((1 << 24, 1 << 24), dtype=np.complex128)
+
+    monkeypatch.setattr(cli, "cmd_simulate", exhausted)
+    code, out, err = run(capsys, "simulate", "--method", "cross", "--p", 31)
+    assert code == cli.EXIT_CONSTRUCTION
+    assert err.startswith("construction error: out of memory:")
+    assert err.count("\n") == 1 and "Traceback" not in err

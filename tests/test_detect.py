@@ -23,6 +23,7 @@ from tfshift import (
     line_points,
     make_torus,
     mf_entry,
+    mf_on_line,
     radar_detect,
     random_signal,
     transverse_line,
@@ -382,3 +383,66 @@ def test_radar_golden_digest(p, r, golden):
                      d.confident) for d in dets]
             calls.update(hashlib.sha256(repr(rows).encode()).digest())
     assert calls.hexdigest() == golden
+
+
+def pick(mags, k):
+    # detect._pick on real magnitudes, with values = mags and a unit chirp,
+    # so |M| = mags exactly; per row, its candidates in rank order
+    mags = np.asarray(mags, dtype=float)
+    rows, cols, mag1 = detect._pick(mags, mags.astype(complex), np.ones(mags.shape[1]), k)
+    assert np.array_equal(mag1, mags[rows, cols])
+    return [cols[rows == i].tolist() for i in range(mags.shape[0])]
+
+
+def pick_reference(row, k):
+    # plain-loop reference of detect._pick on one row: cyclic local maxima,
+    # each run of them once at its lowest index, largest first, ties to the
+    # lowest index
+    p = len(row)
+    peak = [row[i] >= row[i - 1] and row[i] >= row[(i + 1) % p] for i in range(p)]
+    if all(peak):
+        return [0]
+    starts = [i for i in range(p) if peak[i] and not peak[i - 1]]
+    if peak[0] and peak[-1]:
+        starts[-1] = 0  # the last run goes on at index 0
+    return sorted(starts, key=lambda i: (-row[i], i))[:k]
+
+
+def test_pick_matches_loop_reference_and_argmax_with_ties():
+    rng = np.random.default_rng(5)
+    mags = rng.integers(0, 4, size=(200, 11)).astype(float)  # ties and runs in almost every row
+    mags[0] = 2.0  # a flat row: one run round the whole row
+    for k in (1, 2, 3, 11):
+        assert pick(mags, k) == [pick_reference(row.tolist(), k) for row in mags], k
+    want = np.argmax(mags, axis=1).tolist()
+    assert [c for (c,) in pick(mags, 1)] == want
+    assert [cs[0] for cs in pick(mags, 3)] == want
+
+
+def test_pick_plateau_gives_one_candidate_per_run():
+    # a run of equal maxima is one candidate, its lowest index, also when the
+    # run wraps round the row's end; a flat run of zeros is a maximum too
+    assert pick([[0, 1, 1, 1, 0, 0, 0]], 7) == [[1, 5]]
+    assert pick([[1, 1, 0, 0, 0, 1, 1]], 7) == [[0, 3]]
+    assert pick([[1, 1, 1, 1, 1, 1, 1]], 7) == [[0]]
+
+
+def test_pick_rows_with_fewer_than_k_candidates():
+    # every row keeps only its own candidates: none is padded or borrowed
+    mags = [[0, 3, 0, 2, 0, 1, 0], [1, 2, 3, 4, 5, 6, 7], [5, 0, 5, 0, 5, 0, 4]]
+    assert pick(mags, 5) == [[1, 3, 5], [6], [0, 2, 4]]
+    assert pick(mags, 2) == [[1, 3], [6], [0, 2]]
+
+
+def test_radar_scans_each_candidate_that_can_be_confident_once(flag101):
+    # with r far above the number of stage-1 maxima, stage 2 scans each
+    # maximum whose stage-1 |M| reaches theta1 once, largest first, and no
+    # padded or repeated candidate
+    R = received(flag101.signal, [PlanePoint(10, 7, P), PlanePoint(60, 33, P)])
+    mags = np.abs(mf_on_line(flag101.signal, R, flag101.scan_lines[1]).values)
+    maxima = (mags >= np.roll(mags, 1)) & (mags >= np.roll(mags, -1))
+    for theta1 in (0.0, 0.5):
+        (scan,) = detect._detect(R.samples[None, :], [flag101], theta1, 1.5, 101)
+        want = np.sort(mags[maxima & (mags >= theta1)])[::-1]
+        assert 2 <= scan.tau.size == want.size < 101
+        assert np.array_equal(scan.stage1, want)

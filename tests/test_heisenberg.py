@@ -139,7 +139,7 @@ def test_cross_family_composition():
         used.extend([c.lineL, c.lineM])
     # consecutive pairing over the full origin-line roster: no line reused
     assert len(used) == len(set(used)) == p + 1
-    assert set(used) == set(lines_through_origin(p))
+    assert used == lines_through_origin(p)
     # deterministic in the seed
     fam2 = cross_family(p, seed=0)
     for a, b in zip(fam, fam2):
@@ -147,3 +147,20 @@ def test_cross_family_composition():
     fam3 = cross_family(p, seed=1)
     assert any(a.lineL != b.lineL or a.fL.index != b.fL.index
                for a, b in zip(fam, fam3))
+
+
+@pytest.mark.parametrize("p", [31, 101, 1009])
+def test_cross_family_count_is_a_prefix(p):
+    # a count builds only its crosses, with the same lines and basis draws
+    # as the whole family's first ones
+    fam = cross_family(p, seed=3)
+    for r in (0, 1, 3, len(fam)):
+        part = cross_family(p, 3, r)
+        assert len(part) == r
+        for a, b in zip(part, fam):
+            assert (a.lineL, a.lineM, a.fL.index, a.fM.index) == (b.lineL, b.lineM,
+                                                                  b.fL.index, b.fM.index)
+            assert np.array_equal(a.signal.samples, b.signal.samples)
+    for r in (-1, len(fam) + 1):
+        with pytest.raises(ValueError, match="holds 0 to"):
+            cross_family(p, 3, r)

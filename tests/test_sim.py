@@ -2,6 +2,7 @@
 
 import dataclasses
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,19 @@ def test_family_sizes_below_zero_are_refused():
         assert sim.build_family(101, 0, method, 0) == []
     with pytest.raises(ValueError, match="holds 0 to"):
         flag_family(101, -2, 0)
+
+
+def test_small_cross_family_at_large_p_builds_only_its_crosses():
+    # three crosses at p = 100003 hold 3 x 3 signals of 1.6 MB; the whole
+    # family of 50002 would need about 240 GB
+    tracemalloc.start()
+    try:
+        fam = sim.build_family(100003, 3, "cross", 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(fam) == 3
+    assert peak < 32e6, peak
 
 
 def test_monte_carlo_single_user_noiseless_exact():

@@ -97,6 +97,29 @@ def test_group_element_validation():
     assert (e.a, e.b, e.c, e.d) == (1, 0, 0, 1)
 
 
+def test_group_mul_and_power_match_schoolbook_products():
+    # mul and power run on the 2x2 helpers of make_torus; each must equal the
+    # plain product and repeated multiplication, negative powers through the
+    # inverse
+    for p in (31, 1009):
+        pp = as_prime(p)
+        rng = np.random.default_rng(p)
+        for _ in range(20):
+            a, b, c = (int(x) for x in rng.integers(1, p, size=3))
+            g = GroupElement(a, b, c, (1 + b * c) * pow(a, -1, p), pp)
+            h = GroupElement(c, a, b, (1 + a * b) * pow(c, -1, p), pp)
+            gh = g.mul(h)
+            assert (gh.a, gh.b, gh.c, gh.d) == ((g.a * h.a + g.b * h.c) % p,
+                                                (g.a * h.b + g.b * h.d) % p,
+                                                (g.c * h.a + g.d * h.c) % p,
+                                                (g.c * h.b + g.d * h.d) % p)
+            want = identity(pp)
+            for n in range(9):
+                assert g.power(n) == want
+                assert g.power(-n).mul(want).is_identity()
+                want = want.mul(g)
+
+
 def test_group_action_on_plane():
     p = as_prime(31)
     g = GroupElement(2, 3, 3, 5, p)  # det = 10 - 9 = 1
