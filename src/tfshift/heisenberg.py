@@ -28,13 +28,24 @@ class HeisenbergVector:
 
 @dataclass(frozen=True, eq=False)
 class Cross:
-    """S_{L,M} = f_L + f_M for two distinct origin lines; unnormalized sum."""
+    """S_{L,M} = f_L + f_M for two distinct origin lines; unnormalized sum.
+
+    Only the sum's samples are kept, with the recipe: the lines and the basis
+    indices bL, bM (in 0..p-1). fL and fM are rebuilt from it on access."""
 
     lineL: Line
     lineM: Line
-    fL: HeisenbergVector
-    fM: HeisenbergVector
+    bL: int
+    bM: int
     signal: Signal
+
+    @property
+    def fL(self) -> HeisenbergVector:
+        return line_vector(self.lineL, self.bL)
+
+    @property
+    def fM(self) -> HeisenbergVector:
+        return line_vector(self.lineM, self.bM)
 
     @property
     def scan_lines(self) -> tuple[Line, Line]:
@@ -70,7 +81,7 @@ def cross_waveform(L: Line, M: Line, bL: int, bM: int) -> Cross:
         raise ValueError("cross lines must pass through the origin")
     fL = line_vector(L, bL)
     fM = line_vector(M, bM)
-    return Cross(L, M, fL, fM, add(fL.signal, fM.signal))
+    return Cross(L, M, fL.index, fM.index, add(fL.signal, fM.signal))
 
 
 def cross_family(p, seed: int, count: int | None = None) -> list[Cross]:

@@ -105,14 +105,18 @@ def _receivers(senders: list, shifts: np.ndarray, coef: np.ndarray,
     T, p = noise.shape
     out, idx, term, shifted = arrays or _stack_arrays(T, p)
     psi, _, t = _roots(p)
+    quot = term.view(np.int64)[..., :p]  # term is free until each gather fills it
     out.fill(0)
     for j, S in enumerate(senders):
         tau, omega = shifts[:, j, 0, None], shifts[:, j, 1, None]
-        # out + coef * (psi[omega * t % p] * S[(t + tau) % p]); the indices are
-        # in range, so take's clip mode changes nothing but spares it a copy
-        np.take(psi, np.remainder(np.multiply(omega, t, out=idx), p, out=idx),
-                out=term, mode="clip")
-        np.take(S, np.remainder(np.add(t, tau, out=idx), p, out=idx), out=shifted, mode="clip")
+        # out + coef * (psi[omega * t % p] * S[(t + tau) % p]). omega t mod p
+        # is taken as k - p (k // p), since floor_divide by a scalar is several
+        # times faster than remainder; t + tau < 2p, so take's wrap mode
+        # subtracts p at most once. take's clip and wrap modes spare it a copy
+        np.floor_divide(np.multiply(omega, t, out=idx), p, out=quot)
+        np.subtract(idx, np.multiply(quot, p, out=quot), out=idx)
+        np.take(psi, idx, out=term, mode="clip")
+        np.take(S, np.add(t, tau, out=idx), out=shifted, mode="wrap")
         np.multiply(term, shifted, out=term)
         np.multiply(coef[:, j, None], term, out=term)
         np.add(out, term, out=out)

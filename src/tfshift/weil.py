@@ -37,8 +37,9 @@ cached record per torus (_orbit) is the spectrum, read off tr rho in O(p):
 eigenvalue keys, eigenvalues and degenerate marks. One builder (_vectors)
 projects any set of (torus, eigenvalue index) pairs in at most two ladders,
 one per torus order, and checks the result; torus_vector (one vector, the
-last 64 kept), flag_family (its r vectors at once) and torus_eigenbasis
-(all p, O(p^2) memory, for tests, demos and full-basis callers) all call it.
+last 64 kept, 32 MB of them at most), flag_family (its r vectors at once)
+and torus_eigenbasis (all p, O(p^2) memory, for tests, demos and full-basis
+callers) all call it. A Flag keeps its samples and its recipe, not its parts.
 A torus is found by make_torus in O(log^2 p) integer products per candidate
 row of its centralizer, from one modular square root (gfp.sqrt_mod). Only
 numpy's FFT runs; nothing calls LAPACK. weil_operator is the dense matrix,
@@ -380,10 +381,13 @@ def _project(tori: list[Torus], which: np.ndarray, keys: np.ndarray,
 
 
 def _unit(P: np.ndarray) -> np.ndarray:
-    """The rows of P over their norms. A row is the projection of a unit
-    reference vector x, so its norm is |<v, x>| for the unit vector v it gives:
-    RuntimeError if that is below PHASE_FLOOR."""
-    norms = np.linalg.norm(P, axis=-1, keepdims=True)
+    """The rows of a (N, p) stack P over their norms. A row is the projection
+    of a unit reference vector x, so its norm is |<v, x>| for the unit vector
+    v it gives: RuntimeError if that is below PHASE_FLOOR. Each norm is taken
+    over its row alone, as a (1, p) stack: numpy sums a stack's rows in an
+    order that depends on its height, and a vector must have the same bits
+    whether it is built alone or in a stack."""
+    norms = np.array([np.linalg.norm(P[i:i + 1], axis=-1) for i in range(len(P))])
     if norms.min() < PHASE_FLOOR:
         raise RuntimeError("eigenvector too close to orthogonal to the phase reference")
     return P / norms
@@ -421,7 +425,7 @@ def _vectors(tori: list[Torus], index) -> list[WeilVector]:
         for m, j in enumerate(paired):
             d = np.flatnonzero(deg & (which == j))
             u, w = _unit(P[[d[0], len(rows) + m]])
-            w = _unit(w - np.vdot(u, w) * u)
+            (w,) = _unit((w - np.vdot(u, w) * u)[None])
             pair = np.stack([u + w, u - w]) / np.sqrt(2)
             V[d] = pair[idx[d] - np.searchsorted(orbits[j].keys, k0[m])]
         rho = _rho_rows([T.generator for T in group], which)
@@ -433,6 +437,8 @@ def _vectors(tori: list[Torus], index) -> list[WeilVector]:
 
 
 VECTOR_CACHE = 64  # torus_vector results kept, least recently used dropped first
+VECTOR_CACHE_BYTES = 32 * 2**20  # and at most this many sample bytes of them: 64
+                                 # vectors up to p = 32768, 20 at p = 100003
 
 _vector_cache: "OrderedDict[tuple[Torus, int], WeilVector]" = OrderedDict()
 _vector_lock = threading.Lock()
@@ -451,17 +457,18 @@ def _cached_vectors(tori: list[Torus], index: list[int]) -> list[WeilVector]:
         for w in got:
             got[w] = _vector_cache.setdefault(w, got[w])  # a racing build loses
             _vector_cache.move_to_end(w)
-        while len(_vector_cache) > VECTOR_CACHE:
-            _vector_cache.popitem(last=False)
+        size = sum(v.signal.samples.nbytes for v in _vector_cache.values())
+        while len(_vector_cache) > VECTOR_CACHE or size > VECTOR_CACHE_BYTES:
+            size -= _vector_cache.popitem(last=False)[1].signal.samples.nbytes
     return [got[w] for w in wanted]
 
 
 def torus_vector(T: Torus, index: int) -> WeilVector:
     """The eigenvector torus_eigenbasis(T)[index] names, built with no p x p
     array by _vectors: O(log p) transforms of length p. The last VECTOR_CACHE
-    vectors asked of torus_vector or flag_family are kept (cache_clear drops
-    them). ValueError for an index outside 0..p-1, raised before any torus
-    work."""
+    vectors asked of torus_vector, flag_family or Flag.phiT are kept, as many
+    of them as fit in VECTOR_CACHE_BYTES (cache_clear drops them). ValueError
+    for an index outside 0..p-1, raised before any torus work."""
     p = T.generator.p.p
     if not 0 <= index < p:
         raise ValueError(f"eig_index {index} is not in 0..{p - 1}")
@@ -498,13 +505,26 @@ def torus_eigenbasis(T: Torus) -> tuple[WeilVector, ...]:
 
 @dataclass(frozen=True, eq=False)
 class Flag:
-    """S_L = f_L + phi_T: Heisenberg line vector plus Weil peak vector (raw sum)."""
+    """S_L = f_L + phi_T: Heisenberg line vector plus Weil peak vector (raw sum).
+
+    Only the sum's samples are kept, with the recipe: the line, the torus, the
+    line-vector index b_index (in 0..p-1) and the torus eigenvector index
+    eig_index. fL is rebuilt from it on access in closed form, and phiT is
+    torus_vector's, kept or rebuilt."""
 
     line: Line
     torus: Torus
-    fL: HeisenbergVector
-    phiT: WeilVector
+    b_index: int
+    eig_index: int
     signal: Signal
+
+    @property
+    def fL(self) -> HeisenbergVector:
+        return line_vector(self.line, self.b_index)
+
+    @property
+    def phiT(self) -> WeilVector:
+        return torus_vector(self.torus, self.eig_index)
 
     @property
     def scan_lines(self) -> tuple[Line, Line]:
@@ -517,14 +537,14 @@ def flag_waveform(L: Line, T: Torus, b_index: int, eig_index: int) -> Flag:
     eigenvector (0..p-1, in torus_eigenbasis order), built alone by
     torus_vector. Degenerate eigenvectors are refused: their peak behavior
     carries no guarantee."""
-    return _flag(L, b_index, torus_vector(T, eig_index))
+    return _flag(L, b_index, eig_index, torus_vector(T, eig_index))
 
 
-def _flag(L: Line, b_index: int, phi: WeilVector) -> Flag:
+def _flag(L: Line, b_index: int, eig_index: int, phi: WeilVector) -> Flag:
     if phi.degenerate:
         raise ValueError("degenerate Weil eigenvector requested for a flag")
     fL = line_vector(L, b_index)
-    return Flag(L, phi.torus, fL, phi, add(fL.signal, phi.signal))
+    return Flag(L, phi.torus, fL.index, eig_index, add(fL.signal, phi.signal))
 
 
 def default_torus_roster(p, count: int) -> list[Torus]:
@@ -564,5 +584,5 @@ def flag_family(p, r: int, seed: int) -> list[Flag]:
         free[ti][eig] = False
         picks.append((roster[ti], eig, int(rng.integers(0, pp.p))))
     phis = _cached_vectors([T for T, _, _ in picks], [eig for _, eig, _ in picks])
-    return [_flag(Line(None if i == pp.p else i, pp), b, phi)
-            for i, ((_, _, b), phi) in enumerate(zip(picks, phis))]
+    return [_flag(Line(None if i == pp.p else i, pp), b, eig, phi)
+            for i, ((_, eig, b), phi) in enumerate(zip(picks, phis))]

@@ -117,7 +117,7 @@ def test_flag_detect_confidence_gates(flag101):
 
 def test_flag_detect_rejects_shifted_carrier(flag101):
     shifted = Line(flag101.line.slope, P, offset=PlanePoint(1, 5, P))
-    bad = type(flag101)(shifted, flag101.torus, flag101.fL, flag101.phiT,
+    bad = type(flag101)(shifted, flag101.torus, flag101.b_index, flag101.eig_index,
                         flag101.signal)
     with pytest.raises(ValueError):
         flag_detect(received(flag101.signal, [PlanePoint(3, 4, P)]), bad)
@@ -127,12 +127,13 @@ def test_cross_and_radar_reject_shifted_carrier(flag101, cross101):
     # the shared stage 2 refuses a carrier line off the origin, for every kind
     R = received(flag101.signal, [PlanePoint(3, 4, P)])
     shifted = Line(cross101.lineL.slope, P, offset=PlanePoint(1, 5, P))
-    bad_cross = type(cross101)(shifted, cross101.lineM, cross101.fL, cross101.fM,
+    bad_cross = type(cross101)(shifted, cross101.lineM, cross101.bL, cross101.bM,
                                cross101.signal)
     with pytest.raises(ValueError, match="carrier line must pass through the origin"):
         cross_detect(R, bad_cross)
     bad_flag = type(flag101)(Line(flag101.line.slope, P, offset=PlanePoint(1, 5, P)),
-                             flag101.torus, flag101.fL, flag101.phiT, flag101.signal)
+                             flag101.torus, flag101.b_index, flag101.eig_index,
+                             flag101.signal)
     with pytest.raises(ValueError, match="carrier line must pass through the origin"):
         radar_detect(R, bad_flag, 1)
 
@@ -324,7 +325,7 @@ def test_refusals_come_before_any_transform(flag101, cross101):
     # a bad last waveform stops the stacked scan before its first transform
     R = received(flag101.signal, [PlanePoint(3, 4, P)])
     bad = type(flag101)(Line(flag101.line.slope, P, offset=PlanePoint(1, 5, P)),
-                        flag101.torus, flag101.fL, flag101.phiT, flag101.signal)
+                        flag101.torus, flag101.b_index, flag101.eig_index, flag101.signal)
     other = flag_family(103, 1, seed=0)[0]
     for family, message in (([flag101, cross101, bad], "carrier line must pass"),
                             ([flag101, cross101, other], "mismatched moduli")):

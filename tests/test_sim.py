@@ -9,12 +9,14 @@ import pytest
 
 from helpers import monte_carlo_oracle, unit_monte_carlo_template
 
-from tfshift.signals import awgn_rows
+from tfshift.signals import add, awgn_rows
 
 from tfshift import (
     ChannelSpec,
     fastmf,
+    gfp,
     sim,
+    weil,
     PlanePoint,
     UserSpec,
     as_prime,
@@ -24,9 +26,11 @@ from tfshift import (
     fit_exponent,
     flag_family,
     heisenberg_op,
+    line_vector,
     monte_carlo,
     synthesize_receiver,
     thread_cap,
+    torus_vector,
 )
 
 
@@ -112,16 +116,60 @@ def test_family_sizes_below_zero_are_refused():
 
 
 def test_small_cross_family_at_large_p_builds_only_its_crosses():
-    # three crosses at p = 100003 hold 3 x 3 signals of 1.6 MB; the whole
-    # family of 50002 would need about 240 GB
+    # three crosses at p = 100003 build 3 x 3 signals of 1.6 MB and keep 3,
+    # beside the 3.2 MB table of roots; the whole family of 50002 would need
+    # about 240 GB
     tracemalloc.start()
     try:
         fam = sim.build_family(100003, 3, "cross", 0)
-        _, peak = tracemalloc.get_traced_memory()
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(fam) == 3
     assert peak < 32e6, peak
+    assert kept <= 10e6, kept
+
+
+def test_flag_family_at_large_p_keeps_one_array_a_flag():
+    # three flags at p = 100003 keep their 3 signals of 1.6 MB and the
+    # spectra of their tori (25 bytes a sample each), not their parts; the
+    # roots table, shared by every chirp at p, is built before tracing
+    p = 100003
+    gfp._roots(p)
+    weil._orbit.cache_clear()
+    torus_vector.cache_clear()
+    tracemalloc.start()
+    try:
+        fam = sim.build_family(p, 3, "flag", 0)
+        cached = sum(v.signal.samples.nbytes for v in weil._vector_cache.values())
+        torus_vector.cache_clear()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(fam) == 3
+    assert cached <= weil.VECTOR_CACHE_BYTES
+    assert kept <= 14e6, kept
+
+
+@pytest.mark.parametrize("p", [31, 101, 10007])
+def test_rebuilt_parts_equal_the_built_ones(p):
+    # a flag or cross keeps its sum; its parts, rebuilt from the recipe,
+    # are the vectors the sum was built from, bit for bit
+    torus_vector.cache_clear()
+    flags = flag_family(p, 3, seed=5)
+    built = weil._vectors([fl.torus for fl in flags], [fl.eig_index for fl in flags])
+    torus_vector.cache_clear()
+    for fl, phi in zip(flags, built):
+        fL, phiT = fl.fL, fl.phiT
+        assert fL.line == fl.line and fL.index == fl.b_index
+        assert np.array_equal(fL.signal.samples, line_vector(fl.line, fl.b_index).signal.samples)
+        assert phiT.torus == fl.torus and phiT.eigenvalue == phi.eigenvalue
+        assert np.array_equal(phiT.signal.samples, phi.signal.samples)
+        assert np.array_equal(fl.signal.samples, add(fL.signal, phiT.signal).samples)
+    for c in cross_family(p, 5, 3):
+        fL, fM = c.fL, c.fM
+        assert (fL.line, fL.index, fM.line, fM.index) == (c.lineL, c.bL, c.lineM, c.bM)
+        assert np.array_equal(c.signal.samples, add(fL.signal, fM.signal).samples)
 
 
 def test_monte_carlo_single_user_noiseless_exact():

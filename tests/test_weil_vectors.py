@@ -7,6 +7,8 @@ import pytest
 
 from helpers import power_scalar_oracle, torus_eigenbasis_oracle
 
+from tfshift.signals import add
+
 from tfshift import (
     PlanePoint,
     as_prime,
@@ -91,6 +93,21 @@ def test_torus_vector_is_the_basis_vector_and_cached():
         assert torus_vector(T, i) is v
 
 
+def test_torus_vector_has_the_bits_of_the_basis_vector():
+    # each row's norm is summed alone, so a vector built in the (p, p) stack
+    # of torus_eigenbasis and one built alone agree bit for bit; at p = 503
+    # a norm over the whole stack moved 345-379 rows of each torus by 1e-16
+    p = 503
+    for T in default_torus_roster(p, 3):
+        basis = torus_eigenbasis(T)
+        torus_vector.cache_clear()
+        for i in range(p):
+            v = torus_vector(T, i)
+            assert np.array_equal(v.signal.samples, basis[i].signal.samples), (T.generator, i)
+            assert v.eigenvalue == basis[i].eigenvalue and v.degenerate == basis[i].degenerate
+    torus_vector.cache_clear()
+
+
 @pytest.mark.parametrize("index", [-1, 101, 10**6])
 def test_torus_vector_rejects_index_out_of_range(index):
     with pytest.raises(ValueError, match="eig_index"):
@@ -170,6 +187,23 @@ def test_vector_cache_keeps_the_most_recent():
         assert torus_vector(fl.torus, eig_index(fl)) is fl.phiT
     torus_vector.cache_clear()
     assert not weil._vector_cache
+
+
+def test_vector_cache_is_bounded_in_bytes(monkeypatch):
+    # a cap of three vectors' samples keeps three of five; every flag gets
+    # its vector all the same, and a dropped one is rebuilt with the same bits
+    p = 10007
+    monkeypatch.setattr(weil, "VECTOR_CACHE_BYTES", 3 * 16 * p)
+    torus_vector.cache_clear()
+    fam = flag_family(p, 5, seed=4)
+    kept = list(weil._vector_cache.values())
+    assert len(kept) == 3
+    assert sum(v.signal.samples.nbytes for v in kept) <= weil.VECTOR_CACHE_BYTES
+    assert kept == [torus_vector(fl.torus, fl.eig_index) for fl in fam[2:]]
+    for fl in fam:
+        assert np.array_equal(fl.signal.samples, add(fl.fL.signal, fl.phiT.signal).samples)
+    assert len(weil._vector_cache) == 3
+    torus_vector.cache_clear()
 
 
 def test_flag_family_at_p10007_is_matrix_free(monkeypatch):
