@@ -1,5 +1,6 @@
 """Matrix-free Weil vectors: eigenvalues from the trace, vectors by projection."""
 
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -289,3 +290,39 @@ def test_flag_family_recipes_pinned(p, seed):
         s = fl.signal.samples
         assert abs(inner(fl.signal, ref) - overlap) < 1e-9
         assert abs(s[0] - s0) < 1e-9 and abs(s[p // 2] - mid) < 1e-9
+
+
+def recipe(fl):
+    g = fl.torus.generator
+    return (fl.line.slope, g.a, g.b, g.c, g.d, fl.torus.kind, fl.b_index, fl.eig_index)
+
+
+@pytest.mark.parametrize("p, vectors, flags", [
+    (31, "006c1b55d849ed296ea7ab6cd380458d98de5e96d048db239b0379fa8b20a66d",
+     "c5fb4019590ff8f4f0bdb65b3ff3c147d02e0257b0e4140a5aa436f40af1c40a"),
+    (101, "c87a56d137c7c0af9bd388d6b0b7080435ede467614bd48b02ea78224584a49d",
+     "e1ef9c691928858e61c7bff6c3a677330aaaa5180d8b10cfef3a2c3e92a91c6f"),
+])
+def test_weil_golden_digest(p, vectors, flags):
+    # every torus_vector of the 8 roster tori and the flag families of five
+    # sizes and three seeds, pinned to the last bit (numpy 2.4 on x86-64):
+    # one sha256 over each vector's samples, eigenvalue and degenerate mark,
+    # and one over each flag's recipe and samples
+    torus_vector.cache_clear()
+    h = hashlib.sha256()
+    for T in default_torus_roster(p, 8):
+        for i in range(p):
+            v = torus_vector(T, i)
+            h.update(v.signal.samples.tobytes())
+            h.update(np.complex128(v.eigenvalue).tobytes())
+            h.update(b"d" if v.degenerate else b"n")
+    assert h.hexdigest() == vectors
+    torus_vector.cache_clear()
+    h = hashlib.sha256()
+    for r in (1, 3, 8, p - 1, p + 1):
+        for seed in range(3):
+            for fl in flag_family(p, r, seed):
+                h.update(repr(recipe(fl)).encode())
+                h.update(fl.signal.samples.tobytes())
+    assert h.hexdigest() == flags
+    torus_vector.cache_clear()
