@@ -5,8 +5,9 @@ first token a magic tag, newline-terminated) followed by the payload. Binary
 payloads are 64-bit little-endian floats, interleaved re/im for complex data;
 text payloads print floats with %.17g so a float64 round-trips exactly.
 Writers check the whole file before they open it; readers check the magic,
-the required header fields, the prime p, the format, and the payload's length
-and finiteness, and raise ValueError for any mismatch.
+the required header fields, the format, the payload's length and finiteness,
+then the prime p, so a short file naming a huge p is refused without a
+primality test, and raise ValueError for any mismatch.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ def _field(header: dict, key: str) -> str:
 
 
 def _read(path, magic: str):
-    """(header, payload bytes, p) of a file with the given magic tag."""
+    """(header, payload bytes, int p) of a file with the given magic tag."""
     with open(path, "rb") as fh:
         raw = fh.read()
     nl = raw.find(b"\n")
@@ -69,7 +70,7 @@ def _read(path, magic: str):
     for tok in toks[1:]:
         k, _, v = tok.partition("=")
         header[k] = v
-    return header, raw[nl + 1:], as_prime(int(_field(header, "p")))
+    return header, raw[nl + 1:], int(_field(header, "p"))
 
 
 def _finite(f: np.ndarray) -> np.ndarray:
@@ -117,7 +118,8 @@ def write_signal(path, signal: Signal, kind: str, descriptor: dict | None = None
 
 def read_signal(path) -> tuple[Signal, dict]:
     header, payload, p = _read(path, SIGNAL_MAGIC)
-    return Signal(p, _decode_complex(payload, p.p, header.get("format", "binary"))), header
+    values = _decode_complex(payload, p, header.get("format", "binary"))
+    return Signal(as_prime(p), values), header
 
 
 def write_grid(path, p, magnitudes: np.ndarray, fmt: str = "csv") -> None:
@@ -136,8 +138,7 @@ def write_grid(path, p, magnitudes: np.ndarray, fmt: str = "csv") -> None:
 
 
 def read_grid(path) -> tuple[np.ndarray, dict]:
-    header, payload, pp = _read(path, GRID_MAGIC)
-    p = pp.p
+    header, payload, p = _read(path, GRID_MAGIC)
     fmt = header.get("format", "csv")
     if fmt == "binary":
         m = np.frombuffer(payload, dtype="<f8")
@@ -149,6 +150,7 @@ def read_grid(path) -> tuple[np.ndarray, dict]:
         raise ValueError(f"unknown format {fmt!r}")
     if m.shape != (p, p):
         raise ValueError("payload length does not match p")
+    as_prime(p)
     return _finite(m), header
 
 
@@ -168,7 +170,8 @@ def write_profile(path, profile: LineProfile, fmt: str = "binary") -> None:
 
 def read_profile(path) -> tuple[LineProfile, dict]:
     header, payload, p = _read(path, PROFILE_MAGIC)
+    values = _decode_complex(payload, p, header.get("format", "binary"))
+    p = as_prime(p)
     off = PlanePoint(int(_field(header, "offset_tau")), int(_field(header, "offset_omega")), p)
     line = Line(parse_slope(_field(header, "line")), p, offset=off)
-    values = _decode_complex(payload, p.p, header.get("format", "binary"))
     return LineProfile(line, values), header

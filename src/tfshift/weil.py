@@ -33,8 +33,8 @@ the closed-form kernel, built at its step and dropped after, and c(h) is a
 fourth root of unity in closed form (_power_scalar). The ladder's steps
 depend on n only, so the vectors of every torus of one order climb one
 ladder as one stack, one transform call a step for all of them. The one
-cached record per torus (_orbit) is the spectrum, read off tr rho in O(p):
-eigenvalue keys, eigenvalues and degenerate marks. One builder (_vectors)
+cached record per torus (_special_key) is one integer read off tr rho in
+O(p), the key that fixes its whole spectrum. One builder (_vectors)
 projects any set of (torus, eigenvalue index) pairs in at most two ladders,
 one per torus order, and checks the result; torus_vector (one vector, the
 last 64 kept, 32 MB of them at most), flag_family (its r vectors at once)
@@ -48,11 +48,11 @@ for tests and demos.
 
 from __future__ import annotations
 
+import bisect
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
@@ -308,25 +308,17 @@ def _power_scalar(g: GroupElement, u: GroupElement, h: int) -> complex:
     return (1, 1j, -1, -1j)[(h * _eps(g) - _eps(u)) % 4]
 
 
-class _Orbit(NamedTuple):
-    """What the Weil vectors of one torus share: the spectrum of
-    rho = rho(T.generator) in eig_index order."""
-
-    keys: np.ndarray        # lattice key k of eigenvalue e^{i pi k/n}, increasing
-    eigenvalues: np.ndarray
-    degenerate: np.ndarray  # the one key a split torus gives two eigenvectors
-
-
 @lru_cache(maxsize=8)
-def _orbit(T: Torus) -> _Orbit:
-    """The one cached record of T, n = T.order: the spectrum of rho(T.generator).
+def _special_key(T: Torus) -> int:
+    """The one cached record of T, n = T.order: the key k0 of the special
+    eigenvalue e^{i pi k0/n} of rho(T.generator), which fixes its spectrum.
 
-    Eigenvalues, read off the trace in O(p): rho^n is a scalar, and the
-    eigenvalues are the n lattice points e^{i pi k/n} of one parity of k,
-    each once, except that a split torus (n = p-1) has one of them twice and
-    a nonsplit torus (n = p+1) misses one. The n points of one parity sum to
-    0, so tr rho is the double eigenvalue of a split torus and minus the
-    missing one of a nonsplit torus; on the diagonal of the kernel, tr rho =
+    Read off the trace in O(p): rho^n is a scalar, and the eigenvalues are
+    the n lattice points e^{i pi k/n} of the parity of k0, each once, except
+    that a split torus (n = p-1) has k0 twice and a nonsplit torus
+    (n = p+1) misses it. The n points of one parity sum to 0, so tr rho is
+    the double eigenvalue of a split torus and minus the missing one of a
+    nonsplit torus; on the diagonal of the kernel, tr rho =
     p^{-1/2} sum_x e((2-a-d) x^2/(2b)). RuntimeError if that eigenvalue is
     more than LATTICE_TOL off the lattice.
     """
@@ -338,12 +330,7 @@ def _orbit(T: Torus) -> _Orbit:
     k0 = int(np.rint(n * np.angle(lam) / np.pi)) % (2 * n)
     if abs(lam - np.exp(1j * np.pi * k0 / n)) > LATTICE_TOL:
         raise RuntimeError("torus eigenvalues off the lattice e^{i pi k/n}")
-    keys = np.arange(k0 % 2, 2 * n, 2)
-    keys = np.sort(np.append(keys, k0)) if T.kind == "split" else keys[keys != k0]
-    spectrum = (keys, np.exp(1j * np.pi * keys / n), keys == k0)
-    for a in spectrum:
-        a.setflags(write=False)
-    return _Orbit(*spectrum)
+    return k0
 
 
 def _project(tori: list[Torus], which: np.ndarray, keys: np.ndarray,
@@ -399,6 +386,9 @@ def _vectors(tori: list[Torus], index) -> list[WeilVector]:
     which meets the phase rule by itself, since <P x, x> = ||P x||^2 > 0.
     The tori of one order n share one stacked ladder, so a request of any
     size runs at most two: n = p-1 (split) and n = p+1 (nonsplit).
+    Index i names key k0 + 2(j - [j > 0]) of a split torus, degenerate at
+    j = 0 and 1, and k0 + 2(j + [j >= 0]) of a nonsplit one, with
+    k0 = _special_key(T) and j = i - k0//2: the keys in increasing order.
     The degenerate key of a split torus gets an orthonormal pair that meets
     the rule too: u and w the unit projections of random_signal(p, 0) and
     random_signal(p, 1), w made orthogonal to u, then (u + w)/sqrt 2 and
@@ -413,26 +403,28 @@ def _vectors(tori: list[Torus], index) -> list[WeilVector]:
         rows = [i for i, T in enumerate(tori) if T.order == n]
         group = list(dict.fromkeys(tori[i] for i in rows))
         which = np.array([group.index(tori[i]) for i in rows])
-        orbits = [_orbit(T) for T in group]
-        idx = index[rows]
-        keys, lam, deg = (np.stack(a)[which, idx] for a in zip(*orbits))
+        k0 = np.array([_special_key(T) for T in group])
+        j = index[rows] - k0[which] // 2
+        split = n == pp.p - 1
+        keys = k0[which] + 2 * (j - (j > 0) if split else j + (j >= 0))
+        deg = split & (j >= 0) & (j <= 1)
+        lam = np.exp(1j * np.pi * keys / n)
         paired = sorted(set(which[deg].tolist()))  # tori asked for a degenerate vector
-        k0 = np.array([keys[deg & (which == j)][0] for j in paired], dtype=int)
         ref = np.repeat([0, 1], [len(rows), len(paired)])  # random_signal(p, 1) if paired
-        P = _project(group, np.r_[which, np.array(paired, dtype=int)], np.r_[keys, k0],
+        P = _project(group, np.r_[which, np.array(paired, dtype=int)], np.r_[keys, k0[paired]],
                      _reference(pp.p, *range(ref.max() + 1))[ref])
         V = _unit(P[:len(rows)])
-        for m, j in enumerate(paired):
-            d = np.flatnonzero(deg & (which == j))
+        for m, t in enumerate(paired):
+            d = np.flatnonzero(deg & (which == t))
             u, w = _unit(P[[d[0], len(rows) + m]])
             (w,) = _unit((w - np.vdot(u, w) * u)[None])
             pair = np.stack([u + w, u - w]) / np.sqrt(2)
-            V[d] = pair[idx[d] - np.searchsorted(orbits[j].keys, k0[m])]
+            V[d] = pair[j[d]]
         rho = _rho_rows([T.generator for T in group], which)
         if np.linalg.norm(rho(V) - lam[:, None] * V, axis=1).max() > LATTICE_TOL:
             raise RuntimeError("Weil vector fails its eigenvalue equation")
-        for i, j, e, v, dg in zip(rows, which, lam, V, deg):
-            out[i] = WeilVector(group[j], complex(e), Signal(pp, v), bool(dg))
+        for i, t, e, v, dg in zip(rows, which, lam, V, deg):
+            out[i] = WeilVector(group[t], complex(e), Signal(pp, v), bool(dg))
     return out
 
 
@@ -488,9 +480,10 @@ def torus_eigenbasis(T: Torus) -> tuple[WeilVector, ...]:
     """Orthonormal eigenbasis of the torus action, sorted by exact eigenvalue.
 
     The eigenvalues of rho = rho(generator) lie on the lattice e^{i pi k/n},
-    n = T.order, and come from the trace (_orbit). Vectors are sorted by the
-    integer k, so the eigenvalue-1 vector comes first, and the one k that a
-    split torus gives two vectors marks both degenerate. Phase rule:
+    n = T.order, and follow from one key read off the trace, k0 =
+    _special_key(T). Vectors are sorted by the integer k, so the key k0 that
+    a split torus gives two vectors sits at indices k0//2 and k0//2 + 1, both
+    marked degenerate. Phase rule:
     <v, random_signal(p, 0)> is real and positive (RuntimeError if below
     PHASE_FLOOR). The vectors are torus_vector's, built as one (p, p) stack
     by _vectors; flag_waveform and `gen --kind weil` refuse a degenerate
@@ -573,15 +566,17 @@ def flag_family(p, r: int, seed: int) -> list[Flag]:
         raise ValueError("a flag family holds 0 to p+1 flags (one per origin line)")
     roster = default_torus_roster(pp, min(max(r, 1), 8))
     rng = np.random.default_rng(seed)
-    free = [~_orbit(T).degenerate for T in roster]  # indices each torus can still give
+    # the indices each torus can no longer give, sorted: its degenerate pair
+    # (_vectors), then each pick
+    taken = [[_special_key(T) // 2 + d for d in (0, 1)] if T.kind == "split" else []
+             for T in roster]
     picks = []
     for i in range(r):
         ti = i % len(roster)
-        candidates = np.flatnonzero(free[ti])
-        if not candidates.size:
-            raise ValueError("insufficient non-degenerate eigenvectors in roster")
-        eig = int(rng.choice(candidates))
-        free[ti][eig] = False
+        eig = int(rng.integers(0, pp.p - len(taken[ti])))  # the eig-th free index
+        for t in taken[ti]:
+            eig += t <= eig
+        bisect.insort(taken[ti], eig)
         picks.append((roster[ti], eig, int(rng.integers(0, pp.p))))
     phis = _cached_vectors([T for T, _, _ in picks], [eig for _, eig, _ in picks])
     return [_flag(Line(None if i == pp.p else i, pp), b, eig, phi)

@@ -8,9 +8,10 @@ independent route.
 import numpy as np
 
 from tfshift import (GroupElement, HeisenbergVector, Line, PlanePoint, Signal, as_prime,
-                     delta, dft, extract_bits, gfp, heisenberg_op, legendre, random_signal, sim)
+                     default_torus_roster, delta, dft, extract_bits, gfp, heisenberg_op, legendre,
+                     random_signal, sim)
 from tfshift.weil import (LATTICE_TOL, PHASE_FLOOR, Torus, WeilVector, _factor, _rho,
-                          weil_operator)
+                          _special_key, weil_operator)
 
 
 def psi(k: int, p: int) -> complex:
@@ -263,6 +264,35 @@ def torus_eigenbasis_oracle(T: Torus) -> tuple[WeilVector, ...]:
     pp = gfp.as_prime(p)
     return tuple(WeilVector(T, complex(lam[i]), Signal(pp, Z[:, i]), bool(shared[key[i]]))
                  for i in order)
+
+
+def spectrum_oracle(T: Torus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(keys, eigenvalues, degenerate marks) of rho(T.generator) in eig_index
+    order, as length-p arrays: every lattice key of the parity of
+    k0 = weil._special_key(T), with k0 once more on a split torus and without
+    it on a nonsplit one, sorted; eigenvalue e^{i pi k/n}, n = T.order."""
+    k0, n = _special_key(T), T.order
+    keys = np.arange(k0 % 2, 2 * n, 2)
+    keys = np.sort(np.append(keys, k0)) if T.kind == "split" else keys[keys != k0]
+    return keys, np.exp(1j * np.pi * keys / n), keys == k0
+
+
+def flag_picks_oracle(p, r: int, seed: int) -> list[tuple[Torus, int, int]]:
+    """(torus, eig_index, b_index) of each flag of flag_family(p, r, seed):
+    a length-p mask of the indices each roster torus can still give
+    (spectrum_oracle's non-degenerate ones, less each pick), one
+    rng.choice over it a pick, then the b_index draw."""
+    pp = as_prime(p)
+    roster = default_torus_roster(pp, min(max(r, 1), 8))
+    rng = np.random.default_rng(seed)
+    free = [~spectrum_oracle(T)[2] for T in roster]
+    picks = []
+    for i in range(r):
+        ti = i % len(roster)
+        eig = int(rng.choice(np.flatnonzero(free[ti])))
+        free[ti][eig] = False
+        picks.append((roster[ti], eig, int(rng.integers(0, pp.p))))
+    return picks
 
 
 def power_scalar_oracle(g: GroupElement, hs) -> dict[int, complex]:

@@ -1,5 +1,6 @@
 """Command-line interface, exercised in process through cli.main."""
 
+import time
 import warnings
 
 import numpy as np
@@ -327,6 +328,25 @@ def test_detect_rejects_non_finite_receiver(tmp_path, capsys):
                          "--manifest", manifest)
     assert code == 2
     assert out == "" and "finite" in err
+
+def test_detect_and_ambiguity_refuse_a_short_file_naming_a_huge_p(tmp_path, capsys):
+    # the file's 2-byte payload is refused before any primality test on p,
+    # which on the Mersenne prime 2^61 - 1 runs trial division for minutes
+    wave = tmp_path / "c.sig"
+    assert run(capsys, "gen", "--p", 31, "--kind", "cross", "--lines", "0,1",
+               "--out", wave)[0] == 0
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{wave}\n")
+    huge = tmp_path / "huge.sig"
+    huge.write_bytes(f"tfshift-signal p={2**61 - 1} format=binary\n".encode() + b"\0\0")
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "detect", "--receiver", huge, "--manifest", manifest)
+    assert code == 2 and out == "" and str(huge) in err
+    code, out, err = run(capsys, "ambiguity", "--sender", wave, "--receiver", huge,
+                         "--out", tmp_path / "g.csv")
+    assert code == 2 and out == "" and str(huge) in err
+    assert time.perf_counter() - t0 < 2
+
 
 def test_detect_missing_manifest(tmp_path, capsys):
     recv = tmp_path / "r.sig"

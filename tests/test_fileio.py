@@ -1,5 +1,7 @@
 """File formats: signal, grid, profile containers."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -236,3 +238,24 @@ def test_read_signal_missing_p_names_the_field(sig, tmp_path):
     _without_field(path, b"p")
     with pytest.raises(ValueError, match="no p= field"):
         read_signal(path)
+
+
+def huge_p_file(path, magic, extra=""):
+    # a file of under 100 bytes whose header names the Mersenne prime
+    # 2^61 - 1, where trial division to its root takes minutes, over a 2-byte
+    # payload
+    path.write_bytes(f"{magic} p={2**61 - 1} format=binary{extra}\n".encode() + b"\0\0")
+    return path
+
+
+def test_short_file_naming_a_huge_p_is_refused_at_once(tmp_path):
+    # the payload's length is checked against p before p's primality
+    for magic, reader, extra in (
+            ("tfshift-signal", read_signal, ""),
+            ("tfshift-grid", read_grid, ""),
+            ("tfshift-profile", read_profile, " line=0 offset_tau=0 offset_omega=0")):
+        path = huge_p_file(tmp_path / "huge", magic, extra)
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError):
+            reader(path)
+        assert time.perf_counter() - t0 < 1, magic

@@ -131,12 +131,12 @@ def test_small_cross_family_at_large_p_builds_only_its_crosses():
 
 
 def test_flag_family_at_large_p_keeps_one_array_a_flag():
-    # three flags at p = 100003 keep their 3 signals of 1.6 MB and the
-    # spectra of their tori (25 bytes a sample each), not their parts; the
+    # three flags at p = 100003 keep their 3 signals of 1.6 MB and one
+    # special key per torus, not their parts or any length-p spectrum; the
     # roots table, shared by every chirp at p, is built before tracing
     p = 100003
     gfp._roots(p)
-    weil._orbit.cache_clear()
+    weil._special_key.cache_clear()
     torus_vector.cache_clear()
     tracemalloc.start()
     try:
@@ -148,7 +148,7 @@ def test_flag_family_at_large_p_keeps_one_array_a_flag():
         tracemalloc.stop()
     assert len(fam) == 3
     assert cached <= weil.VECTOR_CACHE_BYTES
-    assert kept <= 14e6, kept
+    assert kept <= 6e6, kept
 
 
 @pytest.mark.parametrize("p", [31, 101, 10007])

@@ -330,11 +330,11 @@ def test_eigenvector_names_survive_operator_rounding(monkeypatch):
             want = torus_eigenbasis(T)
             with monkeypatch.context() as m:
                 m.setattr(weil, "_rho", rounded)
-                weil._orbit.cache_clear()
+                weil._special_key.cache_clear()
                 try:
                     got = torus_eigenbasis.__wrapped__(T)
                 finally:
-                    weil._orbit.cache_clear()
+                    weil._special_key.cache_clear()
             assert [w.degenerate for w in got] == [w.degenerate for w in want]
             for a, b in zip(got, want):
                 assert a.eigenvalue == b.eigenvalue

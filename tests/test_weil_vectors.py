@@ -6,7 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import power_scalar_oracle, torus_eigenbasis_oracle
+from helpers import (flag_picks_oracle, power_scalar_oracle, spectrum_oracle,
+                     torus_eigenbasis_oracle)
 
 from tfshift.signals import add
 
@@ -140,10 +141,31 @@ def test_trace_names_double_and_missing_eigenvalue(p):
     assert kinds == {"split", "nonsplit"}
 
 
-def eig_index(fl):
-    # the eig_index of a flag's non-degenerate vector, read off its eigenvalue
-    (i,) = np.flatnonzero(weil._orbit(fl.torus).eigenvalues == fl.phiT.eigenvalue)
-    return int(i)
+@pytest.mark.parametrize("p", [31, 101, 503])
+def test_closed_form_keys_match_spectrum_oracle(p):
+    # the key _vectors computes from each index alone names the oracle's
+    # eigenvalue, bit for bit, and its degenerate mark, at every index of
+    # the 8 roster tori, of both kinds
+    kinds = set()
+    for T in default_torus_roster(p, 8):
+        _, lam, deg = spectrum_oracle(T)
+        basis = torus_eigenbasis(T)
+        assert [v.eigenvalue for v in basis] == lam.tolist(), (p, T.generator)
+        assert [v.degenerate for v in basis] == deg.tolist(), (p, T.generator)
+        kinds.add(T.kind)
+    torus_eigenbasis.cache_clear()
+    assert kinds == {"split", "nonsplit"}
+
+
+@pytest.mark.parametrize("p", [31, 37, 101])
+def test_flag_picks_match_oracle(p):
+    # one draw over the free count, mapped past the sorted taken indices,
+    # picks what rng.choice over the length-p mask picks, up to one flag
+    # per origin line
+    for r in sorted({0, 1, 2, 3, 8, 9, 17, p - 1, p, p + 1}):
+        for seed in range(3):
+            got = [(fl.torus, fl.eig_index, fl.b_index) for fl in flag_family(p, r, seed)]
+            assert got == flag_picks_oracle(p, r, seed), (p, r, seed)
 
 
 @pytest.mark.parametrize("p", [31, 101, 503])
@@ -155,7 +177,7 @@ def test_flag_family_vectors_equal_single_builds(p):
     for r in range(1, 9):
         torus_vector.cache_clear()
         for fl in flag_family(p, r, seed=r):
-            alone = weil._vectors([fl.torus], [eig_index(fl)])[0]
+            alone = weil._vectors([fl.torus], [fl.eig_index])[0]
             assert np.array_equal(fl.phiT.signal.samples, alone.signal.samples), (p, r)
             assert fl.phiT.eigenvalue == alone.eigenvalue
         kinds.add(frozenset(fl.torus.kind for fl in flag_family(p, r, seed=r)))
@@ -167,7 +189,7 @@ def test_stacked_eigen_residual_failure_raises(monkeypatch):
     p = 101
     roster = default_torus_roster(p, 4)
     for T in roster:
-        weil._orbit(T)  # the spectra, at the real tolerance
+        weil._special_key(T)  # the special keys, at the real tolerance
     torus_vector.cache_clear()
     monkeypatch.setattr(weil, "LATTICE_TOL", -1.0)
     with pytest.raises(RuntimeError, match="eigenvalue equation"):
@@ -185,7 +207,7 @@ def test_vector_cache_keeps_the_most_recent():
     fam = flag_family(p, 70, seed=3)
     assert len(weil._vector_cache) == weil.VECTOR_CACHE == 64
     for fl in fam[-64:]:
-        assert torus_vector(fl.torus, eig_index(fl)) is fl.phiT
+        assert torus_vector(fl.torus, fl.eig_index) is fl.phiT
     torus_vector.cache_clear()
     assert not weil._vector_cache
 
@@ -237,9 +259,10 @@ def test_flag_family_at_p10007_is_matrix_free(monkeypatch):
 
 def test_torus_vector_at_p100003_in_bounded_memory():
     # one cold vector: the ladder keeps no rho apply past its step, and the
-    # cached record is the spectrum, O(p) keys and eigenvalues
+    # cached record of its torus is one integer; what stays is the vector
+    # (1.6 MB) and the roots table of every chirp at p (3.2 MB)
     T = make_torus(0, 100003)
-    weil._orbit.cache_clear()
+    weil._special_key.cache_clear()
     torus_vector.cache_clear()
     tracemalloc.start()
     try:
@@ -248,7 +271,7 @@ def test_torus_vector_at_p100003_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak < 30e6, peak
-    assert retained < 8e6, retained
+    assert retained < 6e6, retained
     assert not v.degenerate
 
 
