@@ -329,6 +329,7 @@ def test_detect_rejects_non_finite_receiver(tmp_path, capsys):
     assert code == 2
     assert out == "" and "finite" in err
 
+
 def test_detect_and_ambiguity_refuse_a_short_file_naming_a_huge_p(tmp_path, capsys):
     # the file's 2-byte payload is refused before any primality test on p,
     # which on the Mersenne prime 2^61 - 1 runs trial division for minutes

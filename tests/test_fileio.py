@@ -240,21 +240,16 @@ def test_read_signal_missing_p_names_the_field(sig, tmp_path):
         read_signal(path)
 
 
-def huge_p_file(path, magic, extra=""):
-    # a file of under 100 bytes whose header names the Mersenne prime
-    # 2^61 - 1, where trial division to its root takes minutes, over a 2-byte
-    # payload
-    path.write_bytes(f"{magic} p={2**61 - 1} format=binary{extra}\n".encode() + b"\0\0")
-    return path
-
-
 def test_short_file_naming_a_huge_p_is_refused_at_once(tmp_path):
-    # the payload's length is checked against p before p's primality
+    # a file of under 100 bytes whose header names the Mersenne prime
+    # 2^61 - 1, where trial division to its root takes minutes, over a
+    # 2-byte payload: the payload's length is checked against p first
+    path = tmp_path / "huge"
     for magic, reader, extra in (
             ("tfshift-signal", read_signal, ""),
             ("tfshift-grid", read_grid, ""),
             ("tfshift-profile", read_profile, " line=0 offset_tau=0 offset_omega=0")):
-        path = huge_p_file(tmp_path / "huge", magic, extra)
+        path.write_bytes(f"{magic} p={2**61 - 1} format=binary{extra}\n".encode() + b"\0\0")
         t0 = time.perf_counter()
         with pytest.raises(ValueError):
             reader(path)
