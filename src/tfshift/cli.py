@@ -21,7 +21,7 @@ from .gfp import Line, PlanePoint, as_prime
 from .heisenberg import cross_waveform, line_vector
 from .signals import Signal, mf_full, random_signal
 from .sim import ChannelSpec, UserSpec, bench_complexity, fit_exponent, monte_carlo
-from .weil import flag_waveform, make_torus, torus_vector
+from .weil import _flag, make_torus, torus_vector
 
 EXIT_OK = 0
 EXIT_LOW_CONFIDENCE = 1
@@ -118,7 +118,7 @@ def _waveform(kind: str, p, raw, label, where: str = ""):
                              "Weil eigenvector")
         if kind == "weil":
             return phi, {"torus_trace": trace, "eig_index": eig, "torus_kind": T.kind}
-        return flag_waveform(L, T, b, eig), {
+        return _flag(L, b, eig, phi), {
             "line": slope_token(L), "torus_trace": trace, "b_index": b, "eig_index": eig}
     except ValueError as e:
         raise UsageError(f"{where}{e}")

@@ -94,10 +94,18 @@ def _encode_complex(values, n: int, fmt: str) -> bytes:
     return f.tobytes()
 
 
+def _binary(payload: bytes, count: int) -> np.ndarray:
+    """The payload as count little-endian floats, its byte length checked
+    first, so that every other length gets the readers' own message."""
+    if len(payload) != 8 * count:
+        raise ValueError("payload length does not match p")
+    return np.frombuffer(payload, dtype="<f8")
+
+
 def _decode_complex(payload: bytes, n: int, fmt: str) -> np.ndarray:
     """Inverse of _encode_complex; the n values must all be finite."""
     if fmt == "binary":
-        f = np.frombuffer(payload, dtype="<f8")
+        f = _binary(payload, 2 * n)
     elif fmt == "text":
         f = np.array([float(x) for x in payload.decode("utf-8").split()])
     else:
@@ -141,8 +149,7 @@ def read_grid(path) -> tuple[np.ndarray, dict]:
     header, payload, p = _read(path, GRID_MAGIC)
     fmt = header.get("format", "csv")
     if fmt == "binary":
-        m = np.frombuffer(payload, dtype="<f8")
-        m = m.reshape(p, p).copy() if m.shape[0] == p * p else m
+        m = _binary(payload, p * p).reshape(p, p).copy()
     elif fmt == "csv":
         rows = payload.decode("utf-8").strip().split("\n")
         m = np.array([[float(x) for x in r.split(",")] for r in rows])

@@ -7,26 +7,64 @@ plus an offset point. All scalars are canonical residues in [0, p).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MR_BOUND = 318665857834031151167461  # the least composite that passes every base in MR_BASES
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin primality test (Miller 1976, Rabin 1980),
+    O(log^3 n): a strong probable prime to the 12 bases MR_BASES is prime
+    for every n < MR_BOUND (Sorenson and Webster, "Strong pseudoprimes to
+    twelve prime bases", Math. Comp. 86, 2017). ValueError for a larger n."""
+    if n >= MR_BOUND:
+        raise ValueError(f"{n} is too large: primality is decided only below {MR_BOUND}")
+    if n < 2 or any(n % a == 0 for a in MR_BASES):
+        return n in MR_BASES
+    d, s = n - 1, 0  # n - 1 = d 2^s, d odd
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+def _factor(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending. Each composite part is
+    split by Pollard's rho (Pollard 1975) with Floyd's cycle finding, in about
+    sqrt(q) products for its smallest prime factor q, so the order p +- 1 of
+    a 61-bit p factors in milliseconds."""
+    out, parts = set(), [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        if is_prime(m):
+            out.add(m)
+            continue
+        d = 2 if m % 2 == 0 else 1
+        c = 0
+        while d in (1, m):  # a walk x -> x^2 + c that closed its cycle mod m too: next c
+            x = y = 2
+            c, d = c + 1, 1
+            while d == 1:
+                x, y = (x * x + c) % m, (y * y + c) % m
+                y = (y * y + c) % m
+                d = math.gcd(x - y, m)
+        parts += [d, m // d]
+    return sorted(out)
 
 
 @dataclass(frozen=True)
@@ -48,7 +86,7 @@ class Prime:
 def as_prime(p) -> Prime:
     """Coerce an int (or pass through a Prime) to a validated Prime. An int
     is validated once: the Primes of the last 64 ints are shared, so the
-    modular helpers that take an int p run no trial division on each call."""
+    modular helpers that take an int p run no primality test on each call."""
     return p if isinstance(p, Prime) else _prime(int(p))
 
 

@@ -284,6 +284,6 @@ def fit_exponent(ps, ys) -> float:
     x, y = np.asarray(ps, dtype=float), np.asarray(ys, dtype=float)
     if not (x > 0).all() or not (y > 0).all():
         raise ValueError(f"fit_exponent needs positive values, got ps={list(ps)}, ys={list(ys)}")
-    if np.unique(x).size < 2:
+    if len(set(x.tolist())) < 2:
         raise ValueError(f"fit_exponent needs two distinct p values, got ps={list(ps)}")
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])

@@ -36,10 +36,10 @@ ladder as one stack, one transform call a step for all of them. The one
 cached record per torus (_special_key) is one integer read off tr rho in
 O(p), the key that fixes its whole spectrum. One builder (_vectors)
 projects any set of (torus, eigenvalue index) pairs in at most two ladders,
-one per torus order, and checks the result; torus_vector (one vector, the
-last 64 kept, 32 MB of them at most), flag_family (its r vectors at once)
-and torus_eigenbasis (all p, O(p^2) memory, for tests, demos and full-basis
-callers) all call it. A Flag keeps its samples and its recipe, not its parts.
+one per torus order, and checks the result; torus_vector (one vector, built
+on each call), flag_family (its r vectors at once) and torus_eigenbasis
+(all p, O(p^2) memory, for tests, demos and full-basis callers) all call
+it. A Flag keeps its samples and its recipe, not its parts.
 A torus is found by make_torus in O(log^2 p) integer products per candidate
 row of its centralizer, from one modular square root (gfp.sqrt_mod). Only
 numpy's FFT runs; nothing calls LAPACK. weil_operator is the dense matrix,
@@ -49,15 +49,13 @@ for tests and demos.
 from __future__ import annotations
 
 import bisect
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .gfp import (Line, PlanePoint, Prime, _chirp, _roots, as_prime, inv, legendre, sqrt_mod,
-                  transverse_line)
+from .gfp import (Line, PlanePoint, Prime, _chirp, _factor, _roots, as_prime, inv, legendre,
+                  sqrt_mod, transverse_line)
 from .heisenberg import HeisenbergVector, line_vector
 from .signals import Signal, add, heisenberg_op, random_signal
 
@@ -192,20 +190,6 @@ class Torus:
     generator: GroupElement
     kind: str  # "split" | "nonsplit"
     order: int
-
-
-def _factor(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
 
 
 def _mat_mul(x: tuple, y: tuple, p: int) -> tuple:
@@ -385,7 +369,8 @@ def _vectors(tori: list[Torus], index) -> list[WeilVector]:
     the unit projection of random_signal(p, 0) on its eigenspace (_project),
     which meets the phase rule by itself, since <P x, x> = ||P x||^2 > 0.
     The tori of one order n share one stacked ladder, so a request of any
-    size runs at most two: n = p-1 (split) and n = p+1 (nonsplit).
+    size runs at most two: n = p-1 (split) and n = p+1 (nonsplit), and an
+    empty one none.
     Index i names key k0 + 2(j - [j > 0]) of a split torus, degenerate at
     j = 0 and 1, and k0 + 2(j + [j >= 0]) of a nonsplit one, with
     k0 = _special_key(T) and j = i - k0//2: the keys in increasing order.
@@ -396,12 +381,12 @@ def _vectors(tori: list[Torus], index) -> list[WeilVector]:
     projection of random_signal(p, 1) is one more row of the same ladder.
     RuntimeError unless every v meets ||rho v - lambda v|| <= LATTICE_TOL,
     checked by one stacked rho apply per ladder."""
-    pp = tori[0].generator.p
     index = np.asarray(index)
     out = [None] * len(tori)
     for n in sorted({T.order for T in tori}):
         rows = [i for i, T in enumerate(tori) if T.order == n]
         group = list(dict.fromkeys(tori[i] for i in rows))
+        pp = group[0].generator.p
         which = np.array([group.index(tori[i]) for i in rows])
         k0 = np.array([_special_key(T) for T in group])
         j = index[rows] - k0[which] // 2
@@ -428,51 +413,14 @@ def _vectors(tori: list[Torus], index) -> list[WeilVector]:
     return out
 
 
-VECTOR_CACHE = 64  # torus_vector results kept, least recently used dropped first
-VECTOR_CACHE_BYTES = 32 * 2**20  # and at most this many sample bytes of them: 64
-                                 # vectors up to p = 32768, 20 at p = 100003
-
-_vector_cache: "OrderedDict[tuple[Torus, int], WeilVector]" = OrderedDict()
-_vector_lock = threading.Lock()
-
-
-def _cached_vectors(tori: list[Torus], index: list[int]) -> list[WeilVector]:
-    """torus_vector(tori[i], index[i]) for each i: the kept vectors as they
-    are, and the rest built by one _vectors call, then kept too."""
-    wanted = [(T, int(i)) for T, i in zip(tori, index)]
-    with _vector_lock:
-        got = {w: _vector_cache.get(w) for w in wanted}
-    cold = [w for w, v in got.items() if v is None]
-    if cold:
-        got.update(zip(cold, _vectors(*zip(*cold))))
-    with _vector_lock:
-        for w in got:
-            got[w] = _vector_cache.setdefault(w, got[w])  # a racing build loses
-            _vector_cache.move_to_end(w)
-        size = sum(v.signal.samples.nbytes for v in _vector_cache.values())
-        while len(_vector_cache) > VECTOR_CACHE or size > VECTOR_CACHE_BYTES:
-            size -= _vector_cache.popitem(last=False)[1].signal.samples.nbytes
-    return [got[w] for w in wanted]
-
-
 def torus_vector(T: Torus, index: int) -> WeilVector:
     """The eigenvector torus_eigenbasis(T)[index] names, built with no p x p
-    array by _vectors: O(log p) transforms of length p. The last VECTOR_CACHE
-    vectors asked of torus_vector, flag_family or Flag.phiT are kept, as many
-    of them as fit in VECTOR_CACHE_BYTES (cache_clear drops them). ValueError
-    for an index outside 0..p-1, raised before any torus work."""
+    array by _vectors: O(log p) transforms of length p, on every call.
+    ValueError for an index outside 0..p-1, raised before any torus work."""
     p = T.generator.p.p
     if not 0 <= index < p:
         raise ValueError(f"eig_index {index} is not in 0..{p - 1}")
-    return _cached_vectors([T], [index])[0]
-
-
-def _clear_vectors() -> None:
-    with _vector_lock:
-        _vector_cache.clear()
-
-
-torus_vector.cache_clear = _clear_vectors
+    return _vectors([T], [index])[0]
 
 
 @lru_cache(maxsize=8)
@@ -502,8 +450,8 @@ class Flag:
 
     Only the sum's samples are kept, with the recipe: the line, the torus, the
     line-vector index b_index (in 0..p-1) and the torus eigenvector index
-    eig_index. fL is rebuilt from it on access in closed form, and phiT is
-    torus_vector's, kept or rebuilt."""
+    eig_index. fL is rebuilt from it on access in closed form, and phiT by
+    torus_vector."""
 
     line: Line
     torus: Torus
@@ -559,8 +507,8 @@ def flag_family(p, r: int, seed: int) -> list[Flag]:
     """r flags on pairwise-distinct origin lines with pairwise-distinct
     non-degenerate Weil vectors, drawn from a fixed torus roster (cycled).
     Line i gets slope i (vertical last when r = p+1). The vectors are
-    torus_vector's, and those not kept yet are built together, in one
-    stacked ladder per torus order (_vectors)."""
+    torus_vector's, built together in one stacked ladder per torus order
+    (_vectors)."""
     pp = as_prime(p)
     if not 0 <= r <= pp.p + 1:
         raise ValueError("a flag family holds 0 to p+1 flags (one per origin line)")
@@ -578,6 +526,6 @@ def flag_family(p, r: int, seed: int) -> list[Flag]:
             eig += t <= eig
         bisect.insort(taken[ti], eig)
         picks.append((roster[ti], eig, int(rng.integers(0, pp.p))))
-    phis = _cached_vectors([T for T, _, _ in picks], [eig for _, eig, _ in picks])
+    phis = _vectors([T for T, _, _ in picks], [eig for _, eig, _ in picks])
     return [_flag(Line(None if i == pp.p else i, pp), b, eig, phi)
             for i, ((_, eig, b), phi) in enumerate(zip(picks, phis))]

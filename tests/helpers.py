@@ -10,8 +10,9 @@ import numpy as np
 from tfshift import (GroupElement, HeisenbergVector, Line, PlanePoint, Signal, as_prime,
                      default_torus_roster, delta, dft, extract_bits, gfp, heisenberg_op, legendre,
                      random_signal, sim)
-from tfshift.weil import (LATTICE_TOL, PHASE_FLOOR, Torus, WeilVector, _factor, _rho,
-                          _special_key, weil_operator)
+from tfshift.gfp import _factor
+from tfshift.weil import (LATTICE_TOL, PHASE_FLOOR, Torus, WeilVector, _rho, _special_key,
+                          weil_operator)
 
 
 def psi(k: int, p: int) -> complex:

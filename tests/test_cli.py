@@ -1,7 +1,11 @@
 """Command-line interface, exercised in process through cli.main."""
 
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +25,7 @@ from tfshift import (
     read_signal,
     write_signal,
 )
-from tfshift import cli
+from tfshift import cli, weil
 from tfshift.cli import main
 
 
@@ -332,7 +336,7 @@ def test_detect_rejects_non_finite_receiver(tmp_path, capsys):
 
 def test_detect_and_ambiguity_refuse_a_short_file_naming_a_huge_p(tmp_path, capsys):
     # the file's 2-byte payload is refused before any primality test on p,
-    # which on the Mersenne prime 2^61 - 1 runs trial division for minutes
+    # the Mersenne prime 2^61 - 1
     wave = tmp_path / "c.sig"
     assert run(capsys, "gen", "--p", 31, "--kind", "cross", "--lines", "0,1",
                "--out", wave)[0] == 0
@@ -347,6 +351,90 @@ def test_detect_and_ambiguity_refuse_a_short_file_naming_a_huge_p(tmp_path, caps
                          "--out", tmp_path / "g.csv")
     assert code == 2 and out == "" and str(huge) in err
     assert time.perf_counter() - t0 < 2
+
+
+def test_detect_names_a_receiver_of_the_wrong_byte_length(tmp_path, capsys):
+    wave = tmp_path / "c.sig"
+    assert run(capsys, "gen", "--p", 7, "--kind", "cross", "--lines", "0,1",
+               "--out", wave)[0] == 0
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{wave}\n")
+    recv = tmp_path / "recv.sig"
+    recv.write_bytes(b"tfshift-signal p=7 format=binary\n\0\0")
+    code, out, err = run(capsys, "detect", "--receiver", recv, "--manifest", manifest)
+    assert code == 2 and out == ""
+    assert str(recv) in err and "payload length does not match p" in err
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 2305843009213691579, 2**61 - 3])
+@pytest.mark.parametrize("kind", ["random", "heisenberg", "weil", "flag", "cross"])
+def test_gen_at_a_61_bit_p_exits_at_once(tmp_path, capsys, p, kind):
+    # primality is decided and the torus orders p -+ 1 factored in
+    # milliseconds; then numpy refuses the first length-p array before
+    # allocating it (2^61 - 3 is composite and refused as a prime)
+    out_path = tmp_path / "x.sig"
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "gen", "--p", p, "--kind", kind, "--line", 1,
+                         "--lines", "0,1", "--index", 0, "--b-index", 0, "--eig-index", 5,
+                         "--torus-trace", 0, "--seed", 0, "--out", out_path)
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert ("not prime" in err) == (p == 2**61 - 3)
+    assert not out_path.exists()
+
+
+def count_builds(monkeypatch):
+    """The Weil-vector requests (_vectors calls, by size) and ladders
+    (_project calls) run while the test lasts."""
+    requests, ladders = [], []
+    vectors, project = weil._vectors, weil._project
+    monkeypatch.setattr(weil, "_vectors",
+                        lambda tori, index: requests.append(len(tori)) or vectors(tori, index))
+    monkeypatch.setattr(weil, "_project",
+                        lambda *args: ladders.append(1) or project(*args))
+    return requests, ladders
+
+
+def test_gen_and_detect_of_a_flag_build_its_vector_once(tmp_path, capsys, monkeypatch):
+    requests, ladders = count_builds(monkeypatch)
+    flag = tmp_path / "flag.sig"
+    assert run(capsys, "gen", "--p", 101, "--kind", "flag", "--line", 2,
+               "--torus-trace", 0, "--b-index", 0, "--eig-index", 7,
+               "--out", flag)[0] == 0
+    assert requests == [1] and len(ladders) == 1
+    recv = make_receiver(tmp_path, flag, (50, 60))
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"{flag}\n")
+    requests.clear()
+    ladders.clear()
+    code, out, _ = run(capsys, "detect", "--receiver", recv, "--manifest", manifest)
+    assert code == 0 and "shift_tau=50 shift_omega=60" in out
+    assert requests == [1] and len(ladders) == 1
+
+
+def test_empty_flag_family_runs_no_ladder(monkeypatch):
+    requests, ladders = count_builds(monkeypatch)
+    assert flag_family(101, 0, seed=3) == []
+    assert requests == [0] and ladders == []
+    assert weil._vectors([], []) == []
+
+
+def test_start_up_leaves_numpy_ma_unimported():
+    # numpy.ma takes 18-38 ms to import, and `tfshift detect` at small p
+    # is bound by start-up; np.unique imports it on first use
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys\n"
+            "import tfshift.cli\n"
+            "assert 'numpy.ma' not in sys.modules, 'import tfshift.cli'\n"
+            "from tfshift import sim\n"
+            "sim.fit_exponent([11, 13], [3.0, 4.0])\n"
+            "assert 'numpy.ma' not in sys.modules, 'fit_exponent'\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=False)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_detect_missing_manifest(tmp_path, capsys):

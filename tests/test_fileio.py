@@ -240,10 +240,24 @@ def test_read_signal_missing_p_names_the_field(sig, tmp_path):
         read_signal(path)
 
 
+@pytest.mark.parametrize("magic, reader, extra", [
+    ("tfshift-signal", read_signal, ""),
+    ("tfshift-grid", read_grid, ""),
+    ("tfshift-profile", read_profile, " line=0 offset_tau=0 offset_omega=0")])
+def test_payload_of_a_wrong_byte_length_gets_the_readers_message(tmp_path, magic, reader,
+                                                                 extra):
+    # 2 bytes hold no whole float: numpy's frombuffer once refused them with
+    # its own message before the reader compared the length with p
+    path = tmp_path / "short"
+    path.write_bytes(f"{magic} p=7 format=binary{extra}\n".encode() + b"\0\0")
+    with pytest.raises(ValueError, match="payload length does not match p"):
+        reader(path)
+
+
 def test_short_file_naming_a_huge_p_is_refused_at_once(tmp_path):
     # a file of under 100 bytes whose header names the Mersenne prime
-    # 2^61 - 1, where trial division to its root takes minutes, over a
-    # 2-byte payload: the payload's length is checked against p first
+    # 2^61 - 1, over a 2-byte payload: the payload's length is checked
+    # against p before any primality test or allocation
     path = tmp_path / "huge"
     for magic, reader, extra in (
             ("tfshift-signal", read_signal, ""),

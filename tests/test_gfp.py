@@ -18,13 +18,91 @@ from tfshift import (
     line_through,
     lines_through_origin,
 )
-from tfshift.gfp import _chirp, _roots, sqrt_mod
+from tfshift.gfp import MR_BASES, MR_BOUND, _chirp, _factor, _roots, sqrt_mod
 
 
 def test_is_prime_small_table():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31}
     for n in range(32):
         assert is_prime(n) == (n in primes), n
+
+
+def sieve(n):
+    """The smallest prime factor of each of 0..n-1 (0 and 1 map to themselves)."""
+    spf = list(range(n))
+    for i in range(2, int(n ** 0.5) + 1):
+        if spf[i] == i:
+            for j in range(i * i, n, i):
+                spf[j] = min(spf[j], i)
+    return spf
+
+
+def strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2 ** k, n) == n - 1 for k in range(1, s))
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    spf = sieve(10**5)
+    for n in range(10**5):
+        assert is_prime(n) == (n >= 2 and spf[n] == n), n
+
+
+@pytest.mark.parametrize("n, prime", [
+    # strong pseudoprimes to the first 1, 2, 3, 4 and 9 prime bases
+    (2047, False), (1373653, False), (25326001, False), (3215031751, False),
+    (3825123056546413051, False),
+    # Carmichael numbers
+    (561, False), (1105, False), (1729, False), (41041, False), (825265, False),
+    # products of two primes near 2^31, and the primes
+    (2147483647 * 2147483629, False), (2147483587 * 2147483659, False),
+    (2147483647, True), (2147483693, True),
+    # 2^61 - 1 and a 61-bit safe prime, and the composite 2^61 - 3
+    (2**61 - 1, True), (2305843009213691579, True), ((2305843009213691579 - 1) // 2, True),
+    (2**61 - 3, False), (1000003, True), (100003, True),
+])
+def test_is_prime_on_hard_cases(n, prime):
+    assert is_prime(n) == prime
+
+
+def test_is_prime_refuses_past_its_bound():
+    # the bound is tight: a composite that passes all twelve bases
+    assert MR_BOUND == 399165290221 * 798330580441
+    assert all(strong_probable_prime(MR_BOUND, a) for a in MR_BASES)
+    assert not is_prime(MR_BOUND - 2)
+    for n in (MR_BOUND, 2**89 - 1):
+        with pytest.raises(ValueError, match="too large"):
+            is_prime(n)
+    with pytest.raises(ValueError, match="too large"):
+        as_prime(2**89 - 1)
+
+
+def test_factor_agrees_with_trial_division_below_1e5():
+    spf = sieve(10**5)
+    for n in range(1, 10**5):
+        want, m = [], n
+        while m > 1:
+            want.append(spf[m])
+            while m % want[-1] == 0:
+                m //= want[-1]
+        assert _factor(n) == want, n
+    assert _factor(2**61 - 2) == [2, 3, 5, 7, 11, 13, 31, 41, 61, 151, 331, 1321]
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 2305843009213691579])
+def test_factor_of_a_61_bit_torus_order(p):
+    # the two torus orders p -+ 1, each rebuilt from its distinct primes
+    for n in (p - 1, p + 1):
+        primes = _factor(n)
+        assert primes == sorted(primes) and all(is_prime(q) for q in primes)
+        m = n
+        for q in primes:
+            while m % q == 0:
+                m //= q
+        assert m == 1, n
 
 
 def test_prime_rejects_bad_moduli():

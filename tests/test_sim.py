@@ -30,7 +30,6 @@ from tfshift import (
     monte_carlo,
     synthesize_receiver,
     thread_cap,
-    torus_vector,
 )
 
 
@@ -137,17 +136,13 @@ def test_flag_family_at_large_p_keeps_one_array_a_flag():
     p = 100003
     gfp._roots(p)
     weil._special_key.cache_clear()
-    torus_vector.cache_clear()
     tracemalloc.start()
     try:
         fam = sim.build_family(p, 3, "flag", 0)
-        cached = sum(v.signal.samples.nbytes for v in weil._vector_cache.values())
-        torus_vector.cache_clear()
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert len(fam) == 3
-    assert cached <= weil.VECTOR_CACHE_BYTES
     assert kept <= 6e6, kept
 
 
@@ -155,10 +150,8 @@ def test_flag_family_at_large_p_keeps_one_array_a_flag():
 def test_rebuilt_parts_equal_the_built_ones(p):
     # a flag or cross keeps its sum; its parts, rebuilt from the recipe,
     # are the vectors the sum was built from, bit for bit
-    torus_vector.cache_clear()
     flags = flag_family(p, 3, seed=5)
     built = weil._vectors([fl.torus for fl in flags], [fl.eig_index for fl in flags])
-    torus_vector.cache_clear()
     for fl, phi in zip(flags, built):
         fL, phiT = fl.fL, fl.phiT
         assert fL.line == fl.line and fL.index == fl.b_index

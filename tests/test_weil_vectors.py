@@ -9,8 +9,6 @@ import pytest
 from helpers import (flag_picks_oracle, power_scalar_oracle, spectrum_oracle,
                      torus_eigenbasis_oracle)
 
-from tfshift.signals import add
-
 from tfshift import (
     PlanePoint,
     as_prime,
@@ -92,7 +90,9 @@ def test_torus_vector_is_the_basis_vector_and_cached():
         v = torus_vector(T, i)
         assert v.eigenvalue == basis[i].eigenvalue
         assert np.abs(v.signal.samples - basis[i].signal.samples).max() < 1e-12
-        assert torus_vector(T, i) is v
+        again = torus_vector(T, i)
+        assert np.array_equal(again.signal.samples, v.signal.samples)
+        assert again.eigenvalue == v.eigenvalue and again.degenerate == v.degenerate
 
 
 def test_torus_vector_has_the_bits_of_the_basis_vector():
@@ -102,12 +102,10 @@ def test_torus_vector_has_the_bits_of_the_basis_vector():
     p = 503
     for T in default_torus_roster(p, 3):
         basis = torus_eigenbasis(T)
-        torus_vector.cache_clear()
         for i in range(p):
             v = torus_vector(T, i)
             assert np.array_equal(v.signal.samples, basis[i].signal.samples), (T.generator, i)
             assert v.eigenvalue == basis[i].eigenvalue and v.degenerate == basis[i].degenerate
-    torus_vector.cache_clear()
 
 
 @pytest.mark.parametrize("index", [-1, 101, 10**6])
@@ -175,7 +173,6 @@ def test_flag_family_vectors_equal_single_builds(p):
     # nonsplit tori (at p = 503 those of four or more flags)
     kinds = set()
     for r in range(1, 9):
-        torus_vector.cache_clear()
         for fl in flag_family(p, r, seed=r):
             alone = weil._vectors([fl.torus], [fl.eig_index])[0]
             assert np.array_equal(fl.phiT.signal.samples, alone.signal.samples), (p, r)
@@ -190,43 +187,11 @@ def test_stacked_eigen_residual_failure_raises(monkeypatch):
     roster = default_torus_roster(p, 4)
     for T in roster:
         weil._special_key(T)  # the special keys, at the real tolerance
-    torus_vector.cache_clear()
     monkeypatch.setattr(weil, "LATTICE_TOL", -1.0)
     with pytest.raises(RuntimeError, match="eigenvalue equation"):
         weil._vectors(roster, [1, 2, 3, 4])
     with pytest.raises(RuntimeError, match="eigenvalue equation"):
         flag_family(p, 4, seed=0)
-    assert not weil._vector_cache
-
-
-def test_vector_cache_keeps_the_most_recent():
-    # a family larger than the cache: its vectors are built and returned
-    # all the same, and the cache keeps the last VECTOR_CACHE of them
-    p = 101
-    torus_vector.cache_clear()
-    fam = flag_family(p, 70, seed=3)
-    assert len(weil._vector_cache) == weil.VECTOR_CACHE == 64
-    for fl in fam[-64:]:
-        assert torus_vector(fl.torus, fl.eig_index) is fl.phiT
-    torus_vector.cache_clear()
-    assert not weil._vector_cache
-
-
-def test_vector_cache_is_bounded_in_bytes(monkeypatch):
-    # a cap of three vectors' samples keeps three of five; every flag gets
-    # its vector all the same, and a dropped one is rebuilt with the same bits
-    p = 10007
-    monkeypatch.setattr(weil, "VECTOR_CACHE_BYTES", 3 * 16 * p)
-    torus_vector.cache_clear()
-    fam = flag_family(p, 5, seed=4)
-    kept = list(weil._vector_cache.values())
-    assert len(kept) == 3
-    assert sum(v.signal.samples.nbytes for v in kept) <= weil.VECTOR_CACHE_BYTES
-    assert kept == [torus_vector(fl.torus, fl.eig_index) for fl in fam[2:]]
-    for fl in fam:
-        assert np.array_equal(fl.signal.samples, add(fl.fL.signal, fl.phiT.signal).samples)
-    assert len(weil._vector_cache) == 3
-    torus_vector.cache_clear()
 
 
 def test_flag_family_at_p10007_is_matrix_free(monkeypatch):
@@ -263,7 +228,6 @@ def test_torus_vector_at_p100003_in_bounded_memory():
     # (1.6 MB) and the roots table of every chirp at p (3.2 MB)
     T = make_torus(0, 100003)
     weil._special_key.cache_clear()
-    torus_vector.cache_clear()
     tracemalloc.start()
     try:
         v = torus_vector(T, 1)
@@ -309,7 +273,9 @@ def test_flag_family_recipes_pinned(p, seed):
     for fl, (slope, trace, eig, b, overlap, s0, mid) in zip(flag_family(p, 3, seed), PINNED[p, seed]):
         assert fl.line.slope == slope and fl.fL.index == b
         assert fl.torus == make_torus(trace, p)
-        assert fl.phiT is torus_vector(fl.torus, eig)
+        phi = torus_vector(fl.torus, eig)
+        assert np.array_equal(fl.phiT.signal.samples, phi.signal.samples)
+        assert fl.phiT.eigenvalue == phi.eigenvalue and fl.phiT.degenerate == phi.degenerate
         s = fl.signal.samples
         assert abs(inner(fl.signal, ref) - overlap) < 1e-9
         assert abs(s[0] - s0) < 1e-9 and abs(s[p // 2] - mid) < 1e-9
@@ -331,7 +297,6 @@ def test_weil_golden_digest(p, vectors, flags):
     # sizes and three seeds, pinned to the last bit (numpy 2.4 on x86-64):
     # one sha256 over each vector's samples, eigenvalue and degenerate mark,
     # and one over each flag's recipe and samples
-    torus_vector.cache_clear()
     h = hashlib.sha256()
     for T in default_torus_roster(p, 8):
         for i in range(p):
@@ -340,7 +305,6 @@ def test_weil_golden_digest(p, vectors, flags):
             h.update(np.complex128(v.eigenvalue).tobytes())
             h.update(b"d" if v.degenerate else b"n")
     assert h.hexdigest() == vectors
-    torus_vector.cache_clear()
     h = hashlib.sha256()
     for r in (1, 3, 8, p - 1, p + 1):
         for seed in range(3):
@@ -348,4 +312,3 @@ def test_weil_golden_digest(p, vectors, flags):
                 h.update(repr(recipe(fl)).encode())
                 h.update(fl.signal.samples.tobytes())
     assert h.hexdigest() == flags
-    torus_vector.cache_clear()
