@@ -134,7 +134,7 @@ def main() -> None:
         fastmf.mf_on_stage(R, jobs)
         calls = counters.dft_calls
         counters.reset()
-        single = [fastmf.mf_on_lines(S, R, m, c)[0] for S, m, c in jobs]
+        single = [fastmf.mf_on_stage(R, [(S, m, c)])[0][0] for S, m, c in jobs]
         same = all(np.array_equal(a[0], b) for a, b in zip(stacked, single))
         print(f"  {r:2d}  {calls:13d}  {counters.dft_calls:16d}  "
               f"(profiles equal bit for bit: {same})")

@@ -35,9 +35,12 @@ class UsageError(Exception):
 
 def _parse_prime(value) -> "Prime":
     try:
-        return as_prime(int(value))
+        p = as_prime(int(value))
     except ValueError as e:
         raise UsageError(f"bad prime {value!r}: {e}")
+    if p.p > np.iinfo(np.intp).max // 16:  # no length-p complex128 array can exist
+        raise UsageError(f"p={p.p} is too large: numpy can hold no array of p complex samples")
+    return p
 
 
 def _parse_pair(text: str, option: str, parse=int) -> tuple:

@@ -3,18 +3,19 @@ multi-user bit extraction, GPS fixes, and multi-target radar.
 
 Every detector is one two-stage scan (_detect). Each waveform names its
 scan_lines: the carrier line and a stage-1 line transverse to it (a flag's
-gfp.transverse_line, a cross's second line M). Stage 1's peaks land on
-shifted carrier lines, and one picker (_pick) takes every row's candidates:
-its argmax, or for radar its r best local maxima. Stage 2 scans each picked
-shifted line, and its peak gives the shift, the bit and the confidence.
-Decisions are taken on magnitudes, so bits (pure phases) never disturb
-detection. Each stage is one stacked line scan (fastmf.mf_on_stage) of the
-whole family over a (T, p) receiver stack, so r waveforms cost two transform
-pairs, not 2r: sim.monte_carlo scans a chunk of trials at once, radar its
-candidates. Both stages read values and magnitudes in place in the scan's
-work buffer (fastmf._scan), before the output chirp, which has modulus one,
-and apply the chirp only at the picked indices, so a warm stage allocates
-no (T, p) array and makes no pass for the chirp.
+gfp.transverse_line, a cross's second line M). Both stages are one routine
+(_stage): scan a line per receiver row and take its peaks with one picker
+(_pick), each row's argmax or, for radar's stage 1, its r best local maxima.
+Stage 1's peaks land on shifted carrier lines; stage 2 scans each of them,
+and its peak gives the shift, the bit and the confidence. Decisions are
+taken on magnitudes, so bits (pure phases) never disturb detection. Each
+stage is one stacked line scan (fastmf._scan) of the whole family over a
+(T, p) receiver stack, so r waveforms cost two transform pairs, not 2r:
+sim.monte_carlo scans a chunk of trials at once, radar its candidates. A
+stage reads values and magnitudes in place in the scan's work buffer,
+before the output chirp, which has modulus one, and applies the chirp only
+at the picked indices, so a warm stage allocates no (T, p) array and makes
+no pass for the chirp.
 """
 
 from __future__ import annotations
@@ -97,44 +98,17 @@ def _peak(values: np.ndarray, cq: np.ndarray, rows: np.ndarray, k: np.ndarray) -
     return np.multiply(cq[k], values[rows, k])
 
 
-def _stage1(R: np.ndarray, family: list, lines: list, k: int) -> list[tuple]:
-    """Per waveform, each receiver row's k best candidates (_pick) on its
-    stage-1 line: one stacked scan for the whole family, read in place in the
-    scan's work buffer (fastmf._scan)."""
-    T = R.shape[0]
-    jobs = [(w.signal, l1.slope, np.full(T, line_offset(l1)))
-            for w, (_, l1) in zip(family, lines)]
+def _stage(R: np.ndarray, jobs: list, k: int) -> list[tuple]:
+    """Per job (sender, slope, offsets), each receiver row's k best
+    candidates (_pick) on its line: one stacked scan of the rows of R, read
+    in place in the scan's work buffer (fastmf._scan)."""
     return [_pick(np.abs(values, out=spare), values, cq, k) for values, spare, cq in _scan(R, jobs)]
 
 
-def _stage2(R: np.ndarray, family: list, lines: list, picks: list,
-            theta1: float, theta2: float) -> list[Scan]:
-    """Stage 2 over the rows of R, one stacked scan for the whole family: for
-    waveform j, with picks[j] = (_, k1, mag1) from _pick, row i scans its
-    carrier line through point k1[i] of its stage-1 line, a peak of magnitude
-    mag1[i], and reads the shift, the bit and the confidence off its peak."""
-    p = R.shape[-1]
-    jobs = []
-    for w, (carrier, line1), (_, k1, _) in zip(family, lines, picks):
-        m = carrier.slope
-        tau1, omega1 = _points(line1.slope, np.full(k1.shape, line_offset(line1)), k1, p)
-        # line_offset of line_through(m, stage-1 peak), per row
-        jobs.append((w.signal, m, tau1 if m is None else (omega1 - m * tau1) % p))
-    scans = []
-    for (_, m, offsets), (values, spare, cq), (_, _, mag1) in zip(jobs, _scan(R, jobs), picks):
-        k = np.argmax(np.abs(values, out=spare), axis=1)
-        peak = _peak(values, cq, np.arange(k.size), k)
-        mag2 = np.abs(peak)
-        scans.append(Scan(*_points(m, offsets, k, p), mag1, mag2, peak,
-                          np.where((peak / 2.0).real >= 0, 1, -1),
-                          (mag1 >= theta1) & (mag2 >= theta2)))
-    return scans
-
-
 def _pick(mags: np.ndarray, values: np.ndarray, cq: np.ndarray, k: int) -> tuple:
-    """Each row's k best candidates in a stage-1 scan, from its values before
-    the output chirp cq (fastmf._scan) and mags = |values|, as flat (rows,
-    indices, |M| there), row by row, best first. A candidate is a cyclic
+    """Each row's k best candidates in a scan, from its values before the
+    output chirp cq (fastmf._scan) and mags = |values|, as flat (rows,
+    indices, M there), row by row, best first. A candidate is a cyclic
     local maximum of mags, at least as large as both neighbours; a run of
     equal maxima gives one, its lowest index (0 for a run round the row's
     end). Candidates rank on |M|, largest first, ties to the lowest index; a
@@ -142,7 +116,7 @@ def _pick(mags: np.ndarray, values: np.ndarray, cq: np.ndarray, k: int) -> tuple
     of mags, whose last bits can differ from |M|'s."""
     if k == 1:
         rows, cols = np.arange(mags.shape[0]), np.argmax(mags, axis=1)
-        return rows, cols, np.abs(_peak(values, cq, rows, cols))
+        return rows, cols, _peak(values, cq, rows, cols)
     peak = (mags >= np.roll(mags, 1, axis=1)) & (mags >= np.roll(mags, -1, axis=1))
     first = peak.copy()
     first[:, 1:] &= ~peak[:, :-1]  # the lowest index of each run
@@ -150,24 +124,40 @@ def _pick(mags: np.ndarray, values: np.ndarray, cq: np.ndarray, k: int) -> tuple
     wraps = peak[:, 0] & peak[:, -1] & (tail > 0)  # which goes on at index 0
     first[wraps, tail[wraps]] = False
     rows, cols = np.nonzero(first)
-    mag1 = np.abs(_peak(values, cq, rows, cols))
-    order = np.lexsort((cols, -mag1, rows))  # rows stay sorted
+    M = _peak(values, cq, rows, cols)
+    order = np.lexsort((cols, -np.abs(M), rows))  # rows stay sorted
     best = order[np.arange(rows.size) - np.searchsorted(rows, rows) < k]
-    return rows[best], cols[best], mag1[best]
+    return rows[best], cols[best], M[best]
 
 
 def _detect(R: np.ndarray, family: list, theta1: float, theta2: float, k: int = 1) -> list[Scan]:
-    """Both stages of every waveform's scan over the rows of R, one stacked
-    scan per stage, stage 2 on each row's k best stage-1 candidates. For
-    k > 1 the family holds one waveform, and each candidate that can be
-    confident (stage-1 |M| >= theta1) is a row of its Scan."""
+    """Both stages of every waveform's scan over the rows of R, one _stage
+    each: stage 1 on the stage-1 lines, stage 2 on the carrier line through
+    each row's k best stage-1 candidates, whose peak gives the shift, the bit
+    and the confidence. For k > 1 the family holds one waveform, and each
+    candidate that can be confident (stage-1 |M| >= theta1) is a row of its
+    Scan."""
     lines = _scan_lines(family)
-    picks = _stage1(R, family, lines, k)
+    T, p = R.shape
+    picks = _stage(R, [(w.signal, l1.slope, np.full(T, line_offset(l1)))
+                       for w, (_, l1) in zip(family, lines)], k)
     if k > 1:
-        ((rows, cols, mag1),) = picks
-        keep = mag1 >= theta1
-        picks, R = [(rows[keep], cols[keep], mag1[keep])], R[rows[keep]]
-    return _stage2(R, family, lines, picks, theta1, theta2)
+        ((rows, cols, M1),) = picks
+        keep = np.abs(M1) >= theta1
+        picks, R = [(rows[keep], cols[keep], M1[keep])], R[rows[keep]]
+    jobs = []
+    for w, (carrier, line1), (_, k1, _) in zip(family, lines, picks):
+        m = carrier.slope
+        tau1, omega1 = _points(line1.slope, np.full(k1.shape, line_offset(line1)), k1, p)
+        # line_offset of line_through(m, stage-1 peak), per row
+        jobs.append((w.signal, m, tau1 if m is None else (omega1 - m * tau1) % p))
+    scans = []
+    for (_, m, offsets), (_, k2, peak), (_, _, M1) in zip(jobs, _stage(R, jobs, 1), picks):
+        mag1, mag2 = np.abs(M1), np.abs(peak)
+        scans.append(Scan(*_points(m, offsets, k2, p), mag1, mag2, peak,
+                          np.where((peak / 2.0).real >= 0, 1, -1),
+                          (mag1 >= theta1) & (mag2 >= theta2)))
+    return scans
 
 
 def _detection(scan: Scan, i: int, p) -> Detection:

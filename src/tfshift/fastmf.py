@@ -29,9 +29,9 @@ garbage-collected; the vertical plan depends on p only, and is kept once
 per p for every sender. The detectors read each job's result in place in
 that buffer, before its output chirp (_scan), so a warm stage allocates no
 (rows, p) array; mf_on_stage returns copies with the chirp applied.
-mf_on_lines is the one-job case, and mf_on_line its one-row case. The full
-p x p matrix is the p vertical lines tau0 = 0..p-1, scanned in blocks of rows
-that fit the kept buffer (_mf_rows).
+mf_on_line is its one-job, one-row case. The full p x p matrix is the p
+vertical lines tau0 = 0..p-1, scanned in blocks of rows that fit the kept
+buffer (_mf_rows).
 """
 
 from __future__ import annotations
@@ -416,20 +416,13 @@ def _scan(R: np.ndarray, jobs: list) -> list[tuple[np.ndarray, np.ndarray, np.nd
             for rows, (cq, _) in zip(blocks, plans)]
 
 
-def mf_on_lines(S: "Signal", R: np.ndarray, slope: int | None,
-                offsets: np.ndarray) -> np.ndarray:
-    """M[S, R_i] on the line of `slope` with canonical offset offsets[i], per
-    row of the (T, p) receiver stack R: the one-job case of mf_on_stage,
-    which documents the method."""
-    return mf_on_stage(R, [(S, slope, offsets)])[0]
-
-
 def _mf_rows(S: "Signal", R: "Signal", k: int) -> np.ndarray:
     """Rows tau = 0..k-1 of the full matched-filter matrix M[S, R] as a fresh
     (k, p) array, entry [tau, w] = M(tau, w). Row tau is the vertical line
-    tau0 = tau, so the rows are mf_on_lines scans of R broadcast to a block of
-    rows, one stage per block, with as many rows a block as let the stage's
-    work fit the kept buffer (BUFFER_CAP): no (k, n) work array is built."""
+    tau0 = tau, so the rows are one-job mf_on_stage scans of R broadcast to a
+    block of rows, one stage per block, with as many rows a block as let the
+    stage's work fit the kept buffer (BUFFER_CAP): no (k, n) work array is
+    built."""
     if S.p != R.p:
         raise ValueError("mismatched moduli")
     p = S.p.p
@@ -439,15 +432,15 @@ def _mf_rows(S: "Signal", R: "Signal", k: int) -> np.ndarray:
         taus = np.arange(t0, min(t0 + block, k))
         ((values, _, cq),) = _scan(np.broadcast_to(R.samples, (taus.size, p)),
                                    [(S, None, taus)])
-        np.multiply(cq, values, out=out[t0:t0 + taus.size])  # mf_on_lines, in place
+        np.multiply(cq, values, out=out[t0:t0 + taus.size])  # mf_on_stage, in place
     return out
 
 
 def mf_on_line(S: "Signal", R: "Signal", line: Line) -> LineProfile:
     """Restrict the matched-filter matrix M[S,R] to a line, in O(p log p):
-    the one-row case of mf_on_lines."""
+    the one-row mf_on_stage scan."""
     if line.p != S.p:
         raise ValueError("line modulus does not match signals")
-    values = mf_on_lines(S, R.samples[None, :], line.slope, np.array([line_offset(line)]))
+    (values,) = mf_on_stage(R.samples[None, :], [(S, line.slope, np.array([line_offset(line)]))])
     counters.line_calls += 1
     return LineProfile(line, values[0])

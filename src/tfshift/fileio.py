@@ -151,12 +151,12 @@ def read_grid(path) -> tuple[np.ndarray, dict]:
     if fmt == "binary":
         m = _binary(payload, p * p).reshape(p, p).copy()
     elif fmt == "csv":
-        rows = payload.decode("utf-8").strip().split("\n")
-        m = np.array([[float(x) for x in r.split(",")] for r in rows])
+        rows = [r.split(",") for r in payload.decode("utf-8").strip().split("\n")]
+        if len(rows) != p or any(len(r) != p for r in rows):
+            raise ValueError("payload length does not match p")
+        m = np.array([[float(x) for x in r] for r in rows])
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    if m.shape != (p, p):
-        raise ValueError("payload length does not match p")
     as_prime(p)
     return _finite(m), header
 

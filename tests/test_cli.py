@@ -20,6 +20,7 @@ from tfshift import (
     flag_waveform,
     heisenberg_op,
     make_torus,
+    random_signal,
     read_grid,
     read_profile,
     read_signal,
@@ -369,9 +370,9 @@ def test_detect_names_a_receiver_of_the_wrong_byte_length(tmp_path, capsys):
 @pytest.mark.parametrize("p", [2**61 - 1, 2305843009213691579, 2**61 - 3])
 @pytest.mark.parametrize("kind", ["random", "heisenberg", "weil", "flag", "cross"])
 def test_gen_at_a_61_bit_p_exits_at_once(tmp_path, capsys, p, kind):
-    # primality is decided and the torus orders p -+ 1 factored in
-    # milliseconds; then numpy refuses the first length-p array before
-    # allocating it (2^61 - 3 is composite and refused as a prime)
+    # primality is decided in milliseconds; then a prime p is refused as too
+    # large for a length-p array before any is built (2^61 - 3 is composite
+    # and refused as a prime)
     out_path = tmp_path / "x.sig"
     t0 = time.perf_counter()
     code, out, err = run(capsys, "gen", "--p", p, "--kind", kind, "--line", 1,
@@ -382,6 +383,81 @@ def test_gen_at_a_61_bit_p_exits_at_once(tmp_path, capsys, p, kind):
     assert ("not prime" in err) == (p == 2**61 - 3)
     assert not out_path.exists()
 
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 2305843009213691579])
+@pytest.mark.parametrize("command", ["random", "heisenberg", "weil", "flag", "cross",
+                                     "simulate", "bench"])
+def test_a_prime_too_large_for_numpy_is_a_usage_error_naming_it(tmp_path, capsys, p,
+                                                                command):
+    # numpy's "array is too big" exited 2 from gen and 3 from simulate and
+    # bench, and named no p; no length-p complex array can exist at this p
+    out_path = tmp_path / "x.sig"
+    argv = {"simulate": ("simulate", "--p", p, "--trials", 1),
+            "bench": ("bench", "--p", p)}.get(command, (
+        "gen", "--p", p, "--kind", command, "--line", 1, "--lines", "0,1", "--index", 0,
+        "--b-index", 0, "--eig-index", 5, "--torus-trace", 0, "--out", out_path))
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and f"p={p} is too large" in err
+    assert not out_path.exists()
+
+
+ERROR_PATHS = ["ambiguity-line", "empty-manifest", "manifest-other-p", "manifest-receiver",
+               "config-line", "config-value", "config-no-p", "config-radar", "trials-0",
+               "bench-no-primes", "bench-out-missing-dir"]
+
+
+@pytest.mark.parametrize("case", ERROR_PATHS)
+def test_usage_errors_exit_2_with_their_message(tmp_path, capsys, case):
+    recv, other, entry = tmp_path / "recv.sig", tmp_path / "p37.sig", tmp_path / "entry.sig"
+    write_signal(recv, random_signal(31, seed=1), "receiver")
+    write_signal(other, random_signal(37, seed=2), "flag")
+    write_signal(entry, random_signal(31, seed=3), "receiver")
+
+    def text(name, body):
+        path = tmp_path / name
+        path.write_text(body)
+        return path
+
+    detect = ("detect", "--receiver", recv, "--manifest")
+    missing = tmp_path / "absent" / "bench.csv"
+    argv, message = {
+        "ambiguity-line": (("ambiguity", "--sender", recv, "--receiver", recv,
+                            "--line", "x", "--out", tmp_path / "prof.txt"), "bad line 'x'"),
+        "empty-manifest": ((*detect, text("m0.txt", "# none\n\n")), "lists no waveforms"),
+        "manifest-other-p": ((*detect, text("m1.txt", f"{other}\n")),
+                             f"waveform {other} has p=37, receiver has p=31"),
+        "manifest-receiver": ((*detect, text("m2.txt", f"{entry}\n")),
+                              "must be flag or cross waveforms, got 'receiver'"),
+        "config-line": (("simulate", "--config", text("c0.cfg", "p=31\ntrials\n")),
+                        "bad config line 'trials'"),
+        "config-value": (("simulate", "--config", text("c1.cfg", "p=31\ntrials=many\n")),
+                         "bad config value for trials: 'many'"),
+        "config-no-p": (("simulate", "--config", text("c2.cfg", "trials=1\n")),
+                        "missing required parameter p"),
+        "config-radar": (("simulate", "--config",
+                          text("c3.cfg", "p=31\ntrials=1\nmethod=radar\n")),
+                         "unknown method 'radar'"),
+        "trials-0": (("simulate", "--p", 31, "--trials", 0), "trials and r must be >= 1"),
+        "bench-no-primes": (("bench", "--p", ","), "--p lists no primes"),
+        "bench-out-missing-dir": (("bench", "--p", 31, "--repeats", 1, "--out", missing),
+                                  str(missing)),
+    }[case]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_bench_out_writes_its_file(tmp_path, capsys):
+    path = tmp_path / "bench.csv"
+    code, out, _ = run(capsys, "bench", "--p", "31,61", "--repeats", 1, "--out", path)
+    assert code == 0 and out == ""
+    lines = path.read_text().splitlines()
+    assert lines[0].startswith("p,t_line_s,dft_ops_line")
+    assert [line.split(",")[0] for line in lines[1:3]] == ["31", "61"]
 
 def count_builds(monkeypatch):
     """The Weil-vector requests (_vectors calls, by size) and ladders

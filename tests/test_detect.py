@@ -390,8 +390,8 @@ def pick(mags, k):
     # detect._pick on real magnitudes, with values = mags and a unit chirp,
     # so |M| = mags exactly; per row, its candidates in rank order
     mags = np.asarray(mags, dtype=float)
-    rows, cols, mag1 = detect._pick(mags, mags.astype(complex), np.ones(mags.shape[1]), k)
-    assert np.array_equal(mag1, mags[rows, cols])
+    rows, cols, M = detect._pick(mags, mags.astype(complex), np.ones(mags.shape[1]), k)
+    assert np.array_equal(np.abs(M), mags[rows, cols])
     return [cols[rows == i].tolist() for i in range(mags.shape[0])]
 
 

@@ -319,7 +319,7 @@ def test_line_profile_argmax_and_counter():
 
 
 @pytest.mark.parametrize("p, rows", [(31, 5), (31, 31), (101, 1)])
-def test_mf_on_lines_rows_match_mf_on_line(p, rows):
+def test_one_job_stage_rows_match_mf_on_line(p, rows):
     # one stacked scan per line kind, each row on its own line of the slope;
     # rows == p is a square receiver stack
     pp = as_prime(p)
@@ -328,7 +328,7 @@ def test_mf_on_lines_rows_match_mf_on_line(p, rows):
     R = np.stack([random_signal(p, seed=60 + i).samples for i in range(rows)])
     offsets = rng.integers(p, size=rows)
     for slope in (0, 4, None):
-        got = fastmf.mf_on_lines(S, R, slope, offsets)
+        got = fastmf.mf_on_stage(R, [(S, slope, offsets)])[0]
         assert got.shape == (rows, p)
         for i in range(rows):
             off = PlanePoint(int(offsets[i]), 0, pp) if slope is None \
@@ -339,20 +339,20 @@ def test_mf_on_lines_rows_match_mf_on_line(p, rows):
             assert np.array_equal(got[i], want), (slope, i)
 
 
-def test_mf_on_lines_counts_transforms_not_lines():
+def test_one_job_stage_counts_transforms_not_lines():
     p, rows = 101, 16
     S = random_signal(p, seed=71)
     R = np.stack([random_signal(p, seed=80 + i).samples for i in range(rows)])
     offsets = np.arange(rows)
     counters.reset()
-    fastmf.mf_on_lines(S, R, 5, offsets)
+    fastmf.mf_on_stage(R, [(S, 5, offsets)])
     assert counters.snapshot()[0::2] == (3, 0)  # cold plan, no mf_on_line call
     counters.reset()
-    fastmf.mf_on_lines(S, R, 5, offsets)
+    fastmf.mf_on_stage(R, [(S, 5, offsets)])
     assert counters.snapshot()[0::2] == (2, 0)
     fastmf._vertical_plan.cache_clear()  # one plan per p, shared by every sender
     counters.reset()
-    fastmf.mf_on_lines(S, R, None, offsets)  # cold: builds the vertical plan
+    fastmf.mf_on_stage(R, [(S, None, offsets)])  # cold: builds the vertical plan
     n = fastmf._smooth_length(2 * p - 1)
     assert counters.snapshot() == (3, (2 * rows + 1) * fastmf._radix2_ops(n), 0)
 
@@ -376,7 +376,8 @@ def test_padded_scan_matches_entry_oracle(p):
     R = np.stack([random_signal(p, seed=p + 1 + i).samples for i in range(3)])
     offsets = np.array([0, 1, p - 1])
     for m in (0, 1, p - 1, None):
-        assert_rows_match_entries(S, R, m, offsets, fastmf.mf_on_lines(S, R, m, offsets))
+        (got,) = fastmf.mf_on_stage(R, [(S, m, offsets)])
+        assert_rows_match_entries(S, R, m, offsets, got)
 
 
 @pytest.mark.parametrize("p, rows", [(31, 31), (31, 64), (17, 17), (17, 36)])
@@ -389,7 +390,7 @@ def test_padded_scan_stack_of_p_or_n_rows(p, rows):
     R = rng.standard_normal((rows, p)) + 1j * rng.standard_normal((rows, p))
     offsets = rng.integers(p, size=rows)
     for slope in (0, 3, None):
-        got = fastmf.mf_on_lines(S, R, slope, offsets)
+        got = fastmf.mf_on_stage(R, [(S, slope, offsets)])[0]
         assert got.shape == (rows, p)
         picked = [0, 1, rows // 2, rows - 1]
         assert_rows_match_entries(S, R[picked], slope, offsets[picked], got[picked])
@@ -410,10 +411,10 @@ def test_sloped_scan_runs_only_padded_transforms(monkeypatch):
         return real(x, direction, n=n, out=out)
 
     monkeypatch.setattr(fastmf, "dft", spy)
-    fastmf.mf_on_lines(S, R, 7, np.arange(4))
+    fastmf.mf_on_stage(R, [(S, 7, np.arange(4))])
     assert lengths == [fastmf._smooth_length(2 * p - 1)] * 3
     lengths.clear()
-    fastmf.mf_on_lines(S, R, None, np.arange(4))
+    fastmf.mf_on_stage(R, [(S, None, np.arange(4))])
     assert lengths == [fastmf._smooth_length(2 * p - 1)] * 3
 
 
@@ -436,7 +437,7 @@ def test_stage_equals_jobs_one_at_a_time(p, T):
     assert len(got) == len(jobs)
     for (S, m, offsets), values in zip(jobs, got):
         assert values.shape == (T, p)
-        assert np.array_equal(values, fastmf.mf_on_lines(S, R, m, offsets)), m
+        assert np.array_equal(values, fastmf.mf_on_stage(R, [(S, m, offsets)])[0]), m
         assert_rows_match_entries(S, R[:1], m, offsets[:1], values[:1], tol=1e-9)
 
 
@@ -610,10 +611,10 @@ def test_stage_buffer_kept_only_up_to_cap():
     rng = np.random.default_rng(5)
     R = rng.standard_normal((T, p)) + 1j * rng.standard_normal((T, p))
     offsets = rng.integers(p, size=T)
-    fastmf.mf_on_lines(S, R[:1], 3, offsets[:1])  # build the plan outside the trace
+    fastmf.mf_on_stage(R[:1], [(S, 3, offsets[:1])])  # build the plan outside the trace
     tracemalloc.start()
     try:
-        got = fastmf.mf_on_lines(S, R, 3, offsets)
+        got = fastmf.mf_on_stage(R, [(S, 3, offsets)])[0]
         nbytes = got.nbytes
         del got
         gc.collect()
@@ -754,16 +755,16 @@ def test_vertical_plan_is_shared_per_p():
     S1, S2 = random_signal(p, seed=51), random_signal(p, seed=52)
     R = np.stack([random_signal(p, seed=53).samples] * 2)
     taus = np.array([0, 4321])
-    first = fastmf.mf_on_lines(S1, R, None, taus)
+    first = fastmf.mf_on_stage(R, [(S1, None, taus)])[0]
     counters.reset()
-    second = fastmf.mf_on_lines(S2, R, None, taus)
+    second = fastmf.mf_on_stage(R, [(S2, None, taus)])[0]
     assert counters.snapshot()[0] == 2 * (2 + 1)  # the split stage only, no plan
     plan1, plan2 = fastmf._sender_plan(S1, None), fastmf._sender_plan(S2, None)
     assert all(a is b for a, b in zip(plan1, plan2))
     assert None not in fastmf._plans.get(S1, {}) and None not in fastmf._plans.get(S2, {})
     fastmf._vertical_plan.cache_clear()
-    assert np.array_equal(fastmf.mf_on_lines(S1, R, None, taus), first)
-    assert np.array_equal(fastmf.mf_on_lines(S2, R, None, taus), second)
+    assert np.array_equal(fastmf.mf_on_stage(R, [(S1, None, taus)])[0], first)
+    assert np.array_equal(fastmf.mf_on_stage(R, [(S2, None, taus)])[0], second)
     for w in (0, 1, 5000):
         assert abs(first[1, w] - mf_oracle(S1, Signal(as_prime(p), R[1]), 4321, w)) < 1e-9
 

@@ -268,3 +268,23 @@ def test_short_file_naming_a_huge_p_is_refused_at_once(tmp_path):
         with pytest.raises(ValueError):
             reader(path)
         assert time.perf_counter() - t0 < 1, magic
+
+
+@pytest.mark.parametrize("rows", [
+    ["0,1,2,3,4"] * 4 + ["0,1,2,3"],  # one short row: numpy refused the ragged list
+    ["0,1,2,3,4"] * 4,                # one row too few
+], ids=["short-row", "short-grid"])
+def test_ragged_csv_grid_gets_the_readers_message(tmp_path, rows):
+    path = tmp_path / "g.csv"
+    path.write_bytes(("tfshift-grid p=5 format=csv\n" + "\n".join(rows) + "\n").encode())
+    with pytest.raises(ValueError, match="payload length does not match p"):
+        read_grid(path)
+
+
+def test_text_signal_payload_of_a_wrong_count_is_refused(sig, tmp_path):
+    path = tmp_path / "a.txt"
+    write_signal(path, sig, "random", fmt="text")
+    raw = path.read_bytes()
+    path.write_bytes(raw[:raw.rindex(b"\n", 0, -1) + 1])  # drop the last sample's line
+    with pytest.raises(ValueError, match="payload length does not match p"):
+        read_signal(path)

@@ -48,6 +48,13 @@ def test_channel_spec_validation():
         ChannelSpec(p, (u,), 0.0, -1)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("bit", 0, "bit must be"), ("intensity", 0.0, "intensity must lie in")])
+def test_user_spec_refuses_bit_0_and_intensity_0(field, value, message):
+    with pytest.raises(ValueError, match=message):
+        UserSpec("w0", PlanePoint(1, 2, as_prime(31)), **{field: value})
+
+
 def test_receivers_into_reused_arrays_equal_fresh_ones():
     # monte_carlo fills one set of chunk arrays per call; the rows must keep
     # every bit of a fresh synthesis, dirty scratch and a shorter last chunk too

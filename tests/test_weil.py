@@ -494,6 +494,21 @@ def test_default_torus_roster():
     assert len(gens) == 5  # distinct tori
 
 
+def test_flag_family_refuses_more_tori_than_p_has():
+    # at p = 3 the traces 1 and 2 are parabolic, so trace 0 is the one torus
+    with pytest.raises(ValueError, match="only 1 tori available at p=3"):
+        flag_family(3, 2, 0)
+
+
+def test_rho_refuses_a_stack_mixing_b_0_and_b_nonzero():
+    p = as_prime(31)
+    diagonal, generic = GroupElement(2, 0, 0, 16, p), GroupElement(1, 1, 0, 1, p)
+    with pytest.raises(ValueError, match="b = 0 and b != 0 in one stack"):
+        weil._rho(diagonal, generic)
+    with pytest.raises(ValueError, match="b = 0 and b != 0 in one stack"):
+        weil._rho(generic, diagonal)
+
+
 def test_flag_family_deterministic():
     fam = flag_family(101, 3, seed=5)
     assert len(fam) == 3
