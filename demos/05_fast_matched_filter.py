@@ -15,7 +15,8 @@ three transforms and later scans two, since the sender's half is kept. A
 detection stage scans a whole family of senders as one stack, so r warm
 scans cost those two transforms together, whatever their lines. Above
 fastmf.SPLIT_ABOVE samples each of the two runs as two short passes,
-n = n2 x n1, which the counters count call by call.
+n = n2 x n1, each one call over the whole stack, so a warm stage counts 4
+calls there.
 """
 
 import time

@@ -290,12 +290,17 @@ def cmd_simulate(args) -> int:
         f"{stats.mean_stage1_mag:.9g},{stats.mean_peak_mag:.9g},"
         f"{stats.confident_rate:.9g},{stats.confident_wrong_rate:.9g}",
     ]
-    out = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(out)
+    return _emit(args.out, lines)
+
+
+def _emit(path: str | None, lines: list[str]) -> int:
+    """Write the lines of a report to the file path, or to stdout if None."""
+    text = "\n".join(lines) + "\n"
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     else:
-        sys.stdout.write(out)
+        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -316,13 +321,7 @@ def cmd_bench(args) -> int:
     if len({row["p"] for row in rows}) >= 2:  # one distinct p fits no slope
         expo = fit_exponent([r["p"] for r in rows], [r["dft_ops_line"] for r in rows])
         out.append(f"# fitted_ops_exponent={expo:.6g}")
-    text = "\n".join(out) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _emit(args.out, out)
 
 
 # ------------------------------------------------------------------ parser

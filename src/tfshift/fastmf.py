@@ -17,8 +17,9 @@ padded length n >= 2p-1, in place in a reused per-thread buffer (two FFTs of
 length n where two prime-length transforms would run four). n is the 5-smooth
 length in [2p-1, next power of two] that pocketfft transforms fastest by a
 fitted cost rule (_smooth_length), not the least one. Above SPLIT_ABOVE
-samples each of the two transforms runs as two short passes, n = n2 n1, that
-leave the spectrum in their own order and take it back (_stage_transform):
+samples each of the two transforms runs as two short passes, n = n2 n1, one
+call each over the whole stack, that leave the spectrum in their own order
+and take it back (_stage_transform):
 the same O(n log n) transform, with a few KB of pocketfft scratch where one
 pass over rows of length n takes scratch that glibc can map, and fault in,
 on every call. A stage also runs one
@@ -64,17 +65,14 @@ class OpCounters:
     count of instructions executed: a prime length p is priced as a
     zero-padded radix-2 Rader transform (_modelled_ops), a padded length n as
     one radix-2 pass at the power of two N >= n (_radix2_ops). A non-empty
-    stage of stacked scans (mf_on_stage) of padded length n <= SPLIT_ABOVE
-    adds 2 padded dft calls, plus 1 per cold plan (a sloped job's
-    (sender, slope) plan, or the vertical jobs' one plan per p), for any mix
-    of vertical and sloped jobs and any number of receiver rows. Above
-    SPLIT_ABOVE each of the 2 stage transforms is counted as its passes
-    (_stage_transform): per row of the stage's work array, one call of n1
-    transforms of length n2, and for the whole array one call of n2 per row
-    of length n1, each priced by _radix2_ops at its own length. A stage of w
-    work rows (jobs times receiver rows) then adds 2 (w + 1) calls, and a cold
-    plan still 1, a one-pass transform of length n. line_calls counts
-    mf_on_line calls only, so stacked scans leave it alone.
+    stage of stacked scans (mf_on_stage) adds 2 padded dft calls of length n,
+    4 above SPLIT_ABOVE, where each stage transform is counted as its two
+    passes (_stage_transform), each priced by _radix2_ops at its own length;
+    plus 1 per cold plan (a sloped job's (sender, slope) plan, or the
+    vertical jobs' one plan per p), a one-pass transform of length n. The
+    count holds for any mix of vertical and sloped jobs and any number of
+    receiver rows. line_calls counts mf_on_line calls only, so stacked scans
+    leave it alone.
     """
 
     dft_calls: int = 0
@@ -130,21 +128,22 @@ def _smooth_length(m: int) -> int:
 
 def dft(x: np.ndarray, direction: str = "forward", *, n: int | None = None,
         out: np.ndarray | None = None) -> np.ndarray:
-    """Length-p DFT, p prime, of a vector or of each row of a (rows, p) stack.
-    Forward: X[k] = sum_t x[t] e^{+2 pi i kt/p}; inverse applies the opposite
-    kernel and the 1/p factor; adjoint applies the opposite kernel unscaled,
-    so dft(x, "adjoint") == conj(dft(conj(x), "forward")) bit for bit, and is
-    counted as a forward transform. A square array is refused: p x p is the
-    shape of a matched-filter matrix, not of a stack of receivers.
+    """Length-p DFT, p prime, of a vector or of each row of a stack of any
+    rank, along its last axis. Forward: X[k] = sum_t x[t] e^{+2 pi i kt/p};
+    inverse applies the opposite kernel and the 1/p factor; adjoint applies
+    the opposite kernel unscaled, so dft(x, "adjoint") ==
+    conj(dft(conj(x), "forward")) bit for bit, and is counted as a forward
+    transform. A square (p, p) array is refused: it is the shape of a
+    matched-filter matrix, not of a stack of receivers.
 
     With n, the transform has length n instead: each row is zero-padded to n
-    (n below the row length is refused), for any n and any number of rows.
+    (n below the row length is refused), for any n and any stack.
     Sloped scans use it for their padded correlation.
 
     With out, the result is written there and out is returned; out may be x
     itself, which transforms in place when x already has length n."""
     x = np.asarray(x, dtype=np.complex128)
-    if x.ndim not in (1, 2):
+    if x.ndim == 0:
         raise ValueError(f"dft expects a vector or a stack of rows, got shape {x.shape}")
     if n is None:
         n = x.shape[-1]
@@ -166,7 +165,7 @@ def dft(x: np.ndarray, direction: str = "forward", *, n: int | None = None,
     else:
         raise ValueError(f"unknown direction {direction!r}")
     counters.dft_calls += 1
-    counters.dft_ops += (x.shape[0] if x.ndim == 2 else 1) * ops
+    counters.dft_ops += math.prod(x.shape[:-1]) * ops
     return out
 
 
@@ -293,11 +292,12 @@ def _stage_transform(work: np.ndarray, direction: str) -> None:
     """The stage's adjoint or inverse transform of each row of the (rows, n)
     array work, in place. Up to SPLIT_ABOVE it is one dft call of length n.
 
-    Above, it is Bailey's four-step FFT without its transposes, run as short
-    dft passes on the (rows, n2, n1) view (_split), with t = t2 n1 + t1 and
-    k = k1 n2 + k2. The adjoint runs a length-n2 pass over the strided axis
-    (t2 -> k2), one dft call per row, multiplies by w[k2, t1], and runs a
-    length-n1 pass over the contiguous axis (t1 -> k1), so the spectrum
+    Above, it is Bailey's four-step FFT without its transposes, run as two
+    short dft passes on the (rows, n2, n1) view (_split), one call each for
+    the whole stack, with t = t2 n1 + t1 and k = k1 n2 + k2. The adjoint runs
+    a length-n2 pass over the strided axis (t2 -> k2) of the transposed
+    (rows, n1, n2) view, multiplies by w[k2, t1], and runs a length-n1 pass
+    over the contiguous axis (t1 -> k1), so the spectrum
     X[k1 n2 + k2] lands at k2 n1 + k1. The inverse takes that order, runs
     the passes the other way round with the same table (both directions use
     the kernel e^{-2 pi i kt/n}) and returns natural order. Both are the same
@@ -310,24 +310,23 @@ def _stage_transform(work: np.ndarray, direction: str) -> None:
         return
     n2, n1, w = _split(n)
     grid = work.reshape(-1, n2, n1)
-    flat = work.reshape(-1, n1)
+    cols = grid.transpose(0, 2, 1)
     if direction == "inverse":
-        dft(flat, direction, n=n1, out=flat)
+        dft(grid, direction, n=n1, out=grid)
         grid *= w
-    for block in grid:
-        dft(block.T, direction, n=n2, out=block.T)
+    dft(cols, direction, n=n2, out=cols)
     if direction == "adjoint":
         grid *= w
-        dft(flat, direction, n=n1, out=flat)
+        dft(grid, direction, n=n1, out=grid)
 
 
 def mf_on_stage(R: np.ndarray, jobs: list) -> list[np.ndarray]:
     """M[S, R_i] on one line per row of the (T, p) receiver stack R, for each
-    job (S, slope, offsets) of a detection stage, in O(p log p) per row and,
-    up to SPLIT_ABOVE, a fixed number of transform calls per stage, whatever
-    the number of jobs and rows. Returns one fresh (T, p) array per job, in
-    job order: the views _scan leaves in the work buffer, which the detectors
-    read in place, times the output chirp conj(q).
+    job (S, slope, offsets) of a detection stage, in O(p log p) per row and a
+    fixed number of transform calls per stage, whatever the number of jobs
+    and rows. Returns one fresh (T, p) array per job, in job order: the views
+    _scan leaves in the work buffer, which the detectors read in place, times
+    the output chirp conj(q).
 
     Row i of a job scans the line of `slope` (None = vertical) with canonical
     offset offsets[i]: the omega-intercept c of {(tau, slope*tau + c)}, or

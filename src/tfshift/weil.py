@@ -131,7 +131,7 @@ class WeilOperator:
     matrix: np.ndarray
 
 
-def _rho(*gs: GroupElement):
+def _rho(*gs: GroupElement, which=None):
     """rho(g) as a map on the rows of a (..., p) stack, from the closed-form
     kernel, with e(z) = e^{(2 pi i/p) z} and divisions taken in F_p:
 
@@ -144,10 +144,12 @@ def _rho(*gs: GroupElement):
     transform is numpy's own, so fastmf.counters count only matched-filter
     transforms.
 
-    Given several elements, the map takes a (len(gs), p) stack and applies
-    rho(gs[i]) to row i, with one transform call for every row; the elements
-    must then all have b != 0 or all b = 0, as the powers g^h of one ladder
-    step do (g^h has b = 0 only at +-I)."""
+    Given several elements, the map takes a (N, p) stack and applies
+    rho(gs[which[i]]) to row i (N = len(gs) and which[i] = i if which is
+    None), with one transform call for every row. Each element's chirps and
+    gather index are built once, and read for each of its rows through which.
+    The elements must then all have b != 0 or all b = 0, as the powers g^h of
+    one ladder step do (g^h has b = 0 only at +-I)."""
     p = gs[0].p.p
     if all(g.b for g in gs):
         coef = [(-g.a * k, -g.d * k, pow(g.b, -1, p)) for g in gs for k in [pow(2 * g.b, -1, p)]]
@@ -156,20 +158,15 @@ def _rho(*gs: GroupElement):
     else:
         coef = [(0, -g.c * g.d * pow(2, -1, p), g.d) for g in gs]
     a, d, s = coef[0] if len(gs) == 1 else (np.array(coef) % p).T[:, :, None]
-    post, at = _chirp(p, d), _roots(p)[2] * s % p
+    pre, post, at = _chirp(p, a), _chirp(p, d), _roots(p)[2] * s % p
+    if len(gs) > 1 and which is not None:
+        pre, post, at = pre[which], post[which], at[which]
     gather = (lambda Y: Y[..., at]) if len(gs) == 1 else (lambda Y: np.take_along_axis(Y, at, -1))
     # np.multiply, not *: numpy's complex product is not commutative bit for
     # bit, and * on a large temporary reuses it as the first operand
     if gs[0].b:
-        pre = _chirp(p, a)
         return lambda F: np.multiply(post, gather(np.fft.ifft(pre * F, norm="ortho")))
     return lambda F: np.multiply(post, gather(F))
-
-
-def _rho_rows(gs: list[GroupElement], which: np.ndarray):
-    """_rho applying rho(gs[which[i]]) to row i of a stack; one element
-    applies to every row of a stack of any shape."""
-    return _rho(*(gs if len(gs) == 1 else [gs[j] for j in which]))
 
 
 @lru_cache(maxsize=8)
@@ -341,7 +338,7 @@ def _project(tori: list[Torus], which: np.ndarray, keys: np.ndarray,
     def z(h, us, G):  # z^h G, us[j] = gs[j]^h
         c = np.array([_power_scalar(g, u, h) for g, u in zip(gs, us)])[which]
         c = c * np.exp(-1j * np.pi * (keys * h % (2 * n)) / n)
-        return np.multiply(c[:, None], _rho_rows(us, which)(G))
+        return np.multiply(c[:, None], _rho(*us, which=which)(G))
 
     G, e, us = X, 1, gs
     for bit in bin(n)[3:]:
@@ -405,7 +402,7 @@ def _vectors(tori: list[Torus], index) -> list[WeilVector]:
             (w,) = _unit((w - np.vdot(u, w) * u)[None])
             pair = np.stack([u + w, u - w]) / np.sqrt(2)
             V[d] = pair[j[d]]
-        rho = _rho_rows([T.generator for T in group], which)
+        rho = _rho(*(T.generator for T in group), which=which)
         if np.linalg.norm(rho(V) - lam[:, None] * V, axis=1).max() > LATTICE_TOL:
             raise RuntimeError("Weil vector fails its eigenvalue equation")
         for i, t, e, v, dg in zip(rows, which, lam, V, deg):

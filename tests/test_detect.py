@@ -28,7 +28,7 @@ from tfshift import (
     random_signal,
     transverse_line,
 )
-from tfshift import detect
+from tfshift import detect, fastmf
 from tfshift.detect import THETA1_DEFAULT, THETA2_DEFAULT
 from tfshift.sim import build_family
 
@@ -249,6 +249,24 @@ def test_radar_drops_unconfirmed_ridge():
         assert [d.shift for d in dets] == [v], [(d.shift.tau, d.shift.omega)
                                                 for d in dets]
         assert all(d.magnitude >= THETA2_DEFAULT and d.confident for d in dets)
+
+
+def test_radar_with_no_candidate_scans_an_empty_split_stage():
+    # theta above every stage-1 |M| leaves stage 2 a (0, p) stack; at
+    # p = 10007 both stages run split passes, 4 warm dft calls each, and the
+    # empty one transforms no row
+    p = as_prime(10007)
+    flag = flag_family(p, 1, seed=0)[0]
+    R = Signal(p, heisenberg_op(flag.signal, PlanePoint(10, 7, p)).samples)
+    theta = 2 * np.abs(mf_on_line(flag.signal, R, flag.scan_lines[1]).values).max()
+    n = fastmf._smooth_length(2 * p.p - 1)
+    n2, n1, _ = fastmf._split(n)
+    assert n > fastmf.SPLIT_ABOVE
+    radar_detect(R, flag, 3, theta)  # warm both stages' plans
+    counters.reset()
+    assert radar_detect(R, flag, 3, theta) == []
+    per_row = n1 * fastmf._radix2_ops(n2) + n2 * fastmf._radix2_ops(n1)
+    assert counters.snapshot() == (8, 2 * per_row, 0)
 
 
 def test_radar_rejects_nonpositive_r(flag101):

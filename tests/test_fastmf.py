@@ -145,11 +145,19 @@ def test_dft_stack_counts_one_call_and_ops_per_row():
 
 
 def test_dft_stack_rejects_bad_shapes():
-    for shape in ((2, 3, 5), (1, 1, 5), (3, 4), (5, 9), (2, 1)):
+    for shape in ((3, 4), (5, 9), (2, 1)):
         with pytest.raises(ValueError):
             dft(np.ones(shape, dtype=np.complex128))
     with pytest.raises(ValueError, match="rows != p"):
         dft(np.ones((7, 7), dtype=np.complex128))  # a p x p matrix, not a stack
+    # a stack of any rank transforms its last axis: a (2, 3, p) stack gives
+    # the bits of its (6, p) reshape
+    p = 101
+    rng = np.random.default_rng(p)
+    X = rng.standard_normal((2, 3, p)) + 1j * rng.standard_normal((2, 3, p))
+    for direction in ("forward", "inverse", "adjoint"):
+        assert np.array_equal(dft(X, direction).reshape(6, p),
+                              dft(X.reshape(6, p), direction)), direction
 
 
 def test_modelled_ops_price_every_prime():
@@ -461,6 +469,30 @@ def test_stage_runs_two_transforms_for_any_jobs_and_rows(r, T):
     assert counters.snapshot() == (0, 0, 0)
 
 
+@pytest.mark.parametrize("p", [101, 10007])
+@pytest.mark.parametrize("r, T", [(1, 1), (1, 3), (3, 1), (1, 12), (2, 6), (3, 4)])
+def test_stage_calls_are_fixed_for_any_jobs_and_rows(p, r, T):
+    # one pass (p = 101) or split passes (p = 10007): a warm stage of r * T
+    # work rows makes 2 or 4 dft calls, a cold one 1 more per plan, with the
+    # ops of every work row transformed
+    n = fastmf._smooth_length(2 * p - 1)
+    if n > fastmf.SPLIT_ABOVE:
+        n2, n1, _ = fastmf._split(n)
+        calls, per_row = 4, n1 * fastmf._radix2_ops(n2) + n2 * fastmf._radix2_ops(n1)
+    else:
+        calls, per_row = 2, fastmf._radix2_ops(n)
+    rng = np.random.default_rng(p + T)
+    R = rng.standard_normal((T, p)) + 1j * rng.standard_normal((T, p))
+    jobs = stage_jobs(p, T, [None, 0, 5][:r], seed=700)
+    fastmf._vertical_plan.cache_clear()
+    counters.reset()
+    fastmf.mf_on_stage(R, jobs)
+    assert counters.snapshot() == (calls + r, 2 * r * T * per_row + r * fastmf._radix2_ops(n), 0)
+    counters.reset()
+    fastmf.mf_on_stage(R, jobs)
+    assert counters.snapshot() == (calls, 2 * r * T * per_row, 0)
+
+
 def test_stage_golden_digest_on_every_slope():
     # every slope and the vertical line at p=101 (n=216) in one stage, pinned
     # to the last bit (sha256 of the result bytes, numpy 2.4 pocketfft on
@@ -527,8 +559,8 @@ def test_split_plans_tables_and_buffer():
 
 
 def test_split_stage_counts_each_pass():
-    # a warm split stage of w work rows: per transform, one length-n2 call per
-    # row (n1 transforms each) and one length-n1 call (n2 per row)
+    # a warm split stage: per transform, one length-n2 call (n1 transforms a
+    # work row) and one length-n1 call (n2 a work row), for any number of rows
     p, T = 10007, 2
     n2, n1, _ = fastmf._split(fastmf._smooth_length(2 * p - 1))
     R, jobs = split_stage(p, T)
@@ -537,7 +569,7 @@ def test_split_stage_counts_each_pass():
     fastmf.mf_on_stage(R, jobs)
     rows = len(jobs) * T
     ops = rows * (n1 * fastmf._radix2_ops(n2) + n2 * fastmf._radix2_ops(n1))
-    assert counters.snapshot() == (2 * (rows + 1), 2 * ops, 0)
+    assert counters.snapshot() == (4, 2 * ops, 0)
 
 
 def test_stage_returns_fresh_arrays():
@@ -758,7 +790,7 @@ def test_vertical_plan_is_shared_per_p():
     first = fastmf.mf_on_stage(R, [(S1, None, taus)])[0]
     counters.reset()
     second = fastmf.mf_on_stage(R, [(S2, None, taus)])[0]
-    assert counters.snapshot()[0] == 2 * (2 + 1)  # the split stage only, no plan
+    assert counters.snapshot()[0] == 4  # the split stage only, no plan
     plan1, plan2 = fastmf._sender_plan(S1, None), fastmf._sender_plan(S2, None)
     assert all(a is b for a, b in zip(plan1, plan2))
     assert None not in fastmf._plans.get(S1, {}) and None not in fastmf._plans.get(S2, {})

@@ -321,7 +321,7 @@ def test_torus_eigenbasis_key_order_and_phase_rule(p):
 def test_eigenvector_names_survive_operator_rounding(monkeypatch):
     # an operator that differs from the closed form only by rounding (plane
     # averaging) names the same vectors with the same phases
-    def rounded(g):
+    def rounded(g, which=None):
         M = weil_operator_oracle(g)
         return lambda F: F @ M.T
 
@@ -507,6 +507,32 @@ def test_rho_refuses_a_stack_mixing_b_0_and_b_nonzero():
         weil._rho(diagonal, generic)
     with pytest.raises(ValueError, match="b = 0 and b != 0 in one stack"):
         weil._rho(generic, diagonal)
+
+
+def test_rho_builds_each_distinct_element_once(monkeypatch):
+    # a stack over 3 roster tori: row i is rho(gs[which[i]]) applied to that
+    # row alone, bit for bit; and a Weil vector request of 12 rows over the
+    # same tori builds no chirp table with more rows than distinct elements
+    p = 101
+    roster = default_torus_roster(p, 3)
+    gs = [T.generator for T in roster]
+    which = np.array([0, 2, 1, 1, 0, 2, 2, 0, 1])
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((which.size, p)) + 1j * rng.standard_normal((which.size, p))
+    got = weil._rho(*gs, which=which)(X)
+    for i, j in enumerate(which):
+        assert np.array_equal(got[i], weil._rho(gs[j])(X[i])), i
+    shapes, weil_chirp = [], weil._chirp
+
+    def chirp(*args):
+        out = weil_chirp(*args)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(weil, "_chirp", chirp)
+    weil._vectors([roster[i % 3] for i in range(12)], [5 + i for i in range(12)])
+    assert shapes
+    assert all(len(s) == 1 or s[0] <= len(roster) for s in shapes), shapes
 
 
 def test_flag_family_deterministic():
