@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import numpy.fft  # numpy loads it lazily; load it with the package
 
-from .gfp import Line, _chirp, _roots, inv, is_prime
+from .gfp import Line, _chirp, _roll_rows, inv, is_prime
 
 if TYPE_CHECKING:
     from .signals import Signal
@@ -243,17 +243,6 @@ def line_offset(line: Line) -> int:
     return line.offset.tau if line.is_vertical else line.offset.omega
 
 
-def _roll_rows(x: np.ndarray, shifts: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Row i of out set to the vector x rolled by shifts[i], as np.roll rolls
-    it: two slice copies per row, which for one row cost what np.roll does and
-    for a stack less than a modulo-indexed gather."""
-    p = x.shape[-1]
-    for i, s in enumerate((shifts % p).tolist()):
-        out[i, s:] = x[:p - s]
-        out[i, :s] = x[p - s:]
-    return out
-
-
 BUFFER_CAP = 2**17  # samples (2 MB) of each per-thread buffer kept between calls (_work)
 
 _local = threading.local()
@@ -341,11 +330,12 @@ def mf_on_stage(R: np.ndarray, jobs: list) -> list[np.ndarray]:
     with b_i(t) = q(t) R_i(t) e^{-2 pi i c t/p}, the offset a modulation per row.
     For m != 0 the same identity makes the modulated chirp a shifted one,
     q(t) e^{-2 pi i c t/p} = q(t+a) conj(q(a)) with a = -c/m, so b_i is a roll
-    of q and takes no exponential; on slope 0, q = 1 and the modulation is
-    gathered from the p-th roots of unity (gfp._roots).
+    of q and takes no exponential (gfp._roll_rows); on slope 0, q = 1 and
+    the modulations are one gfp._chirp stack.
 
     Vertical: M(tau0, w) = conj(q(w)) * crosscorr(q, b_i)[w] with q = q_1 and
-    b_i(t) = q(t) R_i(t) conj(S(t+tau0)), the sender rolled per row.
+    b_i(t) = q(t) R_i(t) conj(S(t+tau0)), the sender rolled per row
+    (gfp._roll_rows).
 
     The cyclic correlation of length p is a linear one against the periodic
     extension of its first argument, so it is read off lags [:p] of a
@@ -402,9 +392,7 @@ def _scan(R: np.ndarray, jobs: list) -> list[tuple[np.ndarray, np.ndarray, np.nd
             _roll_rows(cq, -a, b)
             b *= np.conj(cq[a])[:, None]
         else:  # q = 1
-            roots, _, t = _roots(p)
-            for row, c in zip(b, (offsets % p).tolist()):
-                np.take(roots, c * t % p, out=row, mode="clip")  # in range; clip takes no copy
+            _chirp(p, 0, offsets[:, None], out=b)
         b *= cR
     _stage_transform(work, "adjoint")
     for rows, (_, fa) in zip(blocks, plans):

@@ -152,16 +152,49 @@ def _roots(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def _chirp(p: int, a, b: int = 0) -> np.ndarray:
-    """e(a t^2 + b t) for t in F_p: a chirp, or with a = 0 the modulation by
-    b. A gather from _roots(p), so every chirp takes its samples from one
-    exp call per p; with b = 0 mod p the linear term is skipped. An (M, 1)
-    integer column a gives the (M, p) stack of its M chirps."""
-    roots, sq, t = _roots(p)
-    k = a % p * sq
-    if b % p:
-        k += b % p * t
-    return roots[k % p]
+def _phase(p: int, a, b=0, out: np.ndarray | None = None) -> np.ndarray:
+    """The index (a t^2 + b t) mod p of the phase e(a t^2 + b t), t in F_p,
+    for ints a, b or (T, 1) integer columns (then a (T, p) stack); with a = 0
+    it is the dilation index b t. Reduced as k - p (k // p), since floor
+    division by a scalar is several times faster than remainder. out, a
+    (2, ...) int64 array, takes the index in out[1] and scratch in out[0]."""
+    _, sq, t = _roots(p)
+    q, k = np.empty((2, *np.broadcast(a, b, t).shape), np.int64) if out is None else out
+    np.multiply(b % p, t, out=k)
+    if isinstance(a, np.ndarray) or a % p:
+        np.add(k, np.multiply(a % p, sq, out=q), out=k)
+    np.floor_divide(k, p, out=q)
+    return np.subtract(k, np.multiply(q, p, out=q), out=k)
+
+
+def _chirp(p: int, a, b=0, out: np.ndarray | None = None) -> np.ndarray:
+    """e(a t^2 + b t) for t in F_p, a chirp or with a = 0 the modulation by
+    b, for ints a, b or (T, 1) integer columns (a (T, p) stack): the one phase
+    kernel, a gather from _roots(p) at the _phase index. Into out, if given,
+    a C-contiguous array or (T, p) rows with a row stride. The index is built
+    in the upper half of the bytes each gather fills (index j at byte 8(N + j)
+    of N samples), which the gather reads before it writes sample j over
+    bytes 16j to 16j + 16, so a call allocates nothing beyond its result."""
+    out = np.empty(np.broadcast(a, b, _roots(p)[2]).shape, np.complex128) if out is None else out
+    if out.flags.c_contiguous:
+        k = _phase(p, a, b, out.view(np.int64).reshape(2, *out.shape))
+        return np.take(_roots(p)[0], k, out=out, mode="clip")  # in range; clip takes no copy
+    # (T, p) rows with a row stride: each row's own (scratch, index) halves
+    halves = out.view(np.int64).reshape(-1, 2, p).swapaxes(0, 1)
+    for row, index in zip(out, _phase(p, a, b, halves)):
+        np.take(_roots(p)[0], index, out=row, mode="clip")
+    return out
+
+
+def _roll_rows(x: np.ndarray, shifts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row i of out, any stack of rows, set to the vector x rolled by
+    shifts[i] as np.roll rolls it: two slice copies per row, which for one
+    row cost what np.roll does and for a stack less than a gather."""
+    p = x.shape[-1]
+    for i, s in enumerate((shifts % p).tolist()):
+        out[i, s:] = x[:p - s]
+        out[i, :s] = x[p - s:]
+    return out
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 from . import fastmf
 from .detect import THETA1_DEFAULT, THETA2_DEFAULT, _detect
 from .fastmf import mf_on_line
-from .gfp import Line, PlanePoint, Prime, _roots, as_prime
+from .gfp import Line, PlanePoint, Prime, _chirp, _roll_rows, as_prime
 from .heisenberg import cross_family
 from .signals import Signal, awgn_rows, random_signal
 from .weil import flag_family
@@ -72,25 +72,17 @@ class TrialStats:
     wall_time: float
 
 
-def _stack_arrays(T: int, p: int) -> tuple:
-    """Fresh arrays for _receivers to fill: the (T, p) stack, an int64 index
-    array and two complex terms."""
-    out, term, shifted = np.empty((3, T, p), dtype=np.complex128)
-    return out, np.empty((T, p), dtype=np.int64), term, shifted
-
-
 def _chunk_arrays(T: int, p: int) -> tuple:
-    """The Monte Carlo chunk arrays: _stack_arrays' four, the (T, p) noise and
-    its (2, T, p) normal planes, carved from this thread's kept "chunk"
-    buffer (fastmf._work), so a warm call allocates none of them up to
-    fastmf.BUFFER_CAP samples. They stay valid while the line scans use the
-    separate stage buffer."""
+    """The Monte Carlo chunk arrays: the three (T, p) arrays _receivers
+    fills, the (T, p) noise and its (2, T, p) normal planes, carved from this
+    thread's kept "chunk" buffer (fastmf._work), so a warm call allocates
+    none of them up to fastmf.BUFFER_CAP samples. They stay valid while the
+    line scans use the separate stage buffer."""
     tp = T * p
-    buf = fastmf._work(5 * tp + (tp + 1) // 2, "chunk")
+    buf = fastmf._work(5 * tp, "chunk")
     out, term, shifted, noise = buf[:4 * tp].reshape(4, T, p)
-    planes = buf[4 * tp:5 * tp].view(np.float64).reshape(2, T, p)
-    idx = buf[5 * tp:].view(np.int64)[:tp].reshape(T, p)
-    return (out, idx, term, shifted), noise, planes
+    planes = buf[4 * tp:].view(np.float64).reshape(2, T, p)
+    return (out, term, shifted), noise, planes
 
 
 def _receivers(senders: list, shifts: np.ndarray, coef: np.ndarray,
@@ -98,25 +90,17 @@ def _receivers(senders: list, shifts: np.ndarray, coef: np.ndarray,
     """The (T, p) stack R_i = sum_j coef[i,j] pi(shifts[i,j]) S_j + noise_i for
     sender sample vectors S_j, (T, r, 2) shifts (tau, omega) and (T, r)
     coefficients. The terms are added in sender order and the noise last, and
-    pi(v) S_j is built as heisenberg_op builds it (a fancy-index roll, then the
-    modulation), so every row equals the receiver synthesized alone. It is
-    built in place in arrays (default _stack_arrays(T, p)), whose first is
-    returned, so a caller that reuses them allocates nothing."""
+    pi(v) S_j = e(omega t) S_j(t + tau) is the product heisenberg_op forms,
+    the modulation (gfp._chirp) times the roll (gfp._roll_rows), so every
+    row equals the receiver synthesized alone. It is built in place in
+    arrays (fresh by default): the (T, p) stack, which is returned, and two
+    (T, p) terms, so a caller that reuses them allocates nothing."""
     T, p = noise.shape
-    out, idx, term, shifted = arrays or _stack_arrays(T, p)
-    psi, _, t = _roots(p)
-    quot = term.view(np.int64)[..., :p]  # term is free until each gather fills it
+    out, term, shifted = np.empty((3, T, p), dtype=np.complex128) if arrays is None else arrays
     out.fill(0)
     for j, S in enumerate(senders):
-        tau, omega = shifts[:, j, 0, None], shifts[:, j, 1, None]
-        # out + coef * (psi[omega * t % p] * S[(t + tau) % p]). omega t mod p
-        # is taken as k - p (k // p), since floor_divide by a scalar is several
-        # times faster than remainder; t + tau < 2p, so take's wrap mode
-        # subtracts p at most once. take's clip and wrap modes spare it a copy
-        np.floor_divide(np.multiply(omega, t, out=idx), p, out=quot)
-        np.subtract(idx, np.multiply(quot, p, out=quot), out=idx)
-        np.take(psi, idx, out=term, mode="clip")
-        np.take(S, np.add(t, tau, out=idx), out=shifted, mode="wrap")
+        _chirp(p, 0, shifts[:, j, 1, None], out=term)
+        _roll_rows(S, -shifts[:, j, 0], shifted)
         np.multiply(term, shifted, out=term)
         np.multiply(coef[:, j, None], term, out=term)
         np.add(out, term, out=out)

@@ -54,7 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gfp import (Line, PlanePoint, Prime, _chirp, _factor, _roots, as_prime, inv, legendre,
+from .gfp import (Line, PlanePoint, Prime, _chirp, _factor, _phase, as_prime, inv, legendre,
                   sqrt_mod, transverse_line)
 from .heisenberg import HeisenbergVector, line_vector
 from .signals import Signal, add, heisenberg_op, random_signal
@@ -147,9 +147,10 @@ def _rho(*gs: GroupElement, which=None):
     Given several elements, the map takes a (N, p) stack and applies
     rho(gs[which[i]]) to row i (N = len(gs) and which[i] = i if which is
     None), with one transform call for every row. Each element's chirps and
-    gather index are built once, and read for each of its rows through which.
-    The elements must then all have b != 0 or all b = 0, as the powers g^h of
-    one ladder step do (g^h has b = 0 only at +-I)."""
+    gather index are built once, and read for each of its rows through which:
+    the chirps of every element as one gfp._chirp stack, the index by
+    gfp._phase. The elements must then all have b != 0 or all b = 0, as the
+    powers g^h of one ladder step do (g^h has b = 0 only at +-I)."""
     p = gs[0].p.p
     if all(g.b for g in gs):
         coef = [(-g.a * k, -g.d * k, pow(g.b, -1, p)) for g in gs for k in [pow(2 * g.b, -1, p)]]
@@ -157,11 +158,10 @@ def _rho(*gs: GroupElement, which=None):
         raise ValueError("elements with b = 0 and b != 0 in one stack")
     else:
         coef = [(0, -g.c * g.d * pow(2, -1, p), g.d) for g in gs]
-    a, d, s = coef[0] if len(gs) == 1 else (np.array(coef) % p).T[:, :, None]
-    pre, post, at = _chirp(p, a), _chirp(p, d), _roots(p)[2] * s % p
-    if len(gs) > 1 and which is not None:
-        pre, post, at = pre[which], post[which], at[which]
-    gather = (lambda Y: Y[..., at]) if len(gs) == 1 else (lambda Y: np.take_along_axis(Y, at, -1))
+    c = np.array(coef).T[:, :, None]  # (3, len(gs), 1): a column per coefficient
+    rows = 0 if len(gs) == 1 else slice(None) if which is None else which
+    (pre, post), at = _chirp(p, c[:2])[:, rows], _phase(p, 0, c[2])[rows]
+    gather = (lambda Y: Y[..., at]) if at.ndim == 1 else (lambda Y: np.take_along_axis(Y, at, -1))
     # np.multiply, not *: numpy's complex product is not commutative bit for
     # bit, and * on a large temporary reuses it as the first operand
     if gs[0].b:

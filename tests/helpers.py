@@ -25,6 +25,26 @@ def chirp_oracle(p: int, a: int, b: int = 0) -> np.ndarray:
     return np.exp(2j * np.pi * ((a % p * (t * t % p) + b % p * t) % p) / p)
 
 
+def roll_take_oracle(x: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """Row i holds x(t + taus[i]) for t in F_p, by a wrap-mode take: how
+    receivers rolled their senders before gfp._roll_rows."""
+    return np.take(x, np.arange(x.shape[-1]) + np.reshape(taus, (-1, 1)), mode="wrap")
+
+
+def modulation_rows_oracle(p: int, cs) -> np.ndarray:
+    """Row i holds e(c_i t) for t in F_p, c_i = cs[i], each row one take at
+    c t % p: how line scans modulated slope-0 rows before gfp._chirp."""
+    roots, _, t = gfp._roots(p)
+    return np.stack([np.take(roots, c * t % p) for c in (np.ravel(cs) % p).tolist()])
+
+
+def chirp_gather_oracle(p: int, a, b=0) -> np.ndarray:
+    """e(a t^2 + b t) as roots[k % p] at k = (a mod p) t^2 + (b mod p) t,
+    for ints or (T, 1) columns: gfp._chirp before its floor-division index."""
+    roots, sq, t = gfp._roots(p)
+    return roots[(a % p * sq + b % p * t) % p]
+
+
 def dft_oracle(x, direction: str = "forward") -> np.ndarray:
     """O(n^2) reference transform. Forward kernel e^{+2 pi i wt/n}, inverse
     is the conjugate kernel divided by n."""

@@ -1,9 +1,14 @@
 """Field arithmetic and plane geometry."""
 
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from helpers import chirp_oracle
+from helpers import chirp_gather_oracle, chirp_oracle, modulation_rows_oracle, roll_take_oracle
+
+import tfshift
 
 from tfshift import (
     Line,
@@ -17,8 +22,9 @@ from tfshift import (
     line_points,
     line_through,
     lines_through_origin,
+    random_signal,
 )
-from tfshift.gfp import MR_BASES, MR_BOUND, _chirp, _factor, _roots, sqrt_mod
+from tfshift.gfp import MR_BASES, MR_BOUND, _chirp, _factor, _roll_rows, _roots, sqrt_mod
 
 
 def test_is_prime_small_table():
@@ -239,9 +245,60 @@ def test_chirp_gather_equals_exp_oracle_bit_for_bit(p):
              (3 * p + 2, -5 * p - 4), (-(p // 2), p // 3)]
     for a, b in pairs:
         assert np.array_equal(_chirp(p, a, b), chirp_oracle(p, a, b)), (a, b)
+    a, b = np.array(pairs).T[:, :, None]  # the same pairs as (9, 1) columns: a stack
+    assert np.array_equal(_chirp(p, a, b), np.stack([chirp_oracle(p, *ab) for ab in pairs]))
     # the slope-0 modulation of a line scan reads conj(e(k)) for e(-k)
     t = np.arange(p)
     assert np.array_equal(np.conj(_roots(p)[0]), np.exp(-2j * np.pi * t / p))
+
+
+@pytest.mark.parametrize("T", [1, 21, 64])
+@pytest.mark.parametrize("p", [31, 503, 10007])
+def test_row_kernels_keep_the_bits_of_the_constructions_they_replaced(p, T):
+    # _roll_rows and _chirp build every shifted or modulated row: each keeps
+    # the bits of the wrap-mode take roll, the per-row c t % p take and the
+    # roots[k % p] gather it replaced, for rows written into a fresh array, a
+    # contiguous out and the strided rows of a line-scan work array, where
+    # _chirp builds its index in place
+    rng = np.random.default_rng(p * T)
+    x = random_signal(p, T).samples
+    for edge in (0, p - 1):  # 0 and p - 1 in every stack, T = 1 included
+        a, b = rng.integers(-3 * p, 3 * p, size=(2, T, 1))
+        a[0], a[-1], b[0], b[-1] = edge, p - 1 - edge, p - 1 - edge, edge
+        outs = [np.full((T, p), np.nan + 0j), np.full((T, 2 * p + 5), np.nan + 0j)[:, :p]]
+        want = roll_take_oracle(x, b)
+        for out in outs:
+            assert np.array_equal(_roll_rows(x, -b[:, 0], out), want)
+        want = modulation_rows_oracle(p, b)
+        assert np.array_equal(_chirp(p, 0, b), want)
+        for out in outs:
+            assert _chirp(p, 0, b, out=out) is out and np.array_equal(out, want)
+        want = chirp_gather_oracle(p, a, b)
+        assert np.array_equal(_chirp(p, a, b), want)
+        for out in outs:
+            tracemalloc.start()
+            try:
+                got = _chirp(p, a, b, out=out)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(got, want)
+            # in place: no (T, p) index or copy, only numpy's fixed-size ufunc buffers
+            assert peak < 8 * T * p + 2**18, (out.flags.c_contiguous, peak)
+        for i, (ai, bi) in enumerate(zip(a[:, 0].tolist(), b[:, 0].tolist())):
+            assert np.array_equal(_chirp(p, ai, bi), want[i]), (ai, bi)
+            assert np.array_equal(_chirp(p, ai, bi, out=outs[1][i]), want[i]), (ai, bi)
+            assert np.array_equal(_chirp(p, ai), chirp_gather_oracle(p, ai)), ai
+
+
+def test_only_gfp_reads_the_roots_table_and_no_row_is_a_wrap_take():
+    # every shifted or modulated F_p row goes through gfp's two kernels: no
+    # other module reads the roots table, and no module rolls by a wrap-mode
+    # take (detect._pick's np.roll of magnitudes compares neighbours only)
+    for path in sorted(Path(tfshift.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        assert path.name == "gfp.py" or "_roots" not in text, path.name
+        assert 'mode="wrap"' not in text and "mode='wrap'" not in text, path.name
 
 
 def test_roots_table_is_read_only_and_small():

@@ -66,11 +66,11 @@ def test_receivers_into_reused_arrays_equal_fresh_ones():
     seeds = rng.integers(0, 2**63, size=T).tolist()
     want = sim._receivers(senders, shifts, coef, awgn_rows(p, 0.3, seeds))
     out, noise, term, shifted = np.full((4, T + 2, p), np.nan + 1j)
-    planes, idx = np.full((2, T + 2, p), np.inf), np.full((T + 2, p), -5)
+    planes = np.full((2, T + 2, p), np.inf)
     for n in (T, 4):
         got = sim._receivers(senders, shifts[:n], coef[:n],
                              awgn_rows(p, 0.3, seeds[:n], noise[:n], planes[:, :n]),
-                             (out[:n], idx[:n], term[:n], shifted[:n]))
+                             (out[:n], term[:n], shifted[:n]))
         assert np.shares_memory(got, out)
         assert np.array_equal(got, want[:n])
 
