@@ -7,9 +7,9 @@ n >= 2p-1: a forward and an inverse FFT of length n (numpy's pocketfft). n is
 the 5-smooth length up to the next power of two that a cost rule fitted to
 pocketfft timings ranks fastest, not always the least one: a length with
 fewer radix-3 and radix-5 passes can be faster though longer.
-Operation counters charge each call per row the modelled cost of a
-zero-padded radix-2 Rader transform at a prime length and of one radix-2
-pass at a padded length, so the complexity shows without timing noise; wall
+Operation counters charge each call per row the modelled cost of one
+radix-2 pass at the power of two at or above its length, so the complexity
+shows without timing noise; wall
 clocks are printed as a sanity check. A sender's first scan on a slope costs
 three transforms and later scans two, since the sender's half is kept. A
 detection stage scans a whole family of senders as one stack, so r warm

@@ -47,7 +47,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import numpy.fft  # numpy loads it lazily; load it with the package
 
-from .gfp import Line, _chirp, _roll_rows, inv, is_prime
+from .gfp import Line, _chirp, _roll_rows, inv
 
 if TYPE_CHECKING:
     from .signals import Signal
@@ -62,12 +62,11 @@ class OpCounters:
 
     dft_calls counts dft calls, and a call on a stack of rows counts once.
     dft_ops is a modelled cost times the number of rows transformed, not a
-    count of instructions executed: a prime length p is priced as a
-    zero-padded radix-2 Rader transform (_modelled_ops), a padded length n as
-    one radix-2 pass at the power of two N >= n (_radix2_ops). A non-empty
-    stage of stacked scans (mf_on_stage) adds 2 padded dft calls of length n,
-    4 above SPLIT_ABOVE, where each stage transform is counted as its two
-    passes (_stage_transform), each priced by _radix2_ops at its own length;
+    count of instructions executed: every row of a length-n transform is
+    priced as one radix-2 pass at the power of two N >= n (_radix2_ops). A
+    non-empty stage of stacked scans (mf_on_stage) adds 2 padded dft calls
+    of length n, 4 above SPLIT_ABOVE, where each stage transform is counted
+    as its two passes (_stage_transform), each priced at its own length;
     plus 1 per cold plan (a sloped job's (sender, slope) plan, or the
     vertical jobs' one plan per p), a one-pass transform of length n. The
     count holds for any mix of vertical and sloped jobs and any number of
@@ -97,13 +96,6 @@ def _radix2_ops(n: int) -> int:
     return n // 2 * (n.bit_length() - 1)
 
 
-def _modelled_ops(p: int) -> int:
-    """Cost of one prime-length transform as a padded Rader transform: two
-    radix-2 passes at the power of two N >= 2(p-1), plus N pointwise products."""
-    n = 1 << (2 * p - 3).bit_length()
-    return 2 * _radix2_ops(n) + n
-
-
 @lru_cache(maxsize=64)
 def _smooth_length(m: int) -> int:
     """The padded length for m >= 1 samples: of the 5-smooth n = 2^a 3^b 5^c
@@ -128,17 +120,13 @@ def _smooth_length(m: int) -> int:
 
 def dft(x: np.ndarray, direction: str = "forward", *, n: int | None = None,
         out: np.ndarray | None = None) -> np.ndarray:
-    """Length-p DFT, p prime, of a vector or of each row of a stack of any
-    rank, along its last axis. Forward: X[k] = sum_t x[t] e^{+2 pi i kt/p};
-    inverse applies the opposite kernel and the 1/p factor; adjoint applies
+    """Length-n DFT of a vector or of each row of a stack of any rank, along
+    its last axis, each row zero-padded to n; n defaults to the row length,
+    and an n below it is refused. Forward: X[k] = sum_t x[t] e^{+2 pi i kt/n};
+    inverse applies the opposite kernel and the 1/n factor; adjoint applies
     the opposite kernel unscaled, so dft(x, "adjoint") ==
     conj(dft(conj(x), "forward")) bit for bit, and is counted as a forward
-    transform. A square (p, p) array is refused: it is the shape of a
-    matched-filter matrix, not of a stack of receivers.
-
-    With n, the transform has length n instead: each row is zero-padded to n
-    (n below the row length is refused), for any n and any stack.
-    Sloped scans use it for their padded correlation.
+    transform. Every row is priced at _radix2_ops(n).
 
     With out, the result is written there and out is returned; out may be x
     itself, which transforms in place when x already has length n."""
@@ -147,16 +135,8 @@ def dft(x: np.ndarray, direction: str = "forward", *, n: int | None = None,
         raise ValueError(f"dft expects a vector or a stack of rows, got shape {x.shape}")
     if n is None:
         n = x.shape[-1]
-        if x.ndim == 2 and x.shape[0] == n:
-            raise ValueError(f"dft expects a vector or a (rows, p) stack with rows != p, "
-                             f"got shape {x.shape}")
-        if not is_prime(n):
-            raise ValueError(f"dft length {n} is not prime")
-        ops = _modelled_ops(n)
     elif n < x.shape[-1]:
         raise ValueError(f"dft padded length {n} is below the row length {x.shape[-1]}")
-    else:
-        ops = _radix2_ops(n)
     if direction == "forward":
         out = np.fft.ifft(x, n, norm="forward", out=out)
     elif direction in ("inverse", "adjoint"):  # one kernel; the adjoint is unscaled
@@ -165,7 +145,7 @@ def dft(x: np.ndarray, direction: str = "forward", *, n: int | None = None,
     else:
         raise ValueError(f"unknown direction {direction!r}")
     counters.dft_calls += 1
-    counters.dft_ops += math.prod(x.shape[:-1]) * ops
+    counters.dft_ops += math.prod(x.shape[:-1]) * _radix2_ops(n)
     return out
 
 

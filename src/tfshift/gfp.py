@@ -174,7 +174,8 @@ def _chirp(p: int, a, b=0, out: np.ndarray | None = None) -> np.ndarray:
     a C-contiguous array or (T, p) rows with a row stride. The index is built
     in the upper half of the bytes each gather fills (index j at byte 8(N + j)
     of N samples), which the gather reads before it writes sample j over
-    bytes 16j to 16j + 16, so a call allocates nothing beyond its result."""
+    bytes 16j to 16j + 16, so a call allocates no array beyond its result
+    (numpy's ufunc buffers aside: about 128 KB for a (T, 1) column)."""
     out = np.empty(np.broadcast(a, b, _roots(p)[2]).shape, np.complex128) if out is None else out
     if out.flags.c_contiguous:
         k = _phase(p, a, b, out.view(np.int64).reshape(2, *out.shape))

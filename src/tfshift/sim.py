@@ -9,7 +9,6 @@ noise-to-signal ratio against one sender is p sigma^2).
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
@@ -94,7 +93,9 @@ def _receivers(senders: list, shifts: np.ndarray, coef: np.ndarray,
     the modulation (gfp._chirp) times the roll (gfp._roll_rows), so every
     row equals the receiver synthesized alone. It is built in place in
     arrays (fresh by default): the (T, p) stack, which is returned, and two
-    (T, p) terms, so a caller that reuses them allocates nothing."""
+    (T, p) terms, so a caller that reuses them allocates no (T, p) array;
+    numpy still takes its ufunc buffers, about 128 KB, for each product of a
+    (T, 1) column into a (T, p) row stack."""
     T, p = noise.shape
     out, term, shifted = np.empty((3, T, p), dtype=np.complex128) if arrays is None else arrays
     out.fill(0)
@@ -126,13 +127,8 @@ def synthesize_receiver(spec: ChannelSpec, waveforms: dict) -> Signal:
 
 
 def thread_cap() -> int:
-    """The thread cap TFSHIFT_THREADS asks for (default 1). monte_carlo runs
-    on one thread and does not read it; it is kept as a reported setting."""
-    raw = os.environ.get("TFSHIFT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    """1, the one thread monte_carlo runs on; kept as a reported setting."""
+    return 1
 
 
 def build_family(p, r: int, method: str, seed: int) -> list:

@@ -29,7 +29,8 @@ A flag needs one torus eigenvector, built matrix-free: the vector is the
 projection of a fixed reference signal on its eigenspace, a sum over the
 n = T.order powers of rho(T.generator). One doubling ladder (_project) sums
 them in O(log p) FFTs. Each step applies rho^h = c(h) rho(g^h): rho(g^h) is
-the closed-form kernel, built at its step and dropped after, and c(h) is a
+the closed-form kernel, built at its step and dropped after (rho(g), which
+every "+1" step applies, once a ladder), and c(h) is a
 fourth root of unity in closed form (_power_scalar). The ladder's steps
 depend on n only, so the vectors of every torus of one order climb one
 ladder as one stack, one transform call a step for all of them. The one
@@ -328,23 +329,26 @@ def _project(tori: list[Torus], which: np.ndarray, keys: np.ndarray,
     bit and then to G_{e+1} = x + z G_e if the bit is set, and ends at G_n.
     The steps depend on n only, so every row climbs in the same ladder: a
     step applies to each row z^h = c(h) e^{-i pi k h/n} rho(g^h) of its own
-    torus (_power_scalar, _rho), built for that step only, as at most one
-    transform call for the whole stack (none at g^h = -I, the last), so the
-    memory is O(N p); each g^e climbs alongside, one product a step.
+    torus (_power_scalar, _rho), built for that step only (z itself, which
+    every set bit applies, once a call), as at most one transform call for
+    the whole stack (none at g^h = -I, the last), so the memory is O(N p);
+    each g^e climbs alongside, one product a step.
     """
     gs = [T.generator for T in tori]
     n = tori[0].order
 
-    def z(h, us, G):  # z^h G, us[j] = gs[j]^h
+    def z(h, us):  # the map G -> z^h G, us[j] = gs[j]^h
         c = np.array([_power_scalar(g, u, h) for g, u in zip(gs, us)])[which]
         c = c * np.exp(-1j * np.pi * (keys * h % (2 * n)) / n)
-        return np.multiply(c[:, None], _rho(*us, which=which)(G))
+        rho = _rho(*us, which=which)
+        return lambda G: np.multiply(c[:, None], rho(G))
 
+    z1 = z(1, gs)
     G, e, us = X, 1, gs
     for bit in bin(n)[3:]:
-        G, e, us = G + z(e, us, G), 2 * e, [u.mul(u) for u in us]
+        G, e, us = G + z(e, us)(G), 2 * e, [u.mul(u) for u in us]
         if bit == "1":
-            G, e, us = X + z(1, gs, G), e + 1, [u.mul(g) for u, g in zip(us, gs)]
+            G, e, us = X + z1(G), e + 1, [u.mul(g) for u, g in zip(us, gs)]
     return G / n
 
 

@@ -8,6 +8,7 @@ import pytest
 from helpers import mf_full_oracle, mf_oracle, mf_oracle_grid, pi_oracle, psi
 
 from tfshift import (
+    Line,
     PlanePoint,
     Signal,
     as_prime,
@@ -18,6 +19,7 @@ from tfshift import (
     fastmf,
     heisenberg_op,
     inner,
+    line_vector,
     mf_entry,
     mf_full,
     mfi_coefficient,
@@ -37,6 +39,21 @@ def test_signal_validation():
         Signal(p, np.ones(4))
     with pytest.raises(ValueError):
         Signal(p, np.ones(5), normalized=True)  # norm is sqrt(5), not 1
+
+
+def test_normalized_signals_are_checked_without_blas(monkeypatch):
+    # a BLAS call can wait milliseconds for an idle thread-pool worker at
+    # large p, so the normalized check is a numpy ufunc sum
+    def refuse(*args, **kwargs):
+        raise AssertionError("BLAS-backed call")
+    for module, name in ((np.linalg, "norm"), (np, "dot"), (np, "vdot"), (np, "matmul")):
+        monkeypatch.setattr(module, name, refuse)
+    p = 10007
+    built = [random_signal(p, seed=1), line_vector(Line(3, as_prime(p)), 5).signal,
+             delta(p, 2), Signal(p, np.full(p, 1 / np.sqrt(p)), normalized=True)]
+    assert all(S.normalized for S in built)
+    with pytest.raises(ValueError, match="norm differs from 1"):
+        Signal(p, np.full(p, 2 / np.sqrt(p)), normalized=True)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan),

@@ -29,7 +29,6 @@ from tfshift import (
     line_vector,
     monte_carlo,
     synthesize_receiver,
-    thread_cap,
 )
 
 
@@ -73,6 +72,23 @@ def test_receivers_into_reused_arrays_equal_fresh_ones():
                              (out[:n], term[:n], shifted[:n]))
         assert np.shares_memory(got, out)
         assert np.array_equal(got, want[:n])
+    # a warm call into kept arrays at a Monte Carlo chunk's (21, 503) takes
+    # numpy's 128 KB of ufunc buffers for a column product, not a (T, p)
+    # temporary (169 KB), alone or beside those buffers
+    p, T = 503, 21
+    senders = [w.signal.samples for w in flag_family(p, r, seed=2)]
+    shifts = rng.integers(0, p, size=(T, r, 2))
+    coef = rng.uniform(0.1, 1, size=(T, r))
+    noise = awgn_rows(p, 0.3, range(T))
+    arrays = np.empty((3, T, p), dtype=np.complex128)
+    sim._receivers(senders, shifts, coef, noise, arrays)
+    tracemalloc.start()
+    try:
+        sim._receivers(senders, shifts, coef, noise, arrays)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 160 * 2**10, peak
 
 
 def test_synthesize_receiver_matches_oracle():
@@ -287,17 +303,6 @@ def test_monte_carlo_argument_errors():
     big = unit_monte_carlo_template(31, 60, 0.0, 0)
     with pytest.raises(ValueError):
         monte_carlo(big, 1, method="cross")  # only (p+1)/2 crosses exist
-
-
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.delenv("TFSHIFT_THREADS", raising=False)
-    assert thread_cap() == 1
-    monkeypatch.setenv("TFSHIFT_THREADS", "4")
-    assert thread_cap() == 4
-    monkeypatch.setenv("TFSHIFT_THREADS", "0")
-    assert thread_cap() == 1
-    monkeypatch.setenv("TFSHIFT_THREADS", "junk")
-    assert thread_cap() == 1
 
 
 def test_bench_complexity_rows():
